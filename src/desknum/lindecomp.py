@@ -1,10 +1,11 @@
 """Linear systems, factorizations, eigenproblems, SVD, PCA, least squares.
 
-Direct solvers (Gaussian elimination with partial pivoting, LU, QR, Cholesky,
-explicit inverse), stationary and Krylov iterations (Jacobi, Gauss-Seidel,
-conjugate gradient), eigenvalues by shifted QR on the Hessenberg form with
-inverse-iteration eigenvectors, SVD through the smaller Gram matrix, PCA, and
-polynomial least squares on a Vandermonde system.
+Direct solvers (Gaussian elimination with partial pivoting, run as an LU
+factorization, QR, Cholesky, explicit inverse), stationary and Krylov
+iterations (Jacobi, Gauss-Seidel, conjugate gradient), eigenvalues by shifted
+QR on the Hessenberg form with inverse-iteration eigenvectors, SVD through the
+smaller Gram matrix, PCA, and polynomial least squares on a Vandermonde
+system.
 """
 
 from __future__ import annotations
@@ -281,28 +282,8 @@ def solve_direct(a: Matrix, b: VecLike, method: str = "gauss") -> Vector:
     if len(bv) != a.rows:
         raise ShapeMismatch(f"rhs length {len(bv)} does not match {a.rows} rows")
     n = a.rows
-    if method == "gauss":
-        aug = [row + [bv[i]] for i, row in enumerate(a.to_rows())]
-        thresh = _PIVOT_REL * _maxabs(a.to_rows())
-        for k in range(n):
-            p = max(range(k, n), key=lambda i: abs(aug[i][k]))
-            if abs(aug[p][k]) <= thresh:
-                raise Singular("pivot below threshold during elimination")
-            if p != k:
-                aug[k], aug[p] = aug[p], aug[k]
-            pivot = aug[k][k]
-            for i in range(k + 1, n):
-                m = aug[i][k] / pivot
-                if m != 0.0:
-                    aug[i][k] = 0.0
-                    for j in range(k + 1, n + 1):
-                        aug[i][j] -= m * aug[k][j]
-        x = [0.0] * n
-        for i in range(n - 1, -1, -1):
-            s = aug[i][n] - math.fsum(aug[i][j] * x[j] for j in range(i + 1, n))
-            x[i] = s / aug[i][i]
-        return Vector(x)
-    if method == "lu":
+    if method in ("gauss", "lu"):
+        # Gaussian elimination with partial pivoting is the LU factorization
         return Vector(_solve_lu_factors(lu(a), bv))
     if method == "qr":
         r, y = _householder_ls(a.to_rows(), n, n, bv)

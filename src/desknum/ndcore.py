@@ -1,15 +1,18 @@
 """Dense matrix/vector kernel.
 
 Row-major real-valued matrices and vectors with element-wise arithmetic,
-reductions, naive and Strassen multiplication, transpose/reshape, vector
-geometry, norms, and absolute/relative error metrics. Everything is a pure
-function over immutable values; constructors reject non-finite entries.
+reductions, naive (row-by-column dot product) and Strassen multiplication
+(rectangular, zero-padded by one row or column at each odd level),
+transpose/reshape, vector geometry, norms, and absolute/relative error
+metrics. Everything is a pure function over immutable values; constructors
+reject non-finite entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -22,8 +25,10 @@ from .errors import (
     ZeroNorm,
 )
 
-# recursion switches to the cubic kernel below this size
-STRASSEN_CUTOFF = 32
+# Strassen recurses only while every dimension exceeds this size. Up to 64
+# one level loses to the cubic kernel and from 128 to 256 it is within a few
+# percent of it (measured crossover, see CHANGES.md).
+STRASSEN_CUTOFF = 192
 
 
 def _checked_floats(values: Iterable[float], what: str) -> list[float]:
@@ -196,82 +201,83 @@ def reduce(v: Union[Vector, Sequence[float]], kind: str) -> float:
 
 
 def _naive_ll(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
-    # cubic kernel on list-of-lists; b is walked row-wise for locality
-    n_rows, inner, n_cols = len(a), len(b), len(b[0])
-    out = [[0.0] * n_cols for _ in range(n_rows)]
-    for i in range(n_rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(inner):
-            aik = arow[k]
-            if aik == 0.0:
-                continue
-            brow = b[k]
-            for j in range(n_cols):
-                orow[j] += aik * brow[j]
-    return out
+    # cubic kernel on list-of-lists: each entry is a row-by-column dot product
+    # summed over k = 0, 1, ... from zero. The columns of b get fresh (exact)
+    # float objects so the inner loop reads them in allocation order, which
+    # matters once b no longer fits in cache.
+    bt = [[x * 1.0 for x in col] for col in zip(*b)]
+    return [[sum(map(mul, arow, bcol)) for bcol in bt] for arow in a]
 
 
 def _ll_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [list(map(add, ra, rb)) for ra, rb in zip(a, b)]
 
 
 def _ll_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [list(map(sub, ra, rb)) for ra, rb in zip(a, b)]
 
 
-def _strassen_square(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
-    n = len(a)
-    if n < STRASSEN_CUTOFF:
+def _pad(rows: list[list[float]], nrows: int, ncols: int) -> list[list[float]]:
+    # zero-extend to nrows x ncols
+    width = len(rows[0])
+    out = [row + [0.0] * (ncols - width) for row in rows]
+    out += [[0.0] * ncols for _ in range(nrows - len(rows))]
+    return out
+
+
+def _strassen(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    m, k, n = len(a), len(b), len(b[0])
+    if min(m, k, n) <= STRASSEN_CUTOFF:
         return _naive_ll(a, b)
-    h = n // 2
-    a11 = [row[:h] for row in a[:h]]
-    a12 = [row[h:] for row in a[:h]]
-    a21 = [row[:h] for row in a[h:]]
-    a22 = [row[h:] for row in a[h:]]
-    b11 = [row[:h] for row in b[:h]]
-    b12 = [row[h:] for row in b[:h]]
-    b21 = [row[:h] for row in b[h:]]
-    b22 = [row[h:] for row in b[h:]]
-    m1 = _strassen_square(_ll_add(a11, a22), _ll_add(b11, b22))
-    m2 = _strassen_square(_ll_add(a21, a22), b11)
-    m3 = _strassen_square(a11, _ll_sub(b12, b22))
-    m4 = _strassen_square(a22, _ll_sub(b21, b11))
-    m5 = _strassen_square(_ll_add(a11, a12), b22)
-    m6 = _strassen_square(_ll_sub(a21, a11), _ll_add(b11, b12))
-    m7 = _strassen_square(_ll_sub(a12, a22), _ll_add(b21, b22))
+    if m % 2 or k % 2 or n % 2:
+        # odd level: one zero row or column per odd dimension, then crop
+        full = _strassen(_pad(a, m + m % 2, k + k % 2), _pad(b, k + k % 2, n + n % 2))
+        return [row[:n] for row in full[:m]]
+    hm, hk, hn = m // 2, k // 2, n // 2
+    a11 = [row[:hk] for row in a[:hm]]
+    a12 = [row[hk:] for row in a[:hm]]
+    a21 = [row[:hk] for row in a[hm:]]
+    a22 = [row[hk:] for row in a[hm:]]
+    b11 = [row[:hn] for row in b[:hk]]
+    b12 = [row[hn:] for row in b[:hk]]
+    b21 = [row[:hn] for row in b[hk:]]
+    b22 = [row[hn:] for row in b[hk:]]
+    m1 = _strassen(_ll_add(a11, a22), _ll_add(b11, b22))
+    m2 = _strassen(_ll_add(a21, a22), b11)
+    m3 = _strassen(a11, _ll_sub(b12, b22))
+    m4 = _strassen(a22, _ll_sub(b21, b11))
+    m5 = _strassen(_ll_add(a11, a12), b22)
+    m6 = _strassen(_ll_sub(a21, a11), _ll_add(b11, b12))
+    m7 = _strassen(_ll_sub(a12, a22), _ll_add(b21, b22))
     c11 = _ll_add(_ll_sub(_ll_add(m1, m4), m5), m7)
     c12 = _ll_add(m3, m5)
     c21 = _ll_add(m2, m4)
     c22 = _ll_add(_ll_add(_ll_sub(m1, m2), m3), m6)
-    out = [c11[i] + c12[i] for i in range(h)]
-    out += [c21[i] + c22[i] for i in range(h)]
+    out = [c11[i] + c12[i] for i in range(hm)]
+    out += [c21[i] + c22[i] for i in range(hm)]
     return out
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def matmul(a: Matrix, b: Matrix, algo: str = "naive") -> Matrix:
-    """Matrix product; algo is "naive" or "strassen" (zero-pad, recurse, crop)."""
+    """Matrix product; algo is "naive" or "strassen".
+
+    Strassen halves all three dimensions while each exceeds STRASSEN_CUTOFF,
+    padding an odd dimension with one zero row or column at that level and
+    cropping the result, and multiplies the blocks with the cubic kernel.
+    Operands with any dimension at or below the cutoff go to the cubic kernel
+    unpadded.
+    """
     if a.cols != b.rows:
         raise ShapeMismatch(
             f"inner dims differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
         )
     if algo == "naive":
         out = _naive_ll(a.to_rows(), b.to_rows())
-        return Matrix.from_rows(out)
-    if algo != "strassen":
+    elif algo == "strassen":
+        out = _strassen(a.to_rows(), b.to_rows())
+    else:
         raise ValueError(f"unknown matmul algorithm {algo!r}")
-    size = _next_pow2(max(a.rows, a.cols, b.cols))
-    pa = [[a.get(i, j) if i < a.rows and j < a.cols else 0.0 for j in range(size)] for i in range(size)]
-    pb = [[b.get(i, j) if i < b.rows and j < b.cols else 0.0 for j in range(size)] for i in range(size)]
-    full = _strassen_square(pa, pb)
-    return Matrix.from_rows([row[: b.cols] for row in full[: a.rows]])
+    return Matrix.from_rows(out)
 
 
 def transpose(a: Matrix) -> Matrix:

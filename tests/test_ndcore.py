@@ -1,6 +1,8 @@
 """Matrix/vector kernel: goldens, error contracts, algebraic properties."""
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,13 @@ from desknum.errors import (
 from desknum.ndcore import Matrix, Vector
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+# magnitudes below ~1e-154 underflow when squared, so keep clear of them
+nonunderflow_floats = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-100, max_value=1e6),
+    st.floats(min_value=-1e6, max_value=-1e-100),
+)
 
 
 def assert_matrix_close(m: Matrix, rows, tol=1e-12):
@@ -135,15 +144,120 @@ def test_strassen_matches_naive_random():
         assert np.max(np.abs(np.array(got.to_rows()) - want)) <= 1e-9
 
 
-def test_strassen_rectangular_and_above_cutoff():
+def _strassen_shapes(monkeypatch):
+    # record the (m, k, n) of every Strassen level, recursive calls included
+    shapes = []
+    inner = ndcore._strassen
+
+    def spy(a, b):
+        shapes.append((len(a), len(b), len(b[0])))
+        return inner(a, b)
+
+    monkeypatch.setattr(ndcore, "_strassen", spy)
+    return shapes
+
+
+def test_strassen_rectangular_and_above_cutoff(monkeypatch):
+    # a small cutoff makes these shapes recurse through odd and even levels
+    monkeypatch.setattr(ndcore, "STRASSEN_CUTOFF", 4)
+    shapes = _strassen_shapes(monkeypatch)
     rng = np.random.default_rng(11)
-    for shape in [(5, 7, 3), (33, 40, 37), (64, 64, 64)]:
+    for shape in [(5, 7, 3), (17, 17, 17), (33, 40, 37), (1, 9, 1), (1, 40, 1)]:
         m, k, n = shape
         a = rng.standard_normal((m, k))
         b = rng.standard_normal((k, n))
         got = ndcore.matmul(Matrix.from_rows(a.tolist()), Matrix.from_rows(b.tolist()), algo="strassen")
         assert got.rows == m and got.cols == n
         assert np.max(np.abs(np.array(got.to_rows()) - a @ b)) <= 1e-8
+    # 17 pads to 18, halves to 9, pads to 10, halves to 5, pads to 6, halves to 3
+    assert {(17,) * 3, (18,) * 3, (9,) * 3, (10,) * 3, (5,) * 3, (6,) * 3, (3,) * 3} <= set(shapes)
+    # 33x40x37 pads only its odd dimensions
+    assert (33, 40, 37) in shapes and (34, 40, 38) in shapes and (17, 20, 19) in shapes
+
+
+def test_strassen_thin_operand_skips_recursion(monkeypatch):
+    # one dimension at or below the cutoff: the cubic kernel runs unpadded
+    shapes = _strassen_shapes(monkeypatch)
+    c = ndcore.STRASSEN_CUTOFF
+    a = Matrix(c + 1, 3, [float(i % 7) for i in range(3 * (c + 1))])
+    b = Matrix(3, c + 1, [float(i % 5) for i in range(3 * (c + 1))])
+    assert ndcore.matmul(a, b, "strassen") == ndcore.matmul(a, b, "naive")
+    assert shapes == [(c + 1, 3, c + 1)]
+
+
+def test_strassen_just_above_real_cutoff(monkeypatch):
+    shapes = _strassen_shapes(monkeypatch)
+    n = ndcore.STRASSEN_CUTOFF + 1
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+    got = ndcore.matmul(Matrix.from_rows(a.tolist()), Matrix.from_rows(b.tolist()), algo="strassen")
+    assert np.max(np.abs(np.array(got.to_rows()) - a @ b)) <= 1e-10
+    # one odd level padded by one, then seven products on the cubic kernel
+    h = (n + 1) // 2
+    assert shapes == [(n,) * 3, (n + 1,) * 3] + [(h,) * 3] * 7
+
+
+EPS = np.finfo(float).eps
+# Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 23.3:
+# max|C - fl(C)| <= 12**levels * (n0**2 + 5*n0) * u * max|A| * max|B|. Up to 12
+# at cutoff 4 there are at most two halvings, and no base block dimension
+# exceeds 12.
+STRASSEN_BOUND = 12**2 * (12**2 + 5 * 12) * (EPS / 2)
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["naive", "strassen"]),
+    st.data(),
+)
+@settings(deadline=None, max_examples=50)
+def test_matmul_property_against_exact(m, k, n, algo, data):
+    a = data.draw(st.lists(nonunderflow_floats, min_size=m * k, max_size=m * k))
+    b = data.draw(st.lists(nonunderflow_floats, min_size=k * n, max_size=k * n))
+    with mock.patch.object(ndcore, "STRASSEN_CUTOFF", 4):
+        got = np.array(ndcore.matmul(Matrix(m, k, a), Matrix(k, n, b), algo).to_rows())
+    # exact rational product as the reference, so no oracle rounding eats the bound
+    fa = [[Fraction(a[i * k + p]) for p in range(k)] for i in range(m)]
+    fb = [[Fraction(b[p * n + j]) for j in range(n)] for p in range(k)]
+    want = [[sum(fa[i][p] * fb[p][j] for p in range(k)) for j in range(n)] for i in range(m)]
+    err = np.array([[abs(Fraction(got[i, j]) - want[i][j]) for j in range(n)] for i in range(m)], dtype=float)
+    na, nb = np.abs(np.array(a).reshape(m, k)), np.abs(np.array(b).reshape(k, n))
+    if algo == "naive":
+        # recursive summation: |C - fl(C)| <= gamma_k |A||B| < k eps |A||B|
+        assert np.all(err <= k * EPS * (na @ nb))
+    else:
+        assert err.max() <= STRASSEN_BOUND * na.max() * nb.max()
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["naive", "strassen"]),
+    st.data(),
+)
+@settings(deadline=None, max_examples=50)
+def test_matmul_exact_on_integers(m, k, n, algo, data):
+    # every product, block sum and partial sum is an integer below 2**53
+    ints = st.integers(min_value=-1000, max_value=1000)
+    a = data.draw(st.lists(ints, min_size=m * k, max_size=m * k))
+    b = data.draw(st.lists(ints, min_size=k * n, max_size=k * n))
+    with mock.patch.object(ndcore, "STRASSEN_CUTOFF", 4):
+        got = ndcore.matmul(Matrix(m, k, a), Matrix(k, n, b), algo)
+    want = np.array(a, dtype=np.int64).reshape(m, k) @ np.array(b, dtype=np.int64).reshape(k, n)
+    assert got.to_rows() == want.astype(float).tolist()
+
+
+@pytest.mark.parametrize("algo", ["naive", "strassen"])
+def test_matmul_overflow_raises_non_finite(monkeypatch, algo):
+    monkeypatch.setattr(ndcore, "STRASSEN_CUTOFF", 4)
+    for n in (2, 9):
+        a = Matrix(n, n, [1e200] * (n * n))
+        with pytest.raises(NonFinite):
+            ndcore.matmul(a, a, algo)
 
 
 # transpose / reshape
@@ -220,14 +334,6 @@ def test_cosine_and_distance_goldens():
 def test_norm_squared_is_self_dot(v):
     n2 = ndcore.norm(v, "l2") ** 2
     assert abs(n2 - ndcore.dot(v, v)) <= 1e-6 * max(1.0, n2)
-
-
-# magnitudes below ~1e-154 underflow when squared, so keep clear of them
-nonunderflow_floats = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=1e-100, max_value=1e6),
-    st.floats(min_value=-1e6, max_value=-1e-100),
-)
 
 
 @given(st.lists(nonunderflow_floats, min_size=1, max_size=8))
