@@ -26,12 +26,9 @@ from .errors import (
     SingularJacobian,
     Unstable,
 )
-from .ndcore import Matrix, Vector
+from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _norm_inf
 
 StateFn = Callable[[float, Sequence[float]], Sequence[float]]
-
-# iterates past this magnitude are treated as divergence, not data
-_DIVERGE_LIMIT = 1e12
 
 # per-step implicit residual allowed for backward Euler
 _IMPLICIT_TOL = 1e-10
@@ -165,7 +162,7 @@ def _eval_rhs(f: StateFn, t: float, y: Sequence[float]) -> list:
 
 def _check_state(y: Sequence[float], t: float) -> None:
     for v in y:
-        if not math.isfinite(v) or abs(v) > _DIVERGE_LIMIT:
+        if not math.isfinite(v) or abs(v) > DIVERGE_LIMIT:
             raise NonFinite(f"state diverged near t = {t:.6g}")
 
 
@@ -228,7 +225,7 @@ def backward_euler_solve(p: IvpProblem) -> Trajectory:
         except (MaxIterations, SingularJacobian) as exc:
             raise NewtonFailure(f"implicit step at t = {b:.6g} failed") from exc
         y = list(report.root.data)
-        residual = max(abs(v) for v in implicit(y))
+        residual = _norm_inf(implicit(y))
         if residual > _IMPLICIT_TOL:
             raise NewtonFailure(
                 f"implicit step at t = {b:.6g} stalled at residual {residual:.3g}"

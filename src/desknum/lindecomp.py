@@ -6,6 +6,12 @@ iterations (Jacobi, Gauss-Seidel, conjugate gradient), eigenvalues by shifted
 QR on the Hessenberg form with inverse-iteration eigenvectors, SVD through the
 smaller Gram matrix, PCA, and polynomial least squares on a Vandermonde
 system.
+
+One Householder reflector kernel serves QR, least squares and the Hessenberg
+reduction: QR and least squares triangularize an augmented row list
+([A | I] gives [R | Q^T], [A | b] gives [R | Q^T b]), and the Hessenberg
+reduction applies each reflector from both sides. All triangular solves end
+in one back-substitution.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import (
     Singular,
     ZeroDiagonal,
 )
-from .ndcore import Matrix, Vector
+from .ndcore import Matrix, Vector, _dot, _matvec, _norm2, _norm_inf
 
 # relative pivot threshold shared by the pivoted factorizations
 _PIVOT_REL = 1e-12
@@ -92,22 +98,7 @@ def _maxabs(rows: list[list[float]]) -> float:
 
 
 def _residual_inf(arows: list[list[float]], x: list[float], b: list[float]) -> float:
-    return max(
-        abs(math.fsum(r[j] * x[j] for j in range(len(x))) - bi)
-        for r, bi in zip(arows, b)
-    )
-
-
-def _matvec(arows: list[list[float]], x: list[float]) -> list[float]:
-    return [math.fsum(r[j] * x[j] for j in range(len(x))) for r in arows]
-
-
-def _l2(v: list[float]) -> float:
-    return math.sqrt(math.fsum(x * x for x in v))
-
-
-def _dot(a: list[float], b: list[float]) -> float:
-    return math.fsum(x * y for x, y in zip(a, b))
+    return _norm_inf([ax - bi for ax, bi in zip(_matvec(arows, x), b)])
 
 
 # factorizations
@@ -146,82 +137,94 @@ def lu(a: Matrix) -> LuFactors:
     return LuFactors(Matrix.from_rows(lo), Matrix.from_rows(u), perm, sign)
 
 
-def _solve_lu_factors(f: LuFactors, b: list[float]) -> list[float]:
-    n = len(b)
-    lrows = f.l.to_rows()
-    urows = f.u.to_rows()
-    y = [b[f.perm[i]] for i in range(n)]
-    for i in range(n):
-        row = lrows[i]
-        y[i] -= math.fsum(row[j] * y[j] for j in range(i))
+def _forward_substitute(lo: list[list[float]], b: list[float]) -> list[float]:
+    # lower-triangular L y = b; a unit diagonal divides exactly
+    y = [0.0] * len(b)
+    for i, row in enumerate(lo):
+        y[i] = (b[i] - math.fsum(row[j] * y[j] for j in range(i))) / row[i]
+    return y
+
+
+def _back_substitute(u: list[list[float]], y: list[float]) -> list[float]:
+    # upper-triangular U x = y; U may carry extra (augmented) columns
+    n = len(y)
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
-        row = urows[i]
-        s = y[i] - math.fsum(row[j] * x[j] for j in range(i + 1, n))
-        x[i] = s / row[i]
+        row = u[i]
+        x[i] = (y[i] - math.fsum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
     return x
 
 
-def _householder_ls(rows: list[list[float]], m: int, n: int, rhs: list[float]):
-    """Reduce [A | rhs] to [R | Q^T rhs] with Householder reflections."""
-    r = [row[:] for row in rows]
-    y = list(rhs)
-    for k in range(min(m - 1, n)):
-        nx = math.sqrt(math.fsum(r[i][k] * r[i][k] for i in range(k, m)))
-        if nx <= 1e-300:
-            continue
-        alpha = -nx if r[k][k] >= 0 else nx
-        v = [r[i][k] for i in range(k, m)]
-        v[0] -= alpha
-        vtv = math.fsum(x * x for x in v)
-        if vtv <= 1e-300:
-            continue
-        for j in range(k, n):
-            s = 2.0 * math.fsum(v[i] * r[k + i][j] for i in range(m - k)) / vtv
-            if s != 0.0:
-                for i in range(m - k):
-                    r[k + i][j] -= s * v[i]
-        s = 2.0 * math.fsum(v[i] * y[k + i] for i in range(m - k)) / vtv
+def _solve_lu_factors(lrows, urows, perm: list[int], b: list[float]) -> list[float]:
+    return _back_substitute(urows, _forward_substitute(lrows, [b[p] for p in perm]))
+
+
+# Householder reflector kernel
+
+
+def _reflector(rows: list[list[float]], top: int, k: int):
+    """Reflector zeroing column k below row top: (v, alpha, v^T v), or None."""
+    nx = math.sqrt(math.fsum(rows[i][k] * rows[i][k] for i in range(top, len(rows))))
+    if nx <= 1e-300:
+        return None
+    alpha = -nx if rows[top][k] >= 0 else nx
+    v = [rows[i][k] for i in range(top, len(rows))]
+    v[0] -= alpha
+    vtv = math.fsum(x * x for x in v)
+    if vtv <= 1e-300:
+        return None
+    return v, alpha, vtv
+
+
+def _reflect_left(rows, top: int, v: list[float], vtv: float, j0: int) -> None:
+    # H = I - 2 v v^T / v^T v on rows top.. of columns j0..
+    for j in range(j0, len(rows[0])):
+        s = 2.0 * math.fsum(v[i] * rows[top + i][j] for i in range(len(v))) / vtv
         if s != 0.0:
-            for i in range(m - k):
-                y[k + i] -= s * v[i]
+            for i in range(len(v)):
+                rows[top + i][j] -= s * v[i]
+
+
+def _reflect_right(rows, top: int, v: list[float], vtv: float) -> None:
+    # the same H from the right, on columns top.. of every row
+    for row in rows:
+        s = 2.0 * math.fsum(row[top + i] * v[i] for i in range(len(v))) / vtv
+        if s != 0.0:
+            for i in range(len(v)):
+                row[top + i] -= s * v[i]
+
+
+def _triangularize(r: list[list[float]], n: int) -> None:
+    """Reduce the first n columns of augmented rows r to upper-triangular form."""
+    m = len(r)
+    for k in range(min(m - 1, n)):
+        ref = _reflector(r, k, k)
+        if ref is None:
+            continue
+        v, alpha, vtv = ref
+        _reflect_left(r, k, v, vtv, k)
         r[k][k] = alpha
         for i in range(k + 1, m):
             r[i][k] = 0.0
-    return r, y
+
+
+def _householder_ls(rows: list[list[float]], rhs: list[float]):
+    """Reduce [A | rhs] to [R | Q^T rhs]; returns those rows and Q^T rhs cut to n."""
+    n = len(rows[0])
+    r = [row + [y] for row, y in zip(rows, rhs)]
+    _triangularize(r, n)
+    return r, [row[n] for row in r[:n]]
 
 
 def qr(a: Matrix) -> QrFactors:
     """Householder QR of a square matrix; R diagonal signs are not normalized."""
     _require_square(a, "qr")
     m = a.rows
-    r = a.to_rows()
-    q = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    for k in range(m - 1):
-        nx = math.sqrt(math.fsum(r[i][k] * r[i][k] for i in range(k, m)))
-        if nx <= 1e-300:
-            continue
-        alpha = -nx if r[k][k] >= 0 else nx
-        v = [r[i][k] for i in range(k, m)]
-        v[0] -= alpha
-        vtv = math.fsum(x * x for x in v)
-        if vtv <= 1e-300:
-            continue
-        for j in range(k, m):
-            s = 2.0 * math.fsum(v[i] * r[k + i][j] for i in range(m - k)) / vtv
-            if s != 0.0:
-                for i in range(m - k):
-                    r[k + i][j] -= s * v[i]
-        for irow in range(m):
-            qrow = q[irow]
-            s = 2.0 * math.fsum(qrow[k + i] * v[i] for i in range(m - k)) / vtv
-            if s != 0.0:
-                for i in range(m - k):
-                    qrow[k + i] -= s * v[i]
-        r[k][k] = alpha
-        for i in range(k + 1, m):
-            r[i][k] = 0.0
-    return QrFactors(Matrix.from_rows(q), Matrix.from_rows(r))
+    # the reflectors that take A to R take I to Q^T
+    r = [row + e for row, e in zip(a.to_rows(), Matrix.identity(m).to_rows())]
+    _triangularize(r, m)
+    q = [[row[m + i] for row in r] for i in range(m)]
+    return QrFactors(Matrix.from_rows(q), Matrix.from_rows([row[:m] for row in r]))
 
 
 def cholesky(a: Matrix) -> Matrix:
@@ -264,11 +267,12 @@ def inv(a: Matrix) -> Matrix:
     _require_square(a, "inv")
     f = lu(a)
     n = a.rows
+    lrows, urows = f.l.to_rows(), f.u.to_rows()
     cols = []
     for j in range(n):
         e = [0.0] * n
         e[j] = 1.0
-        cols.append(_solve_lu_factors(f, e))
+        cols.append(_solve_lu_factors(lrows, urows, f.perm, e))
     return Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
@@ -284,27 +288,20 @@ def solve_direct(a: Matrix, b: VecLike, method: str = "gauss") -> Vector:
     n = a.rows
     if method in ("gauss", "lu"):
         # Gaussian elimination with partial pivoting is the LU factorization
-        return Vector(_solve_lu_factors(lu(a), bv))
+        f = lu(a)
+        return Vector(_solve_lu_factors(f.l.to_rows(), f.u.to_rows(), f.perm, bv))
     if method == "qr":
-        r, y = _householder_ls(a.to_rows(), n, n, bv)
-        thresh = _PIVOT_REL * _maxabs(a.to_rows())
-        x = [0.0] * n
-        for i in range(n - 1, -1, -1):
-            if abs(r[i][i]) <= thresh:
-                raise Singular("R has a negligible diagonal entry")
-            s = y[i] - math.fsum(r[i][j] * x[j] for j in range(i + 1, n))
-            x[i] = s / r[i][i]
-        return Vector(x)
+        arows = a.to_rows()
+        r, y = _householder_ls(arows, bv)
+        thresh = _PIVOT_REL * _maxabs(arows)
+        if any(abs(r[i][i]) <= thresh for i in range(n)):
+            raise Singular("R has a negligible diagonal entry")
+        return Vector(_back_substitute(r, y))
     if method == "cholesky":
         lo = cholesky(a).to_rows()
-        y = [0.0] * n
-        for i in range(n):
-            y[i] = (bv[i] - math.fsum(lo[i][j] * y[j] for j in range(i))) / lo[i][i]
-        x = [0.0] * n
-        for i in range(n - 1, -1, -1):
-            s = y[i] - math.fsum(lo[j][i] * x[j] for j in range(i + 1, n))
-            x[i] = s / lo[i][i]
-        return Vector(x)
+        # L y = b, then L^T x = y on the rows of L^T
+        y = _forward_substitute(lo, bv)
+        return Vector(_back_substitute([list(col) for col in zip(*lo)], y))
     if method == "inverse":
         m = inv(a)
         return Vector(_matvec(m.to_rows(), bv))
@@ -373,7 +370,7 @@ def solve_iterative(
     if method == "cg":
         x = list(xv)
         r = [bi - axi for bi, axi in zip(bv, _matvec(arows, x))]
-        res = max(abs(v) for v in r)
+        res = _norm_inf(r)
         if res < cfg.tol:
             return Vector(x), IterReport(0, res, True)
         p = list(r)
@@ -390,7 +387,7 @@ def solve_iterative(
                 x[i] += dx
                 step = max(step, abs(dx))
                 r[i] -= alpha * ap[i]
-            res = max(abs(v) for v in r)
+            res = _norm_inf(r)
             if step < cfg.tol or res < cfg.tol:
                 return Vector(x), IterReport(k, _residual_inf(arows, x, bv), True)
             rs_new = _dot(r, r)
@@ -408,28 +405,13 @@ def solve_iterative(
 def _hessenberg(rows: list[list[float]], n: int) -> list[list[float]]:
     h = [row[:] for row in rows]
     for k in range(n - 2):
-        nx = math.sqrt(math.fsum(h[i][k] * h[i][k] for i in range(k + 1, n)))
-        if nx <= 1e-300:
+        ref = _reflector(h, k + 1, k)
+        if ref is None:
             continue
-        v = [h[i][k] for i in range(k + 1, n)]
-        alpha = -nx if v[0] >= 0 else nx
-        v[0] -= alpha
-        vtv = math.fsum(x * x for x in v)
-        if vtv <= 1e-300:
-            continue
-        size = n - (k + 1)
+        v, _, vtv = ref
         # left reflection on rows k+1.., then the mirror from the right
-        for j in range(n):
-            s = 2.0 * math.fsum(v[i] * h[k + 1 + i][j] for i in range(size)) / vtv
-            if s != 0.0:
-                for i in range(size):
-                    h[k + 1 + i][j] -= s * v[i]
-        for irow in range(n):
-            hrow = h[irow]
-            s = 2.0 * math.fsum(hrow[k + 1 + i] * v[i] for i in range(size)) / vtv
-            if s != 0.0:
-                for i in range(size):
-                    hrow[k + 1 + i] -= s * v[i]
+        _reflect_left(h, k + 1, v, vtv, 0)
+        _reflect_right(h, k + 1, v, vtv)
     return h
 
 
@@ -553,16 +535,17 @@ def _inverse_iteration(
             f = lu(Matrix.from_rows(shifted))
         except Singular:
             continue
+        lrows, urows = f.l.to_rows(), f.u.to_rows()
         v = list(start)
         _project_out(v, ortho)
-        nv = _l2(v)
+        nv = _norm2(v)
         if nv <= 1e-8:
             continue
         v = [x / nv for x in v]
         for _ in range(40):
-            w = _solve_lu_factors(f, v)
+            w = _solve_lu_factors(lrows, urows, f.perm, v)
             _project_out(w, ortho)
-            nw = _l2(w)
+            nw = _norm2(w)
             if nw <= 1e-250:
                 break
             v = [x / nw for x in w]
@@ -613,7 +596,7 @@ def eig(a: Matrix) -> EigResult:
         for i in range(len(vecs)):
             v = list(vecs[i])
             _project_out(v, vecs[:i])
-            nv = _l2(v)
+            nv = _norm2(v)
             if nv > 1e-8:
                 vecs[i] = _sign_fix([x / nv for x in v])
             else:
@@ -621,7 +604,7 @@ def eig(a: Matrix) -> EigResult:
                     cand = [0.0] * n
                     cand[j] = 1.0
                     _project_out(cand, vecs[:i])
-                    nc = _l2(cand)
+                    nc = _norm2(cand)
                     if nc > 0.5:
                         vecs[i] = _sign_fix([x / nc for x in cand])
                         break
@@ -639,7 +622,7 @@ def _complete_orthonormal(cols: list[list[float]], dim: int, need: int) -> list[
         cand = [0.0] * dim
         cand[j] = 1.0
         _project_out(cand, out)
-        nc = _l2(cand)
+        nc = _norm2(cand)
         if nc > 1e-6:
             out.append([x / nc for x in cand])
         j += 1
@@ -655,14 +638,13 @@ def svd(a: Matrix) -> SvdResult:
     k = min(m, n)
     use_ata = n <= m
     dim = n if use_ata else m
+    acols = [list(c) for c in zip(*arows)]
+    side, other = (acols, arows) if use_ata else (arows, acols)
     # Gram matrix of the smaller side, symmetrized against rounding
     g = [[0.0] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1):
-            if use_ata:
-                s = math.fsum(arows[t][i] * arows[t][j] for t in range(m))
-            else:
-                s = _dot(arows[i], arows[j])
+            s = _dot(side[i], side[j])
             g[i][j] = s
             g[j][i] = s
     eres = eig(Matrix.from_rows(g))
@@ -674,14 +656,7 @@ def svd(a: Matrix) -> SvdResult:
     other_dim = m if use_ata else n
     for i, s in enumerate(sigma):
         if s > 0.0:
-            if use_ata:
-                w = _matvec(arows, small[i])
-            else:
-                w = [
-                    math.fsum(arows[t][j] * small[i][t] for t in range(m))
-                    for j in range(n)
-                ]
-            derived.append([x / s for x in w])
+            derived.append([x / s for x in _matvec(other, small[i])])
         else:
             derived.append(None)
     known = [d for d in derived if d is not None]
@@ -705,21 +680,16 @@ def pca(x: Matrix, k: int) -> Matrix:
     rows = x.to_rows()
     means = [math.fsum(rows[i][j] for i in range(n)) / n for j in range(d)]
     xc = [[rows[i][j] - means[j] for j in range(d)] for i in range(n)]
+    xcols = [list(c) for c in zip(*xc)]
     cov = [[0.0] * d for _ in range(d)]
     for p in range(d):
         for q in range(p + 1):
-            s = math.fsum(xc[i][p] * xc[i][q] for i in range(n)) / (n - 1)
+            s = _dot(xcols[p], xcols[q]) / (n - 1)
             cov[p][q] = s
             cov[q][p] = s
-    eres = eig(Matrix.from_rows(cov))
-    proj = [
-        [
-            math.fsum(xc[i][p] * eres.vectors.get(p, j) for p in range(d))
-            for j in range(k)
-        ]
-        for i in range(n)
-    ]
-    return Matrix.from_rows(proj)
+    vecs = eig(Matrix.from_rows(cov)).vectors
+    top = [vecs.col(j) for j in range(k)]
+    return Matrix.from_rows([_matvec(top, row) for row in xc])
 
 
 # least squares
@@ -737,12 +707,8 @@ def polyfit(xs: VecLike, ys: VecLike, degree: int) -> Vector:
     if len(xv) < p:
         raise ShapeMismatch(f"need at least {p} samples for degree {degree}")
     vand = [[x ** (degree - j) for j in range(p)] for x in xv]
-    r, qty = _householder_ls(vand, len(xv), p, yv)
+    r, qty = _householder_ls(vand, yv)
     thresh = 1e-12 * max(1.0, _maxabs(vand))
-    coeffs = [0.0] * p
-    for i in range(p - 1, -1, -1):
-        if abs(r[i][i]) <= thresh:
-            raise RankDeficient("Vandermonde system is rank deficient")
-        s = qty[i] - math.fsum(r[i][j] * coeffs[j] for j in range(i + 1, p))
-        coeffs[i] = s / r[i][i]
-    return Vector(coeffs)
+    if any(abs(r[i][i]) <= thresh for i in range(p)):
+        raise RankDeficient("Vandermonde system is rank deficient")
+    return Vector(_back_substitute(r, qty))

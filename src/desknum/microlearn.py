@@ -13,16 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
+from .autodiff import sigmoid_value as sigmoid
 from .errors import BadArchitecture, ShapeMismatch, TooSmallBatch
 from .ndcore import Matrix, Vector, matmul
-
-
-def sigmoid(x: float) -> float:
-    """Logistic function 1/(1+e^-x), stable for large |x|."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    ex = math.exp(x)
-    return ex / (1.0 + ex)
 
 
 def sigmoid_derivative(a: float) -> float:

@@ -30,6 +30,9 @@ from .errors import (
 # percent of it (measured crossover, see CHANGES.md).
 STRASSEN_CUTOFF = 192
 
+# iterates past this magnitude are treated as divergence, not data
+DIVERGE_LIMIT = 1e12
+
 
 def _checked_floats(values: Iterable[float], what: str) -> list[float]:
     out = []
@@ -209,6 +212,29 @@ def _naive_ll(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
     return [[sum(map(mul, arow, bcol)) for bcol in bt] for arow in a]
 
 
+# unchecked vector helpers for internal kernels; callers validate first
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return math.fsum(map(mul, a, b))
+
+
+def _norm2(v: Sequence[float]) -> float:
+    return math.sqrt(math.fsum(x * x for x in v))
+
+
+def _norm_inf(v: Sequence[float]) -> float:
+    # max() skips a NaN unless it comes first; a NaN must fail every
+    # convergence test, so it propagates here
+    if any(map(math.isnan, v)):
+        return math.nan
+    return max(map(abs, v))
+
+
+def _matvec(rows: Sequence[Sequence[float]], x: Sequence[float]) -> list[float]:
+    return [math.fsum(map(mul, r, x)) for r in rows]
+
+
 def _ll_add(a, b):
     return [list(map(add, ra, rb)) for ra, rb in zip(a, b)]
 
@@ -300,7 +326,7 @@ def dot(a: Union[Vector, Sequence[float]], b: Union[Vector, Sequence[float]]) ->
     va, vb = _vec(a), _vec(b)
     if len(va) != len(vb):
         raise ShapeMismatch(f"lengths differ: {len(va)} vs {len(vb)}")
-    return math.fsum(x * y for x, y in zip(va, vb))
+    return _dot(va, vb)
 
 
 def cross3(a: Union[Vector, Sequence[float]], b: Union[Vector, Sequence[float]]) -> Vector:
@@ -328,7 +354,7 @@ def norm(x: Union[Matrix, Vector, Sequence[float]], kind: str = "l2") -> float:
     if kind == "l1":
         return math.fsum(abs(v) for v in data)
     if kind in ("l2", "frobenius"):
-        return math.sqrt(math.fsum(v * v for v in data))
+        return _norm2(data)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -336,10 +362,10 @@ def cosine_similarity(a, b) -> float:
     va, vb = _vec(a), _vec(b)
     if len(va) != len(vb):
         raise ShapeMismatch(f"lengths differ: {len(va)} vs {len(vb)}")
-    na, nb = norm(va, "l2"), norm(vb, "l2")
+    na, nb = _norm2(va), _norm2(vb)
     if na == 0.0 or nb == 0.0:
         raise ZeroNorm("cosine similarity undefined for zero-norm input")
-    return dot(va, vb) / (na * nb)
+    return _dot(va, vb) / (na * nb)
 
 
 def euclidean_distance(a, b) -> float:

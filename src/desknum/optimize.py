@@ -27,11 +27,10 @@ from .errors import (
     Singular,
     SingularHessian,
 )
-from .ndcore import Matrix, Vector
+from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _dot, _matvec, _norm2, _norm_inf
 
 VecFn = Callable[[Sequence[float]], Sequence[float]]
 
-_DIVERGE_LIMIT = 1e12
 _CURVATURE_GUARD = 1e-10
 _ARMIJO_C = 1e-4
 
@@ -119,18 +118,6 @@ def _vec(x, name="x") -> list[float]:
     return Vector(list(x)).data
 
 
-def _norm_inf(v: Sequence[float]) -> float:
-    return max(abs(a) for a in v)
-
-
-def _norm2(v: Sequence[float]) -> float:
-    return math.sqrt(math.fsum(a * a for a in v))
-
-
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return math.fsum(p * q for p, q in zip(a, b))
-
-
 def gd_minimize(
     grad: VecFn, x0: Sequence[float], eta: float, iters: int
 ) -> list[Vector]:
@@ -146,7 +133,7 @@ def gd_minimize(
             raise ShapeMismatch("gradient size differs from parameter size")
         x = [p - eta * q for p, q in zip(x, g)]
         for v in x:
-            if not math.isfinite(v) or abs(v) > _DIVERGE_LIMIT:
+            if not math.isfinite(v) or abs(v) > DIVERGE_LIMIT:
                 raise NonFinite("gradient descent diverged")
         traj.append(Vector(x))
     return traj
@@ -285,7 +272,7 @@ def bfgs_minimize(
             Vector(x), 0, _norm_inf(g), True, fx, _qn_state_from_dense(h)
         )
     for k in range(1, max_iter + 1):
-        d = [-math.fsum(h[i][j] * g[j] for j in range(n)) for i in range(n)]
+        d = [-v for v in _matvec(h, g)]
         if _dot(d, g) >= 0.0:
             # stale curvature made the direction non-descending; restart from I
             h = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -297,7 +284,7 @@ def bfgs_minimize(
         ys = _dot(y, s)
         if ys > _CURVATURE_GUARD:
             rho = 1.0 / ys
-            hy = [math.fsum(h[i][j] * y[j] for j in range(n)) for i in range(n)]
+            hy = _matvec(h, y)
             yhy = _dot(y, hy)
             # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, expanded
             for i in range(n):
@@ -386,20 +373,32 @@ def _two_loop_direction(g, pairs):
     return q
 
 
+def _initial_simplex(f, x: list[float]):
+    simplex = [list(x)]
+    for i in range(len(x)):
+        p = list(x)
+        p[i] += 0.05 * p[i] if p[i] != 0.0 else 0.00025
+        simplex.append(p)
+    return simplex, [f(p) for p in simplex]
+
+
 def nelder_mead(
     f: Callable[[Sequence[float]], float],
     x0: Sequence[float],
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> MinimizeResult:
+    """Downhill simplex; stops when the simplex f-spread drops below tol.
+
+    A flat simplex can lie on one level set far from the minimum, so it is
+    accepted only when freshly built, or when a restart from its best vertex
+    no longer lowers f by more than tol (Kelley, SIAM J. Optim. 10, 1999).
+    """
     x = _vec(x0)
     n = len(x)
-    simplex = [list(x)]
-    for i in range(n):
-        p = list(x)
-        p[i] += 0.05 * p[i] if p[i] != 0.0 else 0.00025
-        simplex.append(p)
-    fvals = [f(p) for p in simplex]
+    simplex, fvals = _initial_simplex(f, x)
+    fresh = True
+    f_restart = math.inf  # best f when the simplex was last rebuilt
 
     for k in range(max_iter + 1):
         order = sorted(range(n + 1), key=lambda i: fvals[i])
@@ -407,9 +406,14 @@ def nelder_mead(
         fvals = [fvals[i] for i in order]
         spread = fvals[-1] - fvals[0]
         if spread < tol:
-            return MinimizeResult(Vector(simplex[0]), k, spread, True, fvals[0])
+            if fresh or f_restart - fvals[0] <= tol:
+                return MinimizeResult(Vector(simplex[0]), k, spread, True, fvals[0])
+            f_restart = fvals[0]
+            simplex, fvals = _initial_simplex(f, simplex[0])
+            continue
         if k == max_iter:
             break
+        fresh = False
         centroid = [
             math.fsum(simplex[i][j] for i in range(n)) / n for j in range(n)
         ]

@@ -23,10 +23,7 @@ from .errors import (
     SingularJacobian,
     ZeroDerivative,
 )
-from .ndcore import Matrix, Vector
-
-# divergence guard for fixed-point iteration
-_DIVERGE_LIMIT = 1e12
+from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _dot, _matvec, _norm2, _norm_inf
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ def fixed_point(
     x = float(x0)
     for k in range(1, max_iter + 1):
         gx = g(x)
-        if not math.isfinite(gx) or abs(gx) > _DIVERGE_LIMIT:
+        if not math.isfinite(gx) or abs(gx) > DIVERGE_LIMIT:
             raise NonFinite(f"iteration diverged at step {k}")
         if abs(gx - x) < tol:
             return RootReport(gx, k, abs(gx - x), True)
@@ -128,14 +125,6 @@ def fixed_point(
 
 
 VecFn = Callable[[Sequence[float]], Sequence[float]]
-
-
-def _norm_inf(v: Sequence[float]) -> float:
-    return max(abs(x) for x in v)
-
-
-def _norm2(v: Sequence[float]) -> float:
-    return math.sqrt(math.fsum(x * x for x in v))
 
 
 def _fd_jacobian(f_vec: VecFn, x: list[float], fx: list[float]) -> Matrix:
@@ -204,8 +193,8 @@ def broyden(
             return RootReport(Vector(x_new), k, _norm_inf(f_new), True)
         y = [a - b for a, b in zip(f_new, fx)]
         brows = state.b.to_rows()
-        bs = [math.fsum(brows[i][j] * s[j] for j in range(n)) for i in range(n)]
-        sts = math.fsum(v * v for v in s)
+        bs = _matvec(brows, s)
+        sts = _dot(s, s)
         upd = [
             [brows[i][j] + (y[i] - bs[i]) * s[j] / sts for j in range(n)]
             for i in range(n)

@@ -130,6 +130,92 @@ def test_qr_invariants_random():
         assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
 
 
+def check_qr(arr, f):
+    q = np.array(f.q.to_rows())
+    r = np.array(f.r.to_rows())
+    n = len(arr)
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(q @ r - np.asarray(arr, dtype=float))) <= 1e-12 * max(1.0, np.max(np.abs(arr)))
+    assert np.all(np.tril(r, -1) == 0.0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # zero first column: reflector skipped
+        [[0, 0, 1], [3, 6, 1], [4, 8, 2]],  # step 0 zeroes column 1 below row 1 exactly
+        [[2, 1, 1], [0, 3, 1], [0, 0, 4]],  # already upper triangular
+        [[1e-200, 1], [0, 1]],  # v^T v underflows: second guard skips
+    ],
+)
+def test_qr_skipped_and_reduced_columns(rows):
+    check_qr(rows, ld.qr(Matrix.from_rows(rows)))
+
+
+def test_one_by_one_householder_paths():
+    for val in (3.0, -2.0):
+        f = ld.qr(Matrix.from_rows([[val]]))
+        assert f.q.to_rows() == [[1.0]] and f.r.to_rows() == [[val]]
+    assert ld.solve_direct(Matrix.from_rows([[4.0]]), [2.0], "qr").data == [0.5]
+    assert ld.polyfit([2.0], [5.0], 0).data == [5.0]
+    with pytest.raises(Singular):
+        ld.solve_direct(Matrix.from_rows([[0.0]]), [1.0], "qr")
+
+
+def test_solve_qr_and_polyfit_on_a_zero_column():
+    with pytest.raises(Singular, match="R has a negligible diagonal entry"):
+        ld.solve_direct(Matrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]]), [1, 2, 3], "qr")
+    with pytest.raises(RankDeficient, match="Vandermonde system is rank deficient"):
+        ld.polyfit([0, 0, 0], [1, 2, 3], 1)
+    # the second reflector sees a zero column once the first is applied
+    with pytest.raises(Singular):
+        ld.solve_direct(Matrix.from_rows([[0, 0, 1], [3, 6, 1], [4, 8, 2]]), [1, 2, 3], "qr")
+
+
+# Exact outputs on one fixed integer input, recorded before the Householder
+# and back-substitution loops were merged into shared kernels. A change in the
+# order of any floating-point operation in these paths fails here.
+PIN_A = [[4, 1, 0, 2], [1, 5, 1, 0], [0, 1, 3, 1], [2, 0, 1, 6]]
+PIN_B = [1, 2, 3, 4]
+PIN_Q = [
+    [-0.8728715609439697, 0.14847846772912465, 0.12402130627499375, -0.44795992935294293],
+    [-0.21821789023599242, -0.9502621934663978, 0.1597562589305004, 0.1544689411561872],
+    [0.0, -0.20786985482077452, -0.9228026009274959, -0.3243847764279932],
+    [-0.43643578047198484, 0.17817416127494964, -0.32792074201523774, 0.8186853881277921],
+]
+PIN_R = [
+    [-4.58257569495584, -1.9639610121239315, -0.6546536707079772, -4.364357804719848],
+    [0.0, -4.810702354423639, -1.3956975966537717, 1.1581320482871726],
+    [0.0, 0.0, -2.9365722858672245, -2.6422844404689343],
+    [0.0, 0.0, 0.0, 3.6918076936328728],
+]
+PIN_SOLVE = {
+    "gauss": [-0.11297071129707115, 0.2803347280334728, 0.7112970711297072, 0.5857740585774058],
+    "lu": [-0.11297071129707115, 0.2803347280334728, 0.7112970711297072, 0.5857740585774058],
+    "qr": [-0.11297071129707122, 0.280334728033473, 0.7112970711297066, 0.585774058577406],
+    "cholesky": [-0.1129707112970712, 0.28033472803347276, 0.7112970711297071, 0.585774058577406],
+    "inverse": [-0.11297071129707112, 0.28033472803347276, 0.7112970711297071, 0.5857740585774058],
+}
+PIN_POLY = [1.821428571428571, -0.5642857142857141, -1.4857142857142858]
+PIN_INV = [
+    [0.3305439330543933, -0.07949790794979078, 0.06694560669456065, -0.1213389121338912],
+    [-0.0794979079497908, 0.23430962343096232, -0.09205020920502091, 0.04184100418410041],
+    [0.06694560669456065, -0.0920502092050209, 0.3933054393305439, -0.08786610878661086],
+    [-0.1213389121338912, 0.0418410041841004, -0.08786610878661084, 0.22175732217573219],
+]
+
+
+def test_exact_value_pin():
+    a = Matrix.from_rows(PIN_A)
+    f = ld.qr(a)
+    assert f.q.to_rows() == PIN_Q
+    assert f.r.to_rows() == PIN_R
+    for method, want in PIN_SOLVE.items():
+        assert ld.solve_direct(a, PIN_B, method).data == want, method
+    assert ld.polyfit([-2, -1, 0, 1, 2, 3], [7, 1, -2, 0, 5, 13], 2).data == PIN_POLY
+    assert ld.inv(a).to_rows() == PIN_INV
+
+
 def test_cholesky_golden():
     a = Matrix.from_rows([[4, 12, -16], [12, 37, -43], [-16, -43, 98]])
     lo = ld.cholesky(a)
@@ -273,6 +359,22 @@ def test_eig_symmetric_trace_det_and_oracle():
         want = np.sort(np.linalg.eigvalsh(arr))[::-1]
         assert np.allclose(res.values, want, atol=1e-8)
         assert eig_residual(a, res) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_eig_nonsymmetric_real_spectrum_against_numpy(n):
+    # P diag(d) P^-1 with distinct real d: the Hessenberg reduction does real work
+    rng = np.random.default_rng(40 + n)
+    p = np.eye(n) + 0.4 * rng.standard_normal((n, n))
+    d = rng.permutation(np.arange(1, n + 1)) * 1.5 - 4.0 + 0.1 * rng.uniform(size=n)
+    arr = p @ np.diag(d) @ np.linalg.inv(p)
+    a = Matrix.from_rows(arr.tolist())
+    res = ld.eig(a)
+    want = np.sort(np.linalg.eigvals(arr).real)[::-1]
+    assert np.allclose(res.values, want, rtol=0, atol=1e-8 * np.max(np.abs(arr)))
+    vecs = np.array(res.vectors.to_rows())
+    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
+    assert eig_residual(a, res) <= 1e-8
 
 
 def test_eig_complex_spectrum_raises():

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from desknum import lindecomp, optimize as opt
+from desknum import lindecomp, optimize as opt, roots
 from desknum.errors import (
     LineSearchFailure,
     MaxIterations,
     NonFinite,
+    NumericsError,
     ShapeMismatch,
     SingularHessian,
 )
@@ -366,6 +367,31 @@ def test_nelder_mead_sphere_3d():
     assert max(abs(a - b) for a, b in zip(res.x.data, c)) <= 1e-3
 
 
+def test_nelder_mead_flat_simplex_far_from_minimum():
+    # from (-1, -1) the simplex goes flat on one level set near (0.3, 0.35),
+    # where the gradient is still 0.05; the minimizer is (1/3, 1/3)
+    def f(v):
+        x, y = v
+        return 0.5 * (2 * x * x + 2 * x * y + 2 * y * y) - x - y
+
+    res = opt.nelder_mead(f, [-1.0, -1.0])
+    assert res.converged
+    assert max(abs(v - 1.0 / 3.0) for v in res.x.data) <= 1e-4
+
+
+def test_nelder_mead_flat_simplex_3d():
+    q = [[14, 8, 6], [8, 10, 6], [6, 6, 6]]
+
+    def f(v):
+        return 0.5 * math.fsum(v[i] * q[i][j] * v[j] for i in range(3) for j in range(3)) - math.fsum(v)
+
+    res = opt.nelder_mead(f, [-2.0, 0.0, 0.0])
+    assert res.converged
+    grad = [math.fsum(q[i][j] * res.x[j] for j in range(3)) - 1.0 for i in range(3)]
+    assert max(abs(g) for g in grad) <= 1e-3
+    assert max(abs(a - b) for a, b in zip(res.x.data, [0.0, 0.0, 1.0 / 6.0])) <= 1e-3
+
+
 def test_nelder_mead_constant():
     res = opt.nelder_mead(lambda v: 7.0, [1.5, 2.5])
     assert res.x.data == [1.5, 2.5]
@@ -428,3 +454,24 @@ def test_sgd_linreg_errors():
         opt.sgd_linreg([1.0, 2.0], [1.0, 2.0], 3, 0.1, 5, seed=0)
     with pytest.raises(ShapeMismatch):
         opt.sgd_linreg([1.0, 2.0], [1.0, 2.0], 0, 0.1, 5, seed=0)
+
+
+# a NaN in the gradient or residual must fail every convergence test
+
+NAN_SECOND = [0.0, math.nan]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: opt.newton_minimize(lambda x: NAN_SECOND, lambda x: Matrix.identity(2), [1.0, 1.0]),
+        lambda: opt.bfgs_minimize(lambda x: 0.0, lambda x: NAN_SECOND, [1.0, 1.0]),
+        lambda: opt.lbfgs_minimize(lambda x: 0.0, lambda x: NAN_SECOND, [1.0, 1.0]),
+        lambda: roots.newton_system(lambda x: NAN_SECOND, None, [1.0, 1.0]),
+        lambda: roots.broyden(lambda x: NAN_SECOND, [1.0, 1.0]),
+    ],
+    ids=["newton_minimize", "bfgs", "lbfgs", "newton_system", "broyden"],
+)
+def test_nan_in_second_entry_is_not_convergence(call):
+    with pytest.raises(NumericsError):
+        call()
