@@ -157,6 +157,8 @@ def read_pgm(data: bytes) -> Image2D:
         pixels = [int(t) for t in tokens[4:]]
     except ValueError as exc:
         raise MalformedPgm("non-integer token in PGM") from exc
+    if cols < 1 or rows < 1:
+        raise MalformedPgm(f"PGM dimensions must be positive, got {cols}x{rows}")
     if maxval != 255:
         raise MalformedPgm(f"maxval must be 255, got {maxval}")
     if len(pixels) != rows * cols:
@@ -392,7 +394,9 @@ def _cmd_image_lowpass(ns) -> bytes:
         shot = Image2D(img.rows, img.cols, [float(v) for v in scaled])
         with open(ns.spectrum, "wb") as fh:
             fh.write(write_pgm(shot))
-    pooled = spectral.spectral_pool2d(img, ns.keep)
+        pooled = spectral._pool_field(field, ns.keep)
+    else:
+        pooled = spectral.spectral_pool2d(img, ns.keep)
     clamped = [min(255.0, max(0.0, round(v))) for v in pooled.data]
     return write_pgm(Image2D(pooled.rows, pooled.cols, clamped))
 

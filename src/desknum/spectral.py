@@ -5,6 +5,17 @@ round trip is the identity. dft is the O(n^2) definition and doubles as
 the correctness oracle for the iterative radix-2 fft. Public transforms
 reject non-power-of-two lengths; only convolve_fft pads internally
 (and crops back) by contract.
+
+Every transform runs through one kernel, _fft_inplace: a batched,
+stage-vectorised iterative radix-2 FFT (Cooley & Tukey, 1965). It
+transforms every aligned block of a flat list in one call, permutes
+through a cached bit-reversal table, and does each stage's butterflies
+as slice operations over whichever is shorter, the blocks or the
+twiddles. Each element still gets exactly u + v*w, u - v*w and z*scale
+with the twiddles of _roots, so results do not depend on the batching.
+fft2 is one batched pass over the rows and one over the transposed
+columns; spectral_pool2d computes only the bins its mask keeps (output
+pruning, Markel 1971).
 """
 
 from __future__ import annotations
@@ -13,6 +24,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, attrgetter, mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -32,13 +45,12 @@ class ComplexVec:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Sequence[float], im: Sequence[float]):
-        re = [float(v) for v in re]
-        im = [float(v) for v in im]
+        re = list(map(float, re))
+        im = list(map(float, im))
         if len(re) != len(im):
             raise ShapeMismatch(f"re has {len(re)} entries, im has {len(im)}")
-        for v in re + im:
-            if not math.isfinite(v):
-                raise NonFinite("complex entries must be finite")
+        if not (all(map(math.isfinite, re)) and all(map(math.isfinite, im))):
+            raise NonFinite("complex entries must be finite")
         self.re = re
         self.im = im
 
@@ -78,12 +90,11 @@ class Image2D:
     def __init__(self, rows: int, cols: int, data: Sequence[float]):
         if rows < 1 or cols < 1:
             raise ShapeMismatch("image dimensions must be positive")
-        data = [float(v) for v in data]
+        data = list(map(float, data))
         if len(data) != rows * cols:
             raise ShapeMismatch(f"expected {rows * cols} pixels, got {len(data)}")
-        for v in data:
-            if not math.isfinite(v):
-                raise NonFinite("pixel values must be finite")
+        if not all(map(math.isfinite, data)):
+            raise NonFinite("pixel values must be finite")
         self.rows = rows
         self.cols = cols
         self.data = data
@@ -92,17 +103,26 @@ class Image2D:
         return self.data[r * self.cols + c]
 
 
+_real = attrgetter("real")
+_imag = attrgetter("imag")
+
+
 def _to_complex(x: ComplexVec) -> list[complex]:
-    return [complex(a, b) for a, b in zip(x.re, x.im)]
+    return list(map(complex, x.re, x.im))
 
 
 def _from_complex(xs: Sequence[complex]) -> ComplexVec:
-    return ComplexVec([z.real for z in xs], [z.imag for z in xs])
+    return ComplexVec(list(map(_real, xs)), list(map(_imag, xs)))
 
 
 def _require_pow2(n: int) -> None:
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"length {n} is not a power of two")
+
+
+def _require_keep(rows: int, cols: int, keep: int) -> None:
+    if not 1 <= keep <= min(rows, cols):
+        raise BadKeep(f"keep must be in [1, {min(rows, cols)}]")
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,36 +145,52 @@ def dft(x: ComplexVec) -> ComplexVec:
     return _from_complex(out)
 
 
-def _fft_inplace(a: list[complex], inverse: bool) -> None:
-    n = len(a)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
-    table = _roots(n)
+@functools.lru_cache(maxsize=None)
+def _bit_reversal(n: int) -> tuple[int, ...]:
+    # rev[i] is i with its log2(n) bits reversed
+    rev = [0]
+    while len(rev) < n:
+        rev = [2 * r for r in rev] + [2 * r + 1 for r in rev]
+    return tuple(rev)
+
+
+@functools.lru_cache(maxsize=None)
+def _twiddles(n: int, inverse: bool) -> tuple[complex, ...]:
+    # first half of _roots(n), conjugated for the inverse
+    half = _roots(n)[: n // 2]
+    return tuple(w.conjugate() for w in half) if inverse else half
+
+
+def _fft_inplace(a: list[complex], inverse: bool, block: int = 0) -> None:
+    """Transform each aligned block of length `block` (default: all of a)."""
+    total = len(a)
+    n = block or total
+    if n > 1:
+        rev = _bit_reversal(n)
+        for base in range(0, total, n):
+            a[base : base + n] = map(a[base : base + n].__getitem__, rev)
+    tw = _twiddles(n, inverse)
     size = 2
     while size <= n:
         half = size // 2
-        stride = n // size
-        for start in range(0, n, size):
+        w = tw[:: n // size]
+        if half < total // size:
+            # fewer twiddles than blocks: one strided butterfly per twiddle
             for k in range(half):
-                w = table[k * stride]
-                if inverse:
-                    w = w.conjugate()
-                u = a[start + k]
-                v = a[start + k + half] * w
-                a[start + k] = u + v
-                a[start + k + half] = u - v
+                lo = a[k::size]
+                v = list(map(mul, a[k + half :: size], repeat(w[k])))
+                a[k::size] = map(add, lo, v)
+                a[k + half :: size] = map(sub, lo, v)
+        else:
+            for start in range(0, total, size):
+                mid, end = start + half, start + size
+                lo = a[start:mid]
+                v = list(map(mul, a[mid:end], w))
+                a[start:mid] = map(add, lo, v)
+                a[mid:end] = map(sub, lo, v)
         size *= 2
     if inverse:
-        scale = 1.0 / n
-        for i in range(n):
-            a[i] *= scale
+        a[:] = map(mul, a, repeat(1.0 / n))
 
 
 def fft(x: ComplexVec) -> ComplexVec:
@@ -205,13 +241,13 @@ def convolve_fft(f: Sequence[float], g: Sequence[float]) -> Vector:
     size = 1
     while size < m:
         size *= 2
-    fa = _to_complex(ComplexVec.from_real(a + [0.0] * (size - len(a))))
-    fb = _to_complex(ComplexVec.from_real(b + [0.0] * (size - len(b))))
-    _fft_inplace(fa, inverse=False)
-    _fft_inplace(fb, inverse=False)
-    prod = [p * q for p, q in zip(fa, fb)]
+    both = list(map(complex, a)) + [0j] * (size - len(a))
+    both += map(complex, b)
+    both += [0j] * (size - len(b))
+    _fft_inplace(both, inverse=False, block=size)
+    prod = list(map(mul, both[:size], both[size:]))
     _fft_inplace(prod, inverse=True)
-    return Vector([z.real for z in prod[:m]])
+    return Vector(list(map(_real, prod[:m])))
 
 
 def convolve_circular(f: Sequence[float], g: Sequence[float], n: int) -> Vector:
@@ -230,11 +266,7 @@ def fft2(img: Image2D) -> list[ComplexVec]:
     """Separable transform: FFT each row, then each column."""
     _require_pow2(img.rows)
     _require_pow2(img.cols)
-    grid = [
-        [complex(img.get(r, c), 0.0) for c in range(img.cols)]
-        for r in range(img.rows)
-    ]
-    return _fft2_grid(grid, inverse=False)
+    return _fft2_grid(list(map(complex, img.data)), img.rows, img.cols, inverse=False)
 
 
 def ifft2(field: Sequence[ComplexVec]) -> list[ComplexVec]:
@@ -245,20 +277,25 @@ def ifft2(field: Sequence[ComplexVec]) -> list[ComplexVec]:
     for row in field:
         if len(row) != cols:
             raise ShapeMismatch("ragged field")
-    grid = [_to_complex(row) for row in field]
-    return _fft2_grid(grid, inverse=True)
+    grid: list[complex] = []
+    for row in field:
+        grid += map(complex, row.re, row.im)
+    return _fft2_grid(grid, rows, cols, inverse=True)
 
 
-def _fft2_grid(grid: list[list[complex]], inverse: bool) -> list[ComplexVec]:
-    for row in grid:
-        _fft_inplace(row, inverse)
-    rows, cols = len(grid), len(grid[0])
-    for c in range(cols):
-        col = [grid[r][c] for r in range(rows)]
-        _fft_inplace(col, inverse)
-        for r in range(rows):
-            grid[r][c] = col[r]
-    return [_from_complex(row) for row in grid]
+def _transpose(a: list[complex], cols: int, take: int) -> list[complex]:
+    """First `take` columns of the row-major a (row length cols), column by column."""
+    out: list[complex] = []
+    for c in range(take):
+        out += a[c::cols]
+    return out
+
+
+def _fft2_grid(grid: list[complex], rows: int, cols: int, inverse: bool) -> list[ComplexVec]:
+    _fft_inplace(grid, inverse, block=cols)
+    t = _transpose(grid, cols, cols)
+    _fft_inplace(t, inverse, block=rows)
+    return [_from_complex(t[r::rows]) for r in range(rows)]
 
 
 def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vector:
@@ -270,30 +307,56 @@ def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vec
     _require_pow2(n)
     if not 0 < cutoff < sample_rate / 2:
         raise BadCutoff("cutoff must lie in (0, sample_rate/2)")
-    a = _to_complex(ComplexVec.from_real(data))
+    a = list(map(complex, data))
     _fft_inplace(a, inverse=False)
     freqs = fft_freqs(n, 1.0 / sample_rate)
     for k, fr in enumerate(freqs):
         if abs(fr) > cutoff:
             a[k] = 0j
     _fft_inplace(a, inverse=True)
-    return Vector([z.real for z in a])
+    return Vector(list(map(_real, a)))
 
 
 def spectral_pool2d(img: Image2D, keep: int) -> Image2D:
-    if not 1 <= keep <= min(img.rows, img.cols):
-        raise BadKeep(f"keep must be in [1, {min(img.rows, img.cols)}]")
-    field = fft2(img)
-    grid = [_to_complex(row) for row in field]
-    for r in range(img.rows):
-        for c in range(img.cols):
-            if r >= keep or c >= keep:
-                grid[r][c] = 0j
-    back = _fft2_grid(grid, inverse=True)
-    data = []
-    for row in back:
-        data.extend(row.re)
-    return Image2D(img.rows, img.cols, data)
+    """Keep the keep x keep lowest-index corner of fft2(img), zero the rest
+    and transform back. Only the kept columns are transformed forward."""
+    rows, cols = img.rows, img.cols
+    _require_keep(rows, cols, keep)
+    _require_pow2(rows)
+    _require_pow2(cols)
+    a = list(map(complex, img.data))
+    _fft_inplace(a, inverse=False, block=cols)
+    low = _transpose(a, cols, keep)
+    _fft_inplace(low, inverse=False, block=rows)
+    return _pool_band([low[r::rows] for r in range(keep)], rows, cols)
+
+
+def _pool_field(field: Sequence[ComplexVec], keep: int) -> Image2D:
+    """spectral_pool2d from the already computed fft2 of the image."""
+    rows, cols = len(field), len(field[0])
+    _require_keep(rows, cols, keep)
+    band = [list(map(complex, row.re[:keep], row.im[:keep])) for row in field[:keep]]
+    return _pool_band(band, rows, cols)
+
+
+def _pool_band(band: list[list[complex]], rows: int, cols: int) -> Image2D:
+    """Inverse fft2 of a rows x cols spectrum that is zero outside the
+    keep x keep corner `band`. A row of zeros transforms to exact +0j,
+    so only the keep nonzero rows are row-transformed."""
+    keep = len(band)
+    a: list[complex] = []
+    for row in band:
+        a += row
+        a += [0j] * (cols - keep)
+    _fft_inplace(a, inverse=True, block=cols)
+    t: list[complex] = []
+    for c in range(cols):
+        t += a[c::cols]
+        t += [0j] * (rows - keep)
+    _fft_inplace(t, inverse=True, block=rows)
+    if not all(map(cmath.isfinite, t)):
+        raise NonFinite("complex entries must be finite")
+    return Image2D(rows, cols, list(map(_real, _transpose(t, rows, rows))))
 
 
 def spectrum(signal: Sequence[float], sample_spacing: float) -> Spectrum:

@@ -1,6 +1,7 @@
 """CLI contract tests: serialization round trips, exit codes, artifacts."""
 
 import math
+import random
 
 import pytest
 
@@ -113,6 +114,17 @@ def test_read_pgm_rejects_binary_and_bad_headers():
         numcli.read_pgm(b"P2\n2 2\n255\n0 0 0\n")
     with pytest.raises(MalformedPgm):
         numcli.read_pgm(b"P2\n1 1\n255\n300\n")
+
+
+def test_read_pgm_rejects_non_positive_dimensions(tmp_path, capsys):
+    for blob in (b"P2\n-2 -2\n255\n1 2 3 4\n", b"P2\n0 3\n255\n", b"P2\n2 0\n255\n"):
+        with pytest.raises(MalformedPgm):
+            numcli.read_pgm(blob)
+    path = tmp_path / "neg.pgm"
+    path.write_bytes(b"P2\n-2 -2\n255\n1 2 3 4\n")
+    rc, _, err = run(["image-lowpass", "--in", str(path), "--keep", "1"], capsys)
+    assert rc == 2
+    assert "MalformedPgm" in err
 
 
 def test_read_pgm_allows_comments():
@@ -434,6 +446,20 @@ def test_image_lowpass_writes_spectrum_pgm(tmp_path, capsys):
     assert (shot.rows, shot.cols) == (8, 8)
     assert min(shot.data) == 0.0
     assert max(shot.data) == 255.0
+
+
+def test_image_lowpass_spectrum_keeps_pooled_bytes(tmp_path, capsys):
+    rng = random.Random(5)
+    img = Image2D(8, 16, [float(rng.randrange(256)) for _ in range(128)])
+    path = tmp_path / "in.pgm"
+    path.write_bytes(numcli.write_pgm(img))
+    for keep in (1, 3, 8):
+        plain, with_spec = tmp_path / "plain.pgm", tmp_path / "with_spec.pgm"
+        base = ["image-lowpass", "--in", str(path), "--keep", str(keep)]
+        assert run(base + ["--out", str(plain)], capsys)[0] == 0
+        spec = ["--spectrum", str(tmp_path / "spec.pgm"), "--out", str(with_spec)]
+        assert run(base + spec, capsys)[0] == 0
+        assert plain.read_bytes() == with_spec.read_bytes()
 
 
 def test_image_lowpass_bad_keep_exits_two(tmp_path, capsys):
