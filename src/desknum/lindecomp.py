@@ -2,22 +2,25 @@
 
 Direct solvers (Gaussian elimination with partial pivoting, run as an LU
 factorization, QR, Cholesky, explicit inverse), stationary and Krylov
-iterations (Jacobi, Gauss-Seidel, conjugate gradient), eigenvalues by shifted
-QR on the Hessenberg form with inverse-iteration eigenvectors, SVD through the
-smaller Gram matrix, PCA, and polynomial least squares on a Vandermonde
-system.
+iterations (Jacobi, Gauss-Seidel, conjugate gradient), eigenproblems, SVD,
+PCA, and polynomial least squares on a Vandermonde system.
 
-One Householder reflector kernel serves QR, least squares and the Hessenberg
-reduction: QR and least squares triangularize an augmented row list
-([A | I] gives [R | Q^T], [A | b] gives [R | Q^T b]), and the Hessenberg
-reduction applies each reflector from both sides. All triangular solves end
-in one back-substitution.
+One Householder reflector kernel serves QR, least squares, the SVD and the
+Hessenberg reduction: QR and least squares triangularize an augmented row
+list ([A | I] gives [R | Q^T], [A | b] gives [R | Q^T b]). One one-sided
+Jacobi kernel serves symmetric eig (on A + |A|_inf I, which is positive
+semidefinite), svd (on the R of a QR) and pca (the SVD of the centered
+data); shifted QR on the Hessenberg form with inverse-iteration
+eigenvectors is left to non-symmetric input. All triangular solves end in
+one back-substitution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 from typing import Sequence, Union
 
 from .errors import (
@@ -29,7 +32,7 @@ from .errors import (
     Singular,
     ZeroDiagonal,
 )
-from .ndcore import Matrix, Vector, _dot, _matvec, _norm2, _norm_inf
+from .ndcore import Matrix, Vector, _checked_floats, _dot, _matvec, _norm2, _norm_inf
 
 # relative pivot threshold shared by the pivoted factorizations
 _PIVOT_REL = 1e-12
@@ -194,9 +197,10 @@ def _reflect_right(rows, top: int, v: list[float], vtv: float) -> None:
                 row[top + i] -= s * v[i]
 
 
-def _triangularize(r: list[list[float]], n: int) -> None:
-    """Reduce the first n columns of augmented rows r to upper-triangular form."""
+def _triangularize(r: list[list[float]], n: int) -> list[tuple[int, list[float], float]]:
+    """Upper-triangularize the first n columns of rows r; returns the reflectors (k, v, v^T v)."""
     m = len(r)
+    applied = []
     for k in range(min(m - 1, n)):
         ref = _reflector(r, k, k)
         if ref is None:
@@ -206,6 +210,8 @@ def _triangularize(r: list[list[float]], n: int) -> None:
         r[k][k] = alpha
         for i in range(k + 1, m):
             r[i][k] = 0.0
+        applied.append((k, v, vtv))
+    return applied
 
 
 def _householder_ls(rows: list[list[float]], rhs: list[float]):
@@ -499,34 +505,20 @@ def _eig_values(rows: list[list[float]], n: int) -> list[float]:
 
 
 def _sign_fix(v: list[float]) -> list[float]:
-    idx = max(range(len(v)), key=lambda i: abs(v[i]))
-    return [-x for x in v] if v[idx] < 0.0 else v
+    # the entry of largest magnitude (the first, on ties) becomes positive
+    return [-x for x in v] if max(v, key=abs) < 0.0 else v
 
 
-def _project_out(v: list[float], basis: list[list[float]]) -> None:
-    for u in basis:
-        c = _dot(u, v)
-        if c != 0.0:
-            for i in range(len(v)):
-                v[i] -= c * u[i]
-
-
-def _inverse_iteration(
-    rows: list[list[float]],
-    n: int,
-    lam: float,
-    idx: int,
-    ortho: list[list[float]],
-) -> list[float]:
+def _inverse_iteration(rows: list[list[float]], n: int, lam: float, idx: int) -> list[float]:
     res_tol = 1e-9 * (1.0 + abs(lam))
     best_v: list[float] | None = None
     best_res = math.inf
     for attempt in range(n + 2):
         if attempt < n:
-            start = [0.0] * n
-            start[(idx + attempt) % n] = 1.0
+            v = [0.0] * n
+            v[(idx + attempt) % n] = 1.0
         else:
-            start = [1.0] * n
+            v = [1.0 / math.sqrt(n)] * n
         eps = (1e-11 + 1e-9 * attempt) * (1.0 + abs(lam))
         shifted = [row[:] for row in rows]
         for i in range(n):
@@ -536,15 +528,8 @@ def _inverse_iteration(
         except Singular:
             continue
         lrows, urows = f.l.to_rows(), f.u.to_rows()
-        v = list(start)
-        _project_out(v, ortho)
-        nv = _norm2(v)
-        if nv <= 1e-8:
-            continue
-        v = [x / nv for x in v]
         for _ in range(40):
             w = _solve_lu_factors(lrows, urows, f.perm, v)
-            _project_out(w, ortho)
             nw = _norm2(w)
             if nw <= 1e-250:
                 break
@@ -563,6 +548,56 @@ def _inverse_iteration(
     return _sign_fix(best_v)
 
 
+# one-sided Jacobi kernel shared by symmetric eig, svd and pca
+
+# rounding leaves a freshly rotated pair with |x^T y| up to about
+# 2 eps |x| |y|, so a pair counts as orthogonal below twice that
+_JACOBI_TOL = 4.0 * math.ulp(1.0)
+_JACOBI_SWEEPS = 60
+
+
+def _scaled(rows: list[list[float]]) -> tuple[list[list[float]], float]:
+    """rows times the power of two 2^-e that puts the largest magnitude in
+    [1, 2), and 2^e: exact, and no square, sum or shift of it overflows."""
+    e = math.frexp(_maxabs(rows))[1] - 1
+    return [list(map(math.ldexp, row, repeat(-e))) for row in rows], math.ldexp(1.0, e)
+
+
+def _jacobi(cols: list[list[float]], m: int) -> None:
+    """One-sided (Hestenes) Jacobi on the columns of [A; V]: rotate column
+    pairs until their first m entries, the parts in A, are orthogonal, in
+    the sense |x^T y| <= _JACOBI_TOL |x| |y| (Demmel & Veselic 1992; Drmac
+    & Veselic 2008). The squared norms of those parts are cached."""
+    n = len(cols)
+    nn = [math.fsum(map(mul, c[:m], c)) for c in cols]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                x, y = cols[p], cols[q]
+                g = math.fsum(map(mul, x[:m], y))
+                a, b = nn[p], nn[q]
+                # a norm product that underflows marks a column that is
+                # numerically zero next to the largest entry, which is >= 1
+                if abs(g) <= _JACOBI_TOL * math.sqrt(a) * math.sqrt(b) or a * b == 0.0:
+                    continue
+                rotated = True
+                zeta = (b - a) / (2.0 * g)
+                t = math.copysign(1.0 / (abs(zeta) + math.hypot(1.0, zeta)), zeta)
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                cols[p] = [c * u - s * v for u, v in zip(x, y)]
+                cols[q] = [s * u + c * v for u, v in zip(x, y)]
+                # the shorter column loses t*g; recompute a norm that cancels
+                a -= t * g
+                b += t * g
+                nn[p] = a if a > 0.25 * nn[p] else math.fsum(map(mul, cols[p][:m], cols[p]))
+                nn[q] = b if b > 0.25 * nn[q] else math.fsum(map(mul, cols[q][:m], cols[q]))
+        if not rotated:
+            return
+    raise NoConvergence("Jacobi rotations did not converge")
+
+
 def eig(a: Matrix) -> EigResult:
     """Eigenvalues (descending) and unit eigenvector columns.
 
@@ -577,119 +612,81 @@ def eig(a: Matrix) -> EigResult:
         for i in range(n)
         for j in range(i)
     )
-    if n == 1:
-        return EigResult([rows[0][0]], Matrix.from_rows([[1.0]]))
-    vals = sorted(_eig_values(rows, n), reverse=True)
-    vecs: list[list[float]] = []
-    for idx, lam in enumerate(vals):
-        if symmetric:
-            cluster = [
-                vecs[j]
-                for j in range(idx)
-                if abs(vals[j] - lam) <= 1e-8 * (1.0 + abs(lam))
-            ]
-        else:
-            cluster = []
-        vecs.append(_inverse_iteration(rows, n, lam, idx, cluster))
     if symmetric:
-        # a final orthonormalization pass; cheap insurance for tight spectra
-        for i in range(len(vecs)):
-            v = list(vecs[i])
-            _project_out(v, vecs[:i])
-            nv = _norm2(v)
-            if nv > 1e-8:
-                vecs[i] = _sign_fix([x / nv for x in v])
-            else:
-                for j in range(n):
-                    cand = [0.0] * n
-                    cand[j] = 1.0
-                    _project_out(cand, vecs[:i])
-                    nc = _norm2(cand)
-                    if nc > 0.5:
-                        vecs[i] = _sign_fix([x / nc for x in cand])
-                        break
-    cols = Matrix.from_rows([[vecs[j][i] for j in range(len(vecs))] for i in range(n)])
-    return EigResult(vals, cols)
+        # B = A + tau I with tau = |A|_inf is positive semidefinite, so its
+        # right singular vectors are eigenvectors of A, with Rayleigh quotients
+        srows, f = _scaled(rows)
+        tau = max(math.fsum(map(abs, row)) for row in srows)
+        cols = [list(c) + e for c, e in zip(zip(*srows), Matrix.identity(n).to_rows())]
+        for j in range(n):
+            cols[j][j] += tau
+        _jacobi(cols, n)
+        vcols = [c[n:] for c in cols]
+        lam = [_dot(v, _matvec(srows, v)) for v in vcols]
+        order = sorted(range(n), key=lam.__getitem__, reverse=True)
+        vals = [lam[j] * f for j in order]
+        vecs = [_sign_fix(vcols[j]) for j in order]
+    else:
+        vals = sorted(_eig_values(rows, n), reverse=True)
+        vecs = [_inverse_iteration(rows, n, lam, idx) for idx, lam in enumerate(vals)]
+    vectors = Matrix.from_rows([list(r) for r in zip(*vecs)])
+    return EigResult(_checked_floats(vals, "eigenvalues"), vectors)
 
 
 # SVD and PCA
 
 
-def _complete_orthonormal(cols: list[list[float]], dim: int, need: int) -> list[list[float]]:
-    out = [list(c) for c in cols]
-    j = 0
-    while len(out) < need and j < dim:
-        cand = [0.0] * dim
-        cand[j] = 1.0
-        _project_out(cand, out)
-        nc = _norm2(cand)
-        if nc > 1e-6:
-            out.append([x / nc for x in cand])
-        j += 1
-    if len(out) < need:
-        raise NoConvergence("failed to complete an orthonormal basis")
-    return out
+def _svd(rows: list[list[float]], k: int):
+    """Rows of U (at least its first k columns), sigma descending and rows
+    of V for the thin SVD of scaled rows. For m >= n, Jacobi on the R of a
+    Householder QR gives R V = W with orthogonal columns, sigma = |W| and
+    U = Q [W / sigma; 0], completed where sigma is zero."""
+    m, n = len(rows), len(rows[0])
+    if m < n:
+        vrows, sigma, urows = _svd([list(c) for c in zip(*rows)], m)
+        return urows, sigma, vrows
+    r = [row[:] for row in rows]
+    reflectors = _triangularize(r, n)
+    cols = [list(c) + e for c, e in zip(zip(*r[:n]), Matrix.identity(n).to_rows())]
+    _jacobi(cols, n)
+    # flipping a whole column of [W; V] keeps R V = W; V gets the _sign_fix sign
+    cols = [[-x for x in c] if max(c[n:], key=abs) < 0.0 else c for c in cols]
+    norms = [_norm2(c[:n]) for c in cols]
+    order = sorted(range(n), key=norms.__getitem__, reverse=True)
+    smax = norms[order[0]]
+    sigma = [norms[j] if norms[j] > 1e-12 * smax else 0.0 for j in order]
+    ucols = [[x / s for x in cols[j][:n]] for j, s in zip(order, sigma[:k]) if s > 0.0]
+    rank = len(ucols)
+    if rank < k:
+        # triangularizing [U | I] turns I into Q^T, whose rows rank.. complete U
+        aug = [[u[i] for u in ucols] + e for i, e in enumerate(Matrix.identity(n).to_rows())]
+        _triangularize(aug, rank)
+        ucols += [aug[j][rank:] for j in range(rank, k)]
+    urows = [list(row) for row in zip(*ucols)] + [[0.0] * k for _ in range(m - n)]
+    for j, v, vtv in reversed(reflectors):
+        _reflect_left(urows, j, v, vtv, 0)
+    return urows, sigma, [list(row) for row in zip(*(cols[j][n:] for j in order))]
 
 
 def svd(a: Matrix) -> SvdResult:
     """Thin SVD A = U diag(sigma) V^T with sigma descending and >= 0."""
-    m, n = a.rows, a.cols
-    arows = a.to_rows()
-    k = min(m, n)
-    use_ata = n <= m
-    dim = n if use_ata else m
-    acols = [list(c) for c in zip(*arows)]
-    side, other = (acols, arows) if use_ata else (arows, acols)
-    # Gram matrix of the smaller side, symmetrized against rounding
-    g = [[0.0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1):
-            s = _dot(side[i], side[j])
-            g[i][j] = s
-            g[j][i] = s
-    eres = eig(Matrix.from_rows(g))
-    sigma = [math.sqrt(lam) if lam > 0.0 else 0.0 for lam in eres.values[:k]]
-    smax = sigma[0] if sigma else 0.0
-    sigma = [s if s > 1e-12 * smax else 0.0 for s in sigma]
-    small = [[eres.vectors.get(i, j) for i in range(dim)] for j in range(k)]
-    derived: list[list[float] | None] = []
-    other_dim = m if use_ata else n
-    for i, s in enumerate(sigma):
-        if s > 0.0:
-            derived.append([x / s for x in _matvec(other, small[i])])
-        else:
-            derived.append(None)
-    known = [d for d in derived if d is not None]
-    filled = _complete_orthonormal(known, other_dim, k)
-    fill_iter = iter(filled[len(known):])
-    derived_full = [d if d is not None else next(fill_iter) for d in derived]
-    if use_ata:
-        u_cols, v_cols = derived_full, small
-    else:
-        u_cols, v_cols = small, derived_full
-    u = Matrix.from_rows([[u_cols[j][i] for j in range(k)] for i in range(m)])
-    v = Matrix.from_rows([[v_cols[j][i] for j in range(k)] for i in range(n)])
-    return SvdResult(u, sigma, v)
+    rows, f = _scaled(a.to_rows())
+    urows, sigma, vrows = _svd(rows, min(a.rows, a.cols))
+    sigma = _checked_floats([s * f for s in sigma], "singular values")
+    return SvdResult(Matrix.from_rows(urows), sigma, Matrix.from_rows(vrows))
 
 
 def pca(x: Matrix, k: int) -> Matrix:
-    """Project mean-centered rows onto the top-k covariance eigenvectors."""
+    """Project mean-centered rows onto the top-k principal axes: the first k
+    columns of U Sigma in the SVD of the centered data."""
     n, d = x.rows, x.cols
     if not 1 <= k <= min(n - 1, d):
         raise BadRank(f"component count {k} outside [1, {min(n - 1, d)}]")
-    rows = x.to_rows()
-    means = [math.fsum(rows[i][j] for i in range(n)) / n for j in range(d)]
-    xc = [[rows[i][j] - means[j] for j in range(d)] for i in range(n)]
-    xcols = [list(c) for c in zip(*xc)]
-    cov = [[0.0] * d for _ in range(d)]
-    for p in range(d):
-        for q in range(p + 1):
-            s = _dot(xcols[p], xcols[q]) / (n - 1)
-            cov[p][q] = s
-            cov[q][p] = s
-    vecs = eig(Matrix.from_rows(cov)).vectors
-    top = [vecs.col(j) for j in range(k)]
-    return Matrix.from_rows([_matvec(top, row) for row in xc])
+    rows, f = _scaled(x.to_rows())
+    means = [math.fsum(c) / n for c in zip(*rows)]
+    xc = [list(map(sub, row, means)) for row in rows]
+    urows, sigma, _ = _svd(xc, k)
+    return Matrix.from_rows([[u * s * f for u, s in zip(row, sigma[:k])] for row in urows])
 
 
 # least squares

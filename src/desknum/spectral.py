@@ -20,6 +20,7 @@ pruning, Markel 1971).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -309,10 +310,11 @@ def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vec
         raise BadCutoff("cutoff must lie in (0, sample_rate/2)")
     a = list(map(complex, data))
     _fft_inplace(a, inverse=False)
-    freqs = fft_freqs(n, 1.0 / sample_rate)
-    for k, fr in enumerate(freqs):
-        if abs(fr) > cutoff:
-            a[k] = 0j
+    # |fft_freqs(n, d)[k]| is min(k, n - k) / (n * d), non-decreasing in
+    # min(k, n - k), so the bins above the cutoff form one band around n/2
+    d = 1.0 / sample_rate
+    keep = bisect.bisect_right(range(n // 2 + 1), cutoff, key=lambda m: m / (n * d))
+    a[keep : n - keep + 1] = [0j] * (n - 2 * keep + 1)
     _fft_inplace(a, inverse=True)
     return Vector(list(map(_real, a)))
 

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desknum import lindecomp as ld
 from desknum.errors import (
     BadRank,
     NoConvergence,
+    NonFinite,
     NotSpd,
     RankDeficient,
     ShapeMismatch,
@@ -333,15 +336,15 @@ def test_eig_goldens_2x2():
     ]
     for rows, want in cases:
         res = ld.eig(Matrix.from_rows(rows))
-        assert np.allclose(res.values, want, atol=1e-6)
-        assert eig_residual(Matrix.from_rows(rows), res) <= 1e-6
+        assert np.allclose(res.values, want, rtol=0, atol=1e-8)
+        assert eig_residual(Matrix.from_rows(rows), res) <= 1e-9
 
 
 def test_eig_identity():
     res = ld.eig(Matrix.identity(3))
     assert res.values == [1.0, 1.0, 1.0]
     vecs = np.array(res.vectors.to_rows())
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) <= 1e-9
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) <= 1e-15
 
 
 def test_eig_symmetric_trace_det_and_oracle():
@@ -352,13 +355,13 @@ def test_eig_symmetric_trace_det_and_oracle():
         a = Matrix.from_rows(arr.tolist())
         res = ld.eig(a)
         assert sorted(res.values, reverse=True) == res.values
-        assert abs(math.fsum(res.values) - np.trace(arr)) <= 1e-8
+        assert abs(math.fsum(res.values) - np.trace(arr)) <= 1e-13
         d = ld.det(a)
         prod = math.prod(res.values)
-        assert abs(prod - d) <= 1e-6 * max(1.0, abs(d))
+        assert abs(prod - d) <= 1e-13 * max(1.0, abs(d))
         want = np.sort(np.linalg.eigvalsh(arr))[::-1]
-        assert np.allclose(res.values, want, atol=1e-8)
-        assert eig_residual(a, res) <= 1e-6
+        assert np.allclose(res.values, want, rtol=0, atol=1e-13)
+        assert eig_residual(a, res) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -389,32 +392,32 @@ def test_svd_identity_and_diag():
     res = ld.svd(Matrix.identity(3))
     assert res.sigma == [1.0, 1.0, 1.0]
     res = ld.svd(Matrix.from_rows([[3, 0], [0, 2]]))
-    assert np.allclose(res.sigma, [3, 2], atol=1e-9)
+    assert np.allclose(res.sigma, [3, 2], rtol=0, atol=1e-15)
 
 
 def test_svd_wide_golden():
     a = Matrix.from_rows([[3, 1, 1], [-1, 3, 1]])
     res = ld.svd(a)
-    assert np.allclose(res.sigma, [math.sqrt(12), math.sqrt(10)], atol=1e-6)
+    assert np.allclose(res.sigma, [math.sqrt(12), math.sqrt(10)], rtol=0, atol=1e-14)
     u = np.array(res.u.to_rows())
     v = np.array(res.v.to_rows())
     rec = u @ np.diag(res.sigma) @ v.T
-    assert np.max(np.abs(rec - np.array(a.to_rows()))) <= 1e-6
-    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-8
-    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 1e-8
+    assert np.max(np.abs(rec - np.array(a.to_rows()))) <= 1e-14
+    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 1e-15
 
 
 def test_svd_rank_deficient_completion():
     a = Matrix.from_rows([[1, 2], [2, 4]])
     res = ld.svd(a)
-    assert abs(res.sigma[0] - 5.0) <= 1e-9
+    assert abs(res.sigma[0] - 5.0) <= 1e-14
     assert res.sigma[1] == 0.0
     u = np.array(res.u.to_rows())
     v = np.array(res.v.to_rows())
-    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-8
-    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 1e-8
+    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 1e-15
     rec = u @ np.diag(res.sigma) @ v.T
-    assert np.max(np.abs(rec - np.array(a.to_rows()))) <= 1e-6
+    assert np.max(np.abs(rec - np.array(a.to_rows()))) <= 1e-14
 
 
 def test_svd_random_against_oracle():
@@ -423,17 +426,17 @@ def test_svd_random_against_oracle():
         arr = rng.standard_normal(shape)
         res = ld.svd(Matrix.from_rows(arr.tolist()))
         want = np.linalg.svd(arr, compute_uv=False)
-        assert np.allclose(res.sigma, want, atol=1e-6)
+        assert np.allclose(res.sigma, want, rtol=0, atol=1e-13)
         k = min(shape)
         u = np.array(res.u.to_rows())
         v = np.array(res.v.to_rows())
-        assert np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-8
-        assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-8
+        assert np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-14
+        assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-14
         rec = u @ np.diag(res.sigma) @ v.T
-        assert np.max(np.abs(rec - arr)) <= 1e-6
+        assert np.max(np.abs(rec - arr)) <= 1e-13
         # squared singular values are the Gram spectrum
         gram_eigs = np.sort(np.linalg.eigvalsh(arr.T @ arr))[::-1][:k]
-        assert np.allclose(np.array(res.sigma) ** 2, gram_eigs, atol=1e-6)
+        assert np.allclose(np.array(res.sigma) ** 2, gram_eigs, rtol=0, atol=1e-12)
 
 
 # PCA
@@ -452,13 +455,13 @@ def test_pca_against_eigh_oracle_up_to_column_sign():
         diff = min(
             np.max(np.abs(col - want[:, j])), np.max(np.abs(col + want[:, j]))
         )
-        assert diff <= 1e-9
+        assert diff <= 1e-14
 
 
 def test_pca_axis_aligned():
     x = Matrix.from_rows([[1, 5], [2, 5], [3, 5]])
     got = np.array(ld.pca(x, 1).to_rows())
-    assert np.allclose(got.ravel(), [-1, 0, 1], atol=1e-9)
+    assert np.allclose(got.ravel(), [-1, 0, 1], rtol=0, atol=1e-15)
 
 
 def test_pca_full_rank_preserves_distances():
@@ -470,7 +473,7 @@ def test_pca_full_rank_preserves_distances():
         for j in range(i):
             d0 = np.linalg.norm(centered[i] - centered[j])
             d1 = np.linalg.norm(proj[i] - proj[j])
-            assert abs(d0 - d1) <= 1e-8
+            assert abs(d0 - d1) <= 1e-13
 
 
 def test_pca_bad_rank():
@@ -479,6 +482,137 @@ def test_pca_bad_rank():
         ld.pca(x, 0)
     with pytest.raises(BadRank):
         ld.pca(x, 3)
+
+
+# Jacobi eig/SVD against numpy: rounding allows a few eps * |A|, so every
+# bound is 1e-12 * |A|. Scales of 1e-300 and 1e300 reach the power-of-two
+# scaling, low-rank inputs the completion of U, repeated eigenvalues the
+# choice of a basis inside an eigenspace.
+
+
+def random_symmetric(rng, n, kind):
+    if kind == "plain":
+        b = rng.standard_normal((n, n))
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        if kind == "repeated":
+            d = rng.choice([-2.0, 0.0, 1.0], n)
+        else:
+            d = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 0, n)
+        b = (q * d) @ q.T
+    return (b + b.T) / 2
+
+
+def orth_error(cols):
+    return np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1])))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    kind=st.sampled_from(["plain", "repeated", "graded"]),
+    scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_eig_symmetric_property_against_eigh(n, kind, scale, seed):
+    arr = random_symmetric(np.random.default_rng(seed), n, kind) * scale
+    res = ld.eig(Matrix.from_rows(arr.tolist()))
+    lam = np.array(res.values)
+    vecs = np.array(res.vectors.to_rows())
+    tol = 1e-12 * np.linalg.norm(arr, 2)
+    assert np.all(lam[:-1] >= lam[1:])
+    assert np.max(np.abs(lam - np.sort(np.linalg.eigvalsh(arr))[::-1])) <= tol
+    assert np.max(np.abs(arr @ vecs - vecs * lam)) <= tol
+    assert orth_error(vecs) <= 1e-12
+    # sign convention: the entry of largest magnitude is positive
+    assert all(vecs[np.argmax(np.abs(vecs[:, j])), j] > 0 for j in range(n))
+
+
+def check_svd(arr, res):
+    u, v, sigma = np.array(res.u.to_rows()), np.array(res.v.to_rows()), np.array(res.sigma)
+    k = min(arr.shape)
+    assert u.shape == (arr.shape[0], k) and v.shape == (arr.shape[1], k)
+    assert np.all(sigma[:-1] >= sigma[1:]) and np.all(sigma >= 0.0)
+    assert orth_error(u) <= 1e-12 and orth_error(v) <= 1e-12
+    tol = 1e-12 * np.linalg.norm(arr, 2)
+    assert np.max(np.abs((u * sigma) @ v.T - arr)) <= tol
+    assert np.max(np.abs(sigma - np.linalg.svd(arr, compute_uv=False))) <= tol
+    return sigma
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    m=st.integers(min_value=1, max_value=12),
+    n=st.integers(min_value=1, max_value=12),
+    rank=st.integers(min_value=0, max_value=12),
+    scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_svd_property_against_numpy(m, n, rank, scale, seed):
+    rng = np.random.default_rng(seed)
+    if rank >= min(m, n):
+        arr = rng.standard_normal((m, n))
+    else:
+        arr = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    arr = arr * scale
+    check_svd(arr, ld.svd(Matrix.from_rows(arr.tolist())))
+
+
+GRADED_SIGMA = np.array([1.0, 1e-3, 1e-7, 1e-10])
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), wide=st.booleans())
+def test_svd_graded_spectrum(seed, wide):
+    # U diag(GRADED_SIGMA) V^T as the benchmark builds it. Building and
+    # rounding the entries alone moves each sigma by a few eps * sigma_1
+    # (a relative 1e-6 at 1e-10; up to 5 eps at sigma_1 over 8,000 cases),
+    # so sigma is held to 4e-15 * sigma_1; the Gram-matrix SVD missed 1e-10
+    # by 100% and more. U and V stay orthonormal to 1e-12.
+    rng = np.random.default_rng(seed)
+    ucols, _ = np.linalg.qr(rng.standard_normal((8, 4)))
+    vcols, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    arr = (ucols * GRADED_SIGMA) @ vcols.T
+    if wide:
+        arr = arr.T
+    sigma = check_svd(arr, ld.svd(Matrix.from_rows(arr.tolist())))
+    assert np.max(np.abs(sigma - GRADED_SIGMA)) <= 4e-15
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    d=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pca_property_against_svd(n, d, seed):
+    arr = np.random.default_rng(seed).standard_normal((n, d))
+    k = min(n - 1, d)
+    got = np.array(ld.pca(Matrix.from_rows(arr.tolist()), k).to_rows())
+    xc = arr - arr.mean(axis=0)
+    u, s, _ = np.linalg.svd(xc)
+    want = u[:, :k] * s[:k]
+    signs = np.where(np.sum(got * want, axis=0) < 0, -1.0, 1.0)
+    assert np.max(np.abs(got * signs - want)) <= 1e-12 * s[0]
+
+
+def test_overflow_gives_finite_result_or_non_finite():
+    # the true singular values are 8e307 * sqrt(2), below the float maximum
+    res = ld.svd(Matrix.from_rows([[8e307, 8e307], [8e307, -8e307]]))
+    assert np.allclose(res.sigma, 8e307 * math.sqrt(2), rtol=1e-15, atol=0)
+    assert orth_error(np.array(res.u.to_rows())) <= 1e-15
+    assert orth_error(np.array(res.v.to_rows())) <= 1e-15
+    # the top eigenvalue, 2e308, overflows
+    with pytest.raises(NonFinite):
+        ld.eig(Matrix.from_rows([[1e308, 1e308], [1e308, 1e308]]))
+    # principal axes (1, 1) and (1, -1) / sqrt(2); the first projection
+    # reaches 8e307 * sqrt(2)
+    rows = [[8e307, 8e307], [-8e307, -8e307], [1e307, -1e307], [-1e307, 1e307]]
+    proj = np.abs(np.array(ld.pca(Matrix.from_rows(rows), 2).to_rows()))
+    want = math.sqrt(2) * np.array([[8e307, 0], [8e307, 0], [0, 1e307], [0, 1e307]])
+    assert np.max(np.abs(proj - want)) <= 1e-15 * 8e307
+    with pytest.raises(NonFinite):
+        ld.pca(Matrix.from_rows([[1.5e308, 1.5e308], [-1.5e308, -1.5e308], [0.0, 0.0]]), 1)
 
 
 # polynomial least squares

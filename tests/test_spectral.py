@@ -316,6 +316,34 @@ def test_lowpass_preserves_retained_bins():
     assert np.max(np.abs(after[~kept])) <= 1e-9
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    p=st.integers(min_value=1, max_value=10),
+    fs=st.sampled_from([1.0, 3.0, 7.3, 1000.0, 44100.0]),
+    edge=st.floats(min_value=0.0, max_value=1.0),
+    on_bin=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_lowpass_zeroes_exactly_the_fft_freqs_mask(p, fs, edge, on_bin, seed):
+    # a cutoff on a bin frequency, computed as fft_freqs computes it, must
+    # keep that bin; every bin of a random signal carries energy, so one
+    # bin zeroed or kept by mistake moves the output far beyond rounding
+    n = 1 << p
+    d = 1.0 / fs
+    if on_bin:
+        cutoff = (1 + int(edge * (n // 2 - 1))) / (n * d)
+    else:
+        cutoff = fs / 2 * min(max(edge, 1e-9), 1 - 1e-9)
+    if not 0 < cutoff < fs / 2:
+        return
+    rng = random.Random(seed)
+    sig = [rng.uniform(-1, 1) for _ in range(n)]
+    spec = np.fft.fft(sig)
+    spec[np.abs(np.array(spectral.fft_freqs(n, d))) > cutoff] = 0.0
+    got = np.array(spectral.lowpass1d(sig, fs, cutoff).data)
+    assert np.max(np.abs(got - np.fft.ifft(spec).real)) <= 1e-13 * n
+
+
 def test_lowpass_errors():
     with pytest.raises(NotPowerOfTwo):
         spectral.lowpass1d([1.0, 2.0, 3.0], 8.0, 1.0)
