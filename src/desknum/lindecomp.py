@@ -8,11 +8,12 @@ PCA, and polynomial least squares on a Vandermonde system.
 One Householder reflector kernel serves QR, least squares, the SVD and the
 Hessenberg reduction: QR and least squares triangularize an augmented row
 list ([A | I] gives [R | Q^T], [A | b] gives [R | Q^T b]). One one-sided
-Jacobi kernel serves symmetric eig (on A + |A|_inf I, which is positive
-semidefinite), svd (on the R of a QR) and pca (the SVD of the centered
-data); shifted QR on the Hessenberg form with inverse-iteration
-eigenvectors is left to non-symmetric input. All triangular solves end in
-one back-substitution.
+Jacobi kernel serves symmetric eig (on S + |S|_inf I for the symmetric
+part S, which is positive semidefinite), svd (on the R of a QR) and pca
+(the SVD of the centered data); shifted QR on the Hessenberg form with
+inverse-iteration eigenvectors is left to non-symmetric input, where
+mirrored entries differ by more than 1e-9 of the largest entry. All
+triangular solves end in one back-substitution.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul, sub
+from operator import sub
 from typing import Sequence, Union
 
 from .errors import (
@@ -98,6 +99,12 @@ def _vec_list(b: VecLike) -> list[float]:
 
 def _maxabs(rows: list[list[float]]) -> float:
     return max((abs(x) for row in rows for x in row), default=0.0)
+
+
+def _symmetric(rows: list[list[float]]) -> bool:
+    # relative to the largest entry, so the verdict does not depend on scale
+    n, tol = len(rows), 1e-9 * _maxabs(rows)
+    return all(abs(rows[i][j] - rows[j][i]) <= tol for i in range(n) for j in range(i))
 
 
 def _residual_inf(arows: list[list[float]], x: list[float], b: list[float]) -> float:
@@ -197,8 +204,9 @@ def _reflect_right(rows, top: int, v: list[float], vtv: float) -> None:
                 row[top + i] -= s * v[i]
 
 
-def _triangularize(r: list[list[float]], n: int) -> list[tuple[int, list[float], float]]:
-    """Upper-triangularize the first n columns of rows r; returns the reflectors (k, v, v^T v)."""
+def _triangularize(r: list[list[float]], n: int) -> list[tuple]:
+    """Reduce the first n columns of augmented rows r to upper-triangular form;
+    returns the reflectors applied, as (k, v, v^T v)."""
     m = len(r)
     applied = []
     for k in range(min(m - 1, n)):
@@ -238,11 +246,8 @@ def cholesky(a: Matrix) -> Matrix:
     _require_square(a, "cholesky")
     n = a.rows
     rows = a.to_rows()
-    sym_tol = 1e-9 * (1.0 + _maxabs(rows))
-    for i in range(n):
-        for j in range(i):
-            if abs(rows[i][j] - rows[j][i]) > sym_tol:
-                raise NotSpd("matrix is not symmetric")
+    if not _symmetric(rows):
+        raise NotSpd("matrix is not symmetric")
     lo = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
@@ -509,7 +514,12 @@ def _sign_fix(v: list[float]) -> list[float]:
     return [-x for x in v] if max(v, key=abs) < 0.0 else v
 
 
-def _inverse_iteration(rows: list[list[float]], n: int, lam: float, idx: int) -> list[float]:
+def _inverse_iteration(
+    rows: list[list[float]],
+    n: int,
+    lam: float,
+    idx: int,
+) -> list[float]:
     res_tol = 1e-9 * (1.0 + abs(lam))
     best_v: list[float] | None = None
     best_res = math.inf
@@ -563,19 +573,22 @@ def _scaled(rows: list[list[float]]) -> tuple[list[list[float]], float]:
     return [list(map(math.ldexp, row, repeat(-e))) for row in rows], math.ldexp(1.0, e)
 
 
-def _jacobi(cols: list[list[float]], m: int) -> None:
-    """One-sided (Hestenes) Jacobi on the columns of [A; V]: rotate column
-    pairs until their first m entries, the parts in A, are orthogonal, in
+def _jacobi(cols: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
+    """One-sided (Hestenes) Jacobi on the columns of A: rotate column pairs,
+    and the same pairs of V = I, until W = A V has orthogonal columns, in
     the sense |x^T y| <= _JACOBI_TOL |x| |y| (Demmel & Veselic 1992; Drmac
-    & Veselic 2008). The squared norms of those parts are cached."""
-    n = len(cols)
-    nn = [math.fsum(map(mul, c[:m], c)) for c in cols]
+    & Veselic 2008). Returns the columns of W and of V, each pair signed so
+    that V's column has the _sign_fix sign."""
+    m, n = len(cols[0]), len(cols)
+    # rotate the columns of [A; I], caching the squared norms of their A parts
+    cols = [list(c) + [float(i == j) for i in range(n)] for j, c in enumerate(cols)]
+    nn = [_dot(c[:m], c) for c in cols]
     for _ in range(_JACOBI_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 x, y = cols[p], cols[q]
-                g = math.fsum(map(mul, x[:m], y))
+                g = _dot(x[:m], y)
                 a, b = nn[p], nn[q]
                 # a norm product that underflows marks a column that is
                 # numerically zero next to the largest entry, which is >= 1
@@ -591,10 +604,12 @@ def _jacobi(cols: list[list[float]], m: int) -> None:
                 # the shorter column loses t*g; recompute a norm that cancels
                 a -= t * g
                 b += t * g
-                nn[p] = a if a > 0.25 * nn[p] else math.fsum(map(mul, cols[p][:m], cols[p]))
-                nn[q] = b if b > 0.25 * nn[q] else math.fsum(map(mul, cols[q][:m], cols[q]))
+                nn[p] = a if a > 0.25 * nn[p] else _dot(cols[p][:m], cols[p])
+                nn[q] = b if b > 0.25 * nn[q] else _dot(cols[q][:m], cols[q])
         if not rotated:
-            return
+            # flipping a whole column of [W; V] keeps A V = W
+            cols = [[-x for x in c] if max(c[m:], key=abs) < 0.0 else c for c in cols]
+            return [c[:m] for c in cols], [c[m:] for c in cols]
     raise NoConvergence("Jacobi rotations did not converge")
 
 
@@ -606,26 +621,21 @@ def eig(a: Matrix) -> EigResult:
     _require_square(a, "eig")
     n = a.rows
     rows = a.to_rows()
-    scale = _maxabs(rows)
-    symmetric = all(
-        abs(rows[i][j] - rows[j][i]) <= 1e-9 * (1.0 + scale)
-        for i in range(n)
-        for j in range(i)
-    )
-    if symmetric:
-        # B = A + tau I with tau = |A|_inf is positive semidefinite, so its
-        # right singular vectors are eigenvectors of A, with Rayleigh quotients
+    if _symmetric(rows):
+        # B = S + tau I, for the symmetric part S and tau = |S|_inf, is
+        # positive semidefinite, so its right singular vectors are
+        # eigenvectors of S, with Rayleigh quotients for eigenvalues
         srows, f = _scaled(rows)
+        srows = [[0.5 * (x + y) for x, y in zip(*rc)] for rc in zip(srows, zip(*srows))]
         tau = max(math.fsum(map(abs, row)) for row in srows)
-        cols = [list(c) + e for c, e in zip(zip(*srows), Matrix.identity(n).to_rows())]
+        b = [row[:] for row in srows]
         for j in range(n):
-            cols[j][j] += tau
-        _jacobi(cols, n)
-        vcols = [c[n:] for c in cols]
+            b[j][j] += tau
+        _, vcols = _jacobi(b)
         lam = [_dot(v, _matvec(srows, v)) for v in vcols]
         order = sorted(range(n), key=lam.__getitem__, reverse=True)
         vals = [lam[j] * f for j in order]
-        vecs = [_sign_fix(vcols[j]) for j in order]
+        vecs = [vcols[j] for j in order]
     else:
         vals = sorted(_eig_values(rows, n), reverse=True)
         vecs = [_inverse_iteration(rows, n, lam, idx) for idx, lam in enumerate(vals)]
@@ -647,25 +657,23 @@ def _svd(rows: list[list[float]], k: int):
         return urows, sigma, vrows
     r = [row[:] for row in rows]
     reflectors = _triangularize(r, n)
-    cols = [list(c) + e for c, e in zip(zip(*r[:n]), Matrix.identity(n).to_rows())]
-    _jacobi(cols, n)
-    # flipping a whole column of [W; V] keeps R V = W; V gets the _sign_fix sign
-    cols = [[-x for x in c] if max(c[n:], key=abs) < 0.0 else c for c in cols]
-    norms = [_norm2(c[:n]) for c in cols]
+    wcols, vcols = _jacobi([list(c) for c in zip(*r[:n])])
+    norms = list(map(_norm2, wcols))
     order = sorted(range(n), key=norms.__getitem__, reverse=True)
     smax = norms[order[0]]
     sigma = [norms[j] if norms[j] > 1e-12 * smax else 0.0 for j in order]
-    ucols = [[x / s for x in cols[j][:n]] for j, s in zip(order, sigma[:k]) if s > 0.0]
+    ucols = [[x / s for x in wcols[j]] for j, s in zip(order, sigma[:k]) if s > 0.0]
     rank = len(ucols)
     if rank < k:
         # triangularizing [U | I] turns I into Q^T, whose rows rank.. complete U
-        aug = [[u[i] for u in ucols] + e for i, e in enumerate(Matrix.identity(n).to_rows())]
+        eye = Matrix.identity(n).to_rows()
+        aug = [[u[i] for u in ucols] + e for i, e in enumerate(eye)]
         _triangularize(aug, rank)
         ucols += [aug[j][rank:] for j in range(rank, k)]
     urows = [list(row) for row in zip(*ucols)] + [[0.0] * k for _ in range(m - n)]
     for j, v, vtv in reversed(reflectors):
         _reflect_left(urows, j, v, vtv, 0)
-    return urows, sigma, [list(row) for row in zip(*(cols[j][n:] for j in order))]
+    return urows, sigma, [list(row) for row in zip(*(vcols[j] for j in order))]
 
 
 def svd(a: Matrix) -> SvdResult:
@@ -686,7 +694,8 @@ def pca(x: Matrix, k: int) -> Matrix:
     means = [math.fsum(c) / n for c in zip(*rows)]
     xc = [list(map(sub, row, means)) for row in rows]
     urows, sigma, _ = _svd(xc, k)
-    return Matrix.from_rows([[u * s * f for u, s in zip(row, sigma[:k])] for row in urows])
+    scores = [[u * s * f for u, s in zip(row, sigma[:k])] for row in urows]
+    return Matrix.from_rows(scores)
 
 
 # least squares

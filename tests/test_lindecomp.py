@@ -232,6 +232,10 @@ def test_cholesky_rejects_non_spd():
         ld.cholesky(Matrix.from_rows([[1, 2], [3, 4]]))
     with pytest.raises(NotSpd):
         ld.cholesky(Matrix.from_rows([[1, 2], [2, 1]]))
+    # symmetry is judged relative to the largest entry: the lower triangle
+    # alone would be positive definite
+    with pytest.raises(NotSpd):
+        ld.cholesky(Matrix.from_rows([[4e-10, 1e-10], [2e-10, 4e-10]]))
 
 
 # determinant and inverse
@@ -526,6 +530,32 @@ def test_eig_symmetric_property_against_eigh(n, kind, scale, seed):
     assert orth_error(vecs) <= 1e-12
     # sign convention: the entry of largest magnitude is positive
     assert all(vecs[np.argmax(np.abs(vecs[:, j])), j] > 0 for j in range(n))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-30, 1e-100])
+def test_eig_symmetry_verdict_does_not_depend_on_scale(scale):
+    # a non-symmetric matrix with small entries takes the Hessenberg path;
+    # Jacobi on its symmetric part would give 5.41e-10 and -0.41e-10 at 1e-10.
+    # Only the eigenvalues are checked: inverse iteration on that path uses
+    # absolute tolerances, so its eigenvectors degrade at small scales.
+    arr = scale * np.array([[1.0, 2.0], [3.0, 4.0]])
+    res = ld.eig(Matrix.from_rows(arr.tolist()))
+    want = np.sort(np.linalg.eigvals(arr).real)[::-1]
+    assert np.max(np.abs(np.array(res.values) - want)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-300])
+def test_eig_nearly_symmetric_against_eigvals(scale):
+    # asymmetry below the 1e-9 relative verdict moves the eigenvalues only
+    # to second order, so they match the non-symmetric oracle to rounding
+    rng = np.random.default_rng(7)
+    sym = random_symmetric(rng, 6, "plain")
+    skew = rng.standard_normal((6, 6))
+    arr = (sym + 1e-11 * (skew - skew.T)) * scale
+    res = ld.eig(Matrix.from_rows(arr.tolist()))
+    want = np.sort(np.linalg.eigvals(sym + 1e-11 * (skew - skew.T)).real)[::-1]
+    assert np.max(np.abs(np.array(res.values) / scale - want)) <= 1e-12 * np.max(np.abs(want))
+    assert orth_error(np.array(res.vectors.to_rows())) <= 1e-14
 
 
 def check_svd(arr, res):
