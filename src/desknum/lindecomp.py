@@ -27,6 +27,7 @@ from typing import Sequence, Union
 from .errors import (
     BadRank,
     NoConvergence,
+    NonFinite,
     NotSpd,
     RankDeficient,
     ShapeMismatch,
@@ -362,6 +363,8 @@ def solve_iterative(
                     / arows[i][i]
                     for i in range(n)
                 ]
+                if not all(map(math.isfinite, new)):
+                    raise NonFinite(f"{method} iterate overflowed at sweep {k}")
                 step = max(abs(u - v) for u, v in zip(new, x))
                 x = new
             else:
@@ -371,6 +374,8 @@ def solve_iterative(
                         arows[i][j] * x[j] for j in range(n) if j != i
                     )
                     nxt = s / arows[i][i]
+                    if not math.isfinite(nxt):
+                        raise NonFinite(f"{method} iterate overflowed at sweep {k}")
                     step = max(step, abs(nxt - x[i]))
                     x[i] = nxt
             res = _residual_inf(arows, x, bv)

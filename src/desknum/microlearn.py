@@ -4,6 +4,20 @@ A fully-connected sigmoid network trained by full-batch gradient
 descent on mean-squared error, a batch-normalization forward pass,
 and tabular Q-learning on a five-state ring environment. Everything
 is deterministic given an explicit seed.
+
+The network runs on one private kernel over plain lists. `_forward`
+computes each unit as sigmoid(sum(map(mul, sample, w_col)) + b) from
+per-unit weight columns. `_backward` computes each weight gradient as
+fsum(map(mul, prev_col, delta_col)) over the batch and each hidden
+delta as sum(map(mul, delta_row, w_row)) * a(1-a). Plain `sum` adds
+its terms left to right and `fsum` is exact, so the results do not
+depend on how the lists are laid out. Each computed value that leaves
+the kernel (output activations, gradients, updated parameters) is
+checked for finiteness where it is formed and raises NonFinite.
+`mlp_forward`, `mlp_loss` and `mlp_gradients` are thin wrappers over
+the kernel. `mlp_train` validates once, then runs one forward and one
+backward pass per epoch on the lists and builds a single `MlpParams`
+at the end.
 """
 
 from __future__ import annotations
@@ -11,11 +25,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from itertools import chain
+from math import fsum, isfinite
+from operator import mul
+from typing import List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
-from .errors import BadArchitecture, ShapeMismatch, TooSmallBatch
-from .ndcore import Matrix, Vector, matmul
+from .errors import BadArchitecture, NonFinite, ShapeMismatch, TooSmallBatch
+from .ndcore import Matrix, Vector
 
 
 def sigmoid_derivative(a: float) -> float:
@@ -70,46 +87,103 @@ def affine(w: Matrix, x: Sequence[float], b: Sequence[float]) -> Vector:
             f"{w.rows}x{w.cols} weights cannot map {len(xs)} inputs "
             f"to {len(bs)} outputs"
         )
-    return Vector(
-        [sum(w.get(i, j) * xs[j] for j in range(w.cols)) + bs[i] for i in range(w.rows)]
-    )
+    return Vector([sum(map(mul, row, xs)) + bi for row, bi in zip(w.to_rows(), bs)])
 
 
-def _forward_rows(p: MlpParams, rows: List[List[float]]) -> List[List[List[float]]]:
-    # returns activations per layer, each batch x width, input excluded
-    acts = []
-    cur = rows
-    for w, b in zip(p.weights, p.biases):
-        wr = w.to_rows()
-        nxt = []
-        for sample in cur:
-            z = [
-                sum(sample[i] * wr[i][j] for i in range(w.rows)) + b[j]
-                for j in range(w.cols)
+# the list kernel: weights as per-unit columns (forward) and rows
+# (backward), activations and deltas as batch x width rows
+
+
+def _finite(rows: Sequence[Sequence[float]], what: str) -> None:
+    if not all(map(isfinite, chain.from_iterable(rows))):
+        raise NonFinite(f"{what} contains a non-finite entry")
+
+
+def _columns(p: MlpParams) -> List[List[List[float]]]:
+    return [[w.col(j) for j in range(w.cols)] for w in p.weights]
+
+
+def _inputs(p: MlpParams, x: Matrix) -> List[List[float]]:
+    if x.cols != p.sizes[0]:
+        raise ShapeMismatch(f"{x.cols} features fed to a {p.sizes[0]}-input net")
+    return x.to_rows()
+
+
+def _targets(p: MlpParams, x: Matrix, y: Matrix) -> List[List[float]]:
+    if y.cols != p.sizes[-1] or y.rows != x.rows:
+        raise ShapeMismatch(
+            f"targets are {y.rows}x{y.cols}, expected {x.rows}x{p.sizes[-1]}"
+        )
+    return y.to_rows()
+
+
+def _forward(cols: list, biases: Sequence, rows: List[List[float]]) -> list:
+    """Activations of every layer, the input rows first.
+
+    A NaN pre-activation reaches every later unit of its sample, so
+    checking the output catches a NaN anywhere in the net.
+    """
+    acts = [rows]
+    for w_cols, b in zip(cols, biases):
+        acts.append(
+            [
+                [sigmoid(sum(map(mul, s, c)) + bj) for c, bj in zip(w_cols, b)]
+                for s in acts[-1]
             ]
-            nxt.append([sigmoid(v) for v in z])
-        acts.append(nxt)
-        cur = nxt
+        )
+    _finite(acts[-1], "network output")
     return acts
+
+
+def _mse(out: List[List[float]], targets: List[List[float]]) -> float:
+    total = fsum((a - t) ** 2 for o, ts in zip(out, targets) for a, t in zip(o, ts))
+    return total / (len(out) * len(out[0]))
+
+
+def _backward(
+    w_rows: list, acts: list, targets: List[List[float]]
+) -> Tuple[list, list]:
+    """Per-layer weight gradients, as per-unit columns, and bias gradients."""
+    out = acts[-1]
+    scale = 2.0 / (len(out) * len(out[0]))
+    delta = [
+        [scale * (a - t) * sigmoid_derivative(a) for a, t in zip(o, ts)]
+        for o, ts in zip(out, targets)
+    ]
+    g_cols: list = [None] * len(w_rows)
+    g_biases: list = [None] * len(w_rows)
+    for l in range(len(w_rows) - 1, -1, -1):
+        prev_cols = list(zip(*acts[l]))
+        delta_cols = list(zip(*delta))
+        # each gradient is checked as it is formed, before the next
+        # layer's sums run
+        g_w = [[fsum(map(mul, p, d)) for p in prev_cols] for d in delta_cols]
+        _finite(g_w, "weight gradient")
+        g_b = [fsum(d) for d in delta_cols]
+        _finite([g_b], "bias gradient")
+        g_cols[l], g_biases[l] = g_w, g_b
+        if l:
+            delta = [
+                [
+                    sum(map(mul, d, w)) * sigmoid_derivative(a)
+                    for w, a in zip(w_rows[l], act)
+                ]
+                for d, act in zip(delta, acts[l])
+            ]
+    return g_cols, g_biases
 
 
 def mlp_forward(p: MlpParams, x: Matrix) -> Tuple[Tuple[Matrix, ...], Matrix]:
     """Run the batch through every layer; returns (activations, output)."""
-    if x.cols != p.sizes[0]:
-        raise ShapeMismatch(f"{x.cols} features fed to a {p.sizes[0]}-input net")
-    acts = [Matrix.from_rows(a) for a in _forward_rows(p, x.to_rows())]
-    return tuple(acts), acts[-1]
+    acts = _forward(_columns(p), p.biases, _inputs(p, x))
+    mats = tuple(Matrix.from_rows(a) for a in acts[1:])
+    return mats, mats[-1]
 
 
 def mlp_loss(p: MlpParams, x: Matrix, y: Matrix) -> float:
     """Mean squared error of the network output against targets."""
-    _, out = mlp_forward(p, x)
-    total = math.fsum(
-        (out.get(i, j) - y.get(i, j)) ** 2
-        for i in range(out.rows)
-        for j in range(out.cols)
-    )
-    return total / (out.rows * out.cols)
+    rows, targets = _inputs(p, x), _targets(p, x, y)
+    return _mse(_forward(_columns(p), p.biases, rows)[-1], targets)
 
 
 def mlp_gradients(
@@ -120,80 +194,51 @@ def mlp_gradients(
     Deltas flow backwards: the output delta is 2(a-y)/(batch*outputs)
     times sigma', hidden deltas are (delta W^T) * sigma', and each
     layer's gradient is (previous activation)^T delta with bias
-    gradients the column sums.
+    gradients the column sums. One forward and one backward pass of
+    the list kernel that `mlp_train` runs every epoch.
     """
-    if y.cols != p.sizes[-1] or y.rows != x.rows:
-        raise ShapeMismatch(
-            f"targets are {y.rows}x{y.cols}, expected {x.rows}x{p.sizes[-1]}"
-        )
-    xs = x.to_rows()
-    acts = _forward_rows(p, xs)
-    batch = x.rows
-    scale = 2.0 / (batch * p.sizes[-1])
-    out = acts[-1]
-    delta = [
-        [
-            scale * (out[s][j] - y.get(s, j)) * sigmoid_derivative(out[s][j])
-            for j in range(p.sizes[-1])
-        ]
-        for s in range(batch)
-    ]
-    d_weights: List[Matrix] = [None] * len(p.weights)
-    d_biases: List[Vector] = [None] * len(p.biases)
-    for l in range(len(p.weights) - 1, -1, -1):
-        prev = xs if l == 0 else acts[l - 1]
-        fan_in, fan_out = p.sizes[l], p.sizes[l + 1]
-        d_weights[l] = Matrix.from_rows(
-            [
-                [
-                    math.fsum(prev[s][i] * delta[s][j] for s in range(batch))
-                    for j in range(fan_out)
-                ]
-                for i in range(fan_in)
-            ]
-        )
-        d_biases[l] = Vector(
-            [math.fsum(delta[s][j] for s in range(batch)) for j in range(fan_out)]
-        )
-        if l > 0:
-            wr = p.weights[l].to_rows()
-            delta = [
-                [
-                    sum(delta[s][j] * wr[i][j] for j in range(fan_out))
-                    * sigmoid_derivative(acts[l - 1][s][i])
-                    for i in range(fan_in)
-                ]
-                for s in range(batch)
-            ]
-    return tuple(d_weights), tuple(d_biases)
+    rows, targets = _inputs(p, x), _targets(p, x, y)
+    acts = _forward(_columns(p), p.biases, rows)
+    g_cols, g_biases = _backward([w.to_rows() for w in p.weights], acts, targets)
+    return (
+        tuple(Matrix.from_rows(list(zip(*g))) for g in g_cols),
+        tuple(Vector(g) for g in g_biases),
+    )
 
 
 def mlp_train(
     p: MlpParams, x: Matrix, y: Matrix, eta: float, epochs: int
 ) -> Tuple[MlpParams, List[float]]:
-    """Full-batch gradient descent; history holds the pre-step loss."""
+    """Full-batch gradient descent; history holds the pre-step loss.
+
+    Checks its arguments once, then each epoch makes one forward pass,
+    which also gives the loss, one backward pass and a list update. An
+    update that overflows raises NonFinite at its epoch.
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
+    rows, targets = _inputs(p, x), _targets(p, x, y)
+    cols = _columns(p)
+    w_rows = [w.to_rows() for w in p.weights]
+    biases = [b.data for b in p.biases]
     history: List[float] = []
     for _ in range(epochs):
-        history.append(mlp_loss(p, x, y))
-        d_w, d_b = mlp_gradients(p, x, y)
-        weights = tuple(
-            Matrix(
-                w.rows,
-                w.cols,
-                [wv - eta * gv for wv, gv in zip(w.data, g.data)],
-            )
-            for w, g in zip(p.weights, d_w)
-        )
-        biases = tuple(
-            Vector([bv - eta * gv for bv, gv in zip(b.data, g.data)])
-            for b, g in zip(p.biases, d_b)
-        )
-        p = MlpParams(p.sizes, weights, biases)
-    return p, history
+        acts = _forward(cols, biases, rows)
+        history.append(_mse(acts[-1], targets))
+        g_cols, g_biases = _backward(w_rows, acts, targets)
+        cols = [
+            [[w - eta * g for w, g in zip(c, gc)] for c, gc in zip(layer, g_layer)]
+            for layer, g_layer in zip(cols, g_cols)
+        ]
+        biases = [
+            [b - eta * g for b, g in zip(bl, gl)] for bl, gl in zip(biases, g_biases)
+        ]
+        _finite(chain(*cols, biases), "updated parameters")
+        w_rows = [list(zip(*layer)) for layer in cols]
+    weights = tuple(Matrix.from_rows(r) for r in w_rows)
+    return MlpParams(p.sizes, weights, tuple(Vector(b) for b in biases)), history
 
 
 @dataclass(frozen=True)

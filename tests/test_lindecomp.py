@@ -299,6 +299,16 @@ def test_jacobi_divergence_reported_not_raised():
     assert rep.iterations == 100
 
 
+def test_iterative_overflow_raises_nonfinite_for_both_methods():
+    # |a_ij| > |a_ii| off the diagonal: the iterates grow until they overflow
+    a = Matrix.from_rows([[1, 3], [3, 1]])
+    for method in ("jacobi", "gauss_seidel"):
+        x, rep = ld.solve_iterative(a, [1, 1], [0, 0], method, ld.IterConfig(1e-10, 50))
+        assert not rep.converged and all(map(math.isfinite, x))
+        with pytest.raises(NonFinite):
+            ld.solve_iterative(a, [1, 1], [0, 0], method, ld.IterConfig(1e-10, 2000))
+
+
 def test_iterative_errors():
     with pytest.raises(ZeroDiagonal):
         ld.solve_iterative(Matrix.from_rows([[0, 1], [1, 1]]), [1, 1], [0, 0], "jacobi")

@@ -1,12 +1,13 @@
 """Neural-net, batchnorm, and Q-learning tests with FD oracles."""
 
+import hashlib
 import math
 import random
 
 import pytest
 
 from desknum import microlearn as ml
-from desknum.errors import BadArchitecture, ShapeMismatch, TooSmallBatch
+from desknum.errors import BadArchitecture, NonFinite, ShapeMismatch, TooSmallBatch
 from desknum.ndcore import Matrix, Vector
 
 XOR_X = Matrix.from_rows([[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
@@ -176,6 +177,85 @@ def test_gradients_shape_mismatch():
         ml.mlp_gradients(p, XOR_X, Matrix.from_rows([[0.0], [1.0]]))
 
 
+# targets with too few rows or too many columns
+BAD_XOR_TARGETS = (
+    Matrix.from_rows([[0.0], [1.0]]),
+    Matrix.from_rows([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+)
+
+
+def test_targets_checked_by_loss_gradients_and_train():
+    p = ml.mlp_init([3, 4, 1], seed=0)
+    for y in BAD_XOR_TARGETS:
+        with pytest.raises(ShapeMismatch):
+            ml.mlp_loss(p, XOR_X, y)
+        with pytest.raises(ShapeMismatch):
+            ml.mlp_gradients(p, XOR_X, y)
+        for epochs in (0, 1):
+            with pytest.raises(ShapeMismatch):
+                ml.mlp_train(p, XOR_X, y, 0.5, epochs)
+
+
+def test_features_checked_by_loss_gradients_and_train():
+    p = ml.mlp_init([3, 4, 1], seed=0)
+    x = Matrix.from_rows([[0.0, 1.0]] * 4)
+    with pytest.raises(ShapeMismatch):
+        ml.mlp_loss(p, x, XOR_Y)
+    with pytest.raises(ShapeMismatch):
+        ml.mlp_gradients(p, x, XOR_Y)
+    with pytest.raises(ShapeMismatch):
+        ml.mlp_train(p, x, XOR_Y, 0.5, 0)
+
+
+# exact-value pin: sha256 of float.hex over the loss history, the trained
+# weights and biases, and the gradients and loss of the initial net, so
+# any changed bit fails. Cases cover two hidden layers, a batch of one and
+# inputs with signed zeros. The dot products use builtin sum, which adds
+# floats left to right up to CPython 3.11 and with compensation from 3.12,
+# so the digests were recorded on 3.11.
+
+
+def _pin_case(sizes, seed, batch, eta, epochs):
+    rng = random.Random(seed)
+    p = ml.mlp_init(sizes, seed)
+    pick = (0.0, -0.0, 1.0, -1.0)
+
+    def feature(k):
+        return rng.choice(pick) if k % 3 == 0 else rng.uniform(-2, 2)
+
+    x = Matrix.from_rows([[feature(k) for k in range(sizes[0])] for _ in range(batch)])
+    targets = [[rng.random() for _ in range(sizes[-1])] for _ in range(batch)]
+    y = Matrix.from_rows(targets)
+    d_w, d_b = ml.mlp_gradients(p, x, y)
+    trained, history = ml.mlp_train(p, x, y, eta, epochs)
+    _, out = ml.mlp_forward(trained, x)
+    values = list(history) + [ml.mlp_loss(p, x, y), ml.mlp_loss(trained, x, y)]
+    for group in (trained.weights, trained.biases, d_w, d_b, (out,)):
+        for m in group:
+            values.extend(m.data)
+    return hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest()
+
+
+MLP_PIN_CASES = {
+    "xor_3-4-1": ([3, 4, 1], 0, 4, 0.5, 300),
+    "deep_2-5-3-2": ([2, 5, 3, 2], 11, 6, 2.0, 200),
+    "batch1_4-1": ([4, 1], 5, 1, 0.1, 200),
+    "wide_1-7-7-1": ([1, 7, 7, 1], 23, 8, 0.5, 150),
+}
+
+MLP_PIN_DIGESTS = {
+    "xor_3-4-1": "25643fa1391e71b39fb2fddf42c5fa40f535a6f0c5e863057ac61c819125f1f2",
+    "deep_2-5-3-2": "81c636ec3391c4232bd64a1411d66d559246ad4244b5d9676be534c285d791b8",
+    "batch1_4-1": "5aea4488572e417ca37679000e06abb6693f21ce99f0d75d1b3e841d146ccb20",
+    "wide_1-7-7-1": "80d10e703466b385f73a42fbf03bc4f6cbc0c09ef6b36d530026780acdd4a708",
+}
+
+
+def test_mlp_train_exact_value_pin():
+    got = {name: _pin_case(*args) for name, args in MLP_PIN_CASES.items()}
+    assert got == MLP_PIN_DIGESTS
+
+
 # training
 
 
@@ -207,6 +287,35 @@ def test_train_validation():
         ml.mlp_train(p, XOR_X, XOR_Y, 0.0, 10)
     with pytest.raises(ValueError):
         ml.mlp_train(p, XOR_X, XOR_Y, 0.5, -1)
+
+
+def test_train_overflowing_update_raises_nonfinite():
+    # zero first-layer weights keep every unit unsaturated, so the input
+    # of 1e308 reaches the weight gradient and the first step overflows
+    single = ml.MlpParams((1, 1), (Matrix.from_rows([[0.0]]),), (Vector([0.0]),))
+    hidden = ml.MlpParams(
+        (1, 2, 1),
+        (Matrix.from_rows([[0.0, 0.0]]), Matrix.from_rows([[1.0], [1.0]])),
+        (Vector([0.0, 0.0]), Vector([0.0])),
+    )
+    cases = (
+        (single, [[1e308], [1e307]], [[1.0], [1.0]], 1e3),
+        (hidden, [[1e308]], [[1.0]], 100.0),
+    )
+    for p, xs, ys, eta in cases:
+        x, y = Matrix.from_rows(xs), Matrix.from_rows(ys)
+        assert ml.mlp_train(p, x, y, eta, 0)[1] == []
+        with pytest.raises(NonFinite):
+            ml.mlp_train(p, x, y, eta, 1)
+
+
+def test_train_huge_eta_on_xor_saturates_without_overflow():
+    # saturated sigmoids give zero gradients, so even eta = 1.7e308 keeps
+    # every update finite: this is not an overflow case
+    p = ml.mlp_init([3, 4, 1], seed=0)
+    trained, history = ml.mlp_train(p, XOR_X, XOR_Y, 1.7e308, 20)
+    assert len(history) == 20
+    assert all(math.isfinite(v) for w in trained.weights for v in w.data)
 
 
 # batch normalization
