@@ -5,9 +5,13 @@ factorization, QR, Cholesky, explicit inverse), stationary and Krylov
 iterations (Jacobi, Gauss-Seidel, conjugate gradient), eigenproblems, SVD,
 PCA, and polynomial least squares on a Vandermonde system.
 
-One Householder reflector kernel serves QR, least squares, the SVD and the
-Hessenberg reduction: QR and least squares triangularize an augmented row
-list ([A | I] gives [R | Q^T], [A | b] gives [R | Q^T b]). One one-sided
+The dense kernels are dot products over contiguous lists, the "ijk forms"
+of Dongarra, Gustavson & Karp (SIAM Review 26, 1984). LU runs in
+left-looking Crout order: each entry of L and U is one dot product of a
+row of L with a column of U. One Householder reflector kernel works on
+column lists and serves QR, least squares, the SVD and the Hessenberg
+reduction: QR and least squares reduce the columns of A followed by extra
+columns (the columns of I become Q^T, b becomes Q^T b). One one-sided
 Jacobi kernel serves symmetric eig (on S + |S|_inf I for the symmetric
 part S, which is positive semidefinite), svd (on the R of a QR) and pca
 (the SVD of the centered data); shifted QR on the Hessenberg form with
@@ -20,8 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import sub
+from itertools import chain, repeat
+from operator import mul, sub
 from typing import Sequence, Union
 
 from .errors import (
@@ -115,54 +119,72 @@ def _residual_inf(arows: list[list[float]], x: list[float], b: list[float]) -> f
 # factorizations
 
 
-def lu(a: Matrix) -> LuFactors:
-    """Partially pivoted Doolittle factorization P*A = L*U."""
-    _require_square(a, "lu")
-    n = a.rows
-    u = a.to_rows()
-    thresh = _PIVOT_REL * _maxabs(u)
-    lo = [[0.0] * n for _ in range(n)]
+def _lu_rows(rows: list[list[float]]):
+    """Partially pivoted LU in left-looking Crout order: step k forms the
+    pivot candidates of column k and then row k of U, each entry
+    a_ij - sum(map(mul, L_i, Ucol_j)) over the first k entries. Returns
+    (L rows, U rows, perm, sign) with P*A = L*U and a unit diagonal in L."""
+    n = len(rows)
+    thresh = _PIVOT_REL * _maxabs(rows)
+    a = list(rows)
+    lrows: list[list[float]] = [[] for _ in range(n)]
+    ucols: list[list[float]] = [[] for _ in range(n)]
+    urows = []
     perm = list(range(n))
     sign = 1
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(u[i][k]))
-        if abs(u[p][k]) <= thresh:
+        uk = ucols[k]
+        c = [ai[k] - sum(map(mul, li, uk)) for ai, li in zip(a[k:], lrows[k:])]
+        mags = list(map(abs, c))
+        p = mags.index(max(mags))
+        if mags[p] <= thresh:
             raise Singular("pivot below threshold: matrix is singular to working precision")
-        if p != k:
-            u[k], u[p] = u[p], u[k]
-            lo[k][:k], lo[p][:k] = lo[p][:k], lo[k][:k]
-            perm[k], perm[p] = perm[p], perm[k]
+        if p:
+            q = k + p
+            a[k], a[q] = a[q], a[k]
+            lrows[k], lrows[q] = lrows[q], lrows[k]
+            perm[k], perm[q] = perm[q], perm[k]
+            c[0], c[p] = c[p], c[0]
             sign = -sign
-        pivot = u[k][k]
-        for i in range(k + 1, n):
-            m = u[i][k] / pivot
-            lo[i][k] = m
-            u[i][k] = 0.0
-            if m != 0.0:
-                urow_k = u[k]
-                urow_i = u[i]
-                for j in range(k + 1, n):
-                    urow_i[j] -= m * urow_k[j]
-    for i in range(n):
-        lo[i][i] = 1.0
-    return LuFactors(Matrix.from_rows(lo), Matrix.from_rows(u), perm, sign)
+        pivot = c[0]
+        lk = lrows[k]
+        rest = [x - sum(map(mul, lk, uc)) for x, uc in zip(a[k][k + 1 :], ucols[k + 1 :])]
+        uk.append(pivot)
+        for uc, x in zip(ucols[k + 1 :], rest):
+            uc.append(x)
+        for li, x in zip(lrows[k + 1 :], c[1:]):
+            li.append(x / pivot)
+        urows.append([0.0] * k + [pivot] + rest)
+    # a non-finite L entry reaches U once its row becomes the pivot row
+    if not all(map(math.isfinite, chain.from_iterable(urows))):
+        raise NonFinite("LU factors contain a non-finite entry")
+    lrows = [li + [1.0] + [0.0] * (n - 1 - i) for i, li in enumerate(lrows)]
+    return lrows, urows, perm, sign
+
+
+def lu(a: Matrix) -> LuFactors:
+    """Partially pivoted factorization P*A = L*U in left-looking Crout
+    order; L has a unit diagonal."""
+    _require_square(a, "lu")
+    lrows, urows, perm, sign = _lu_rows(a.to_rows())
+    return LuFactors(Matrix.from_rows(lrows), Matrix.from_rows(urows), perm, sign)
 
 
 def _forward_substitute(lo: list[list[float]], b: list[float]) -> list[float]:
     # lower-triangular L y = b; a unit diagonal divides exactly
-    y = [0.0] * len(b)
-    for i, row in enumerate(lo):
-        y[i] = (b[i] - math.fsum(row[j] * y[j] for j in range(i))) / row[i]
+    y: list[float] = []
+    for row, bi in zip(lo, b):
+        y.append((bi - math.fsum(map(mul, row, y))) / row[len(y)])
     return y
 
 
 def _back_substitute(u: list[list[float]], y: list[float]) -> list[float]:
-    # upper-triangular U x = y; U may carry extra (augmented) columns
+    # upper-triangular U x = y, from the last row up
     n = len(y)
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
         row = u[i]
-        x[i] = (y[i] - math.fsum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
+        x[i] = (y[i] - math.fsum(map(mul, row[i + 1 :], x[i + 1 :]))) / row[i]
     return x
 
 
@@ -170,76 +192,72 @@ def _solve_lu_factors(lrows, urows, perm: list[int], b: list[float]) -> list[flo
     return _back_substitute(urows, _forward_substitute(lrows, [b[p] for p in perm]))
 
 
-# Householder reflector kernel
+# Householder reflector kernel, on column lists
 
 
-def _reflector(rows: list[list[float]], top: int, k: int):
-    """Reflector zeroing column k below row top: (v, alpha, v^T v), or None."""
-    nx = math.sqrt(math.fsum(rows[i][k] * rows[i][k] for i in range(top, len(rows))))
+def _reflector(x: list[float]):
+    """Reflector H = I - 2 v v^T / v^T v with H x = (alpha, 0, ..., 0):
+    (v, alpha, v^T v), or None when x is negligible."""
+    nx = math.sqrt(math.fsum(map(mul, x, x)))
     if nx <= 1e-300:
         return None
-    alpha = -nx if rows[top][k] >= 0 else nx
-    v = [rows[i][k] for i in range(top, len(rows))]
+    alpha = -nx if x[0] >= 0 else nx
+    v = list(x)
     v[0] -= alpha
-    vtv = math.fsum(x * x for x in v)
+    vtv = math.fsum(map(mul, v, v))
     if vtv <= 1e-300:
         return None
     return v, alpha, vtv
 
 
-def _reflect_left(rows, top: int, v: list[float], vtv: float, j0: int) -> None:
-    # H = I - 2 v v^T / v^T v on rows top.. of columns j0..
-    for j in range(j0, len(rows[0])):
-        s = 2.0 * math.fsum(v[i] * rows[top + i][j] for i in range(len(v))) / vtv
+def _reflect(cols: list[list[float]], top: int, v: list[float], vtv: float) -> None:
+    # H on entries top.. of each list
+    for c in cols:
+        seg = c[top:]
+        s = 2.0 * math.fsum(map(mul, v, seg)) / vtv
         if s != 0.0:
-            for i in range(len(v)):
-                rows[top + i][j] -= s * v[i]
+            c[top:] = map(sub, seg, map(mul, repeat(s), v))
 
 
-def _reflect_right(rows, top: int, v: list[float], vtv: float) -> None:
-    # the same H from the right, on columns top.. of every row
-    for row in rows:
-        s = 2.0 * math.fsum(row[top + i] * v[i] for i in range(len(v))) / vtv
-        if s != 0.0:
-            for i in range(len(v)):
-                row[top + i] -= s * v[i]
-
-
-def _triangularize(r: list[list[float]], n: int) -> list[tuple]:
-    """Reduce the first n columns of augmented rows r to upper-triangular form;
-    returns the reflectors applied, as (k, v, v^T v)."""
-    m = len(r)
+def _triangularize(cols: list[list[float]], n: int) -> list[tuple]:
+    """Reduce the first n of the column lists cols to upper-triangular form,
+    reflecting the later columns with them; returns the reflectors applied,
+    as (k, v, v^T v)."""
+    m = len(cols[0])
     applied = []
     for k in range(min(m - 1, n)):
-        ref = _reflector(r, k, k)
+        ref = _reflector(cols[k][k:])
         if ref is None:
             continue
         v, alpha, vtv = ref
-        _reflect_left(r, k, v, vtv, k)
-        r[k][k] = alpha
-        for i in range(k + 1, m):
-            r[i][k] = 0.0
+        _reflect(cols[k + 1 :], k, v, vtv)
+        cols[k][k:] = [alpha] + [0.0] * (m - k - 1)
         applied.append((k, v, vtv))
     return applied
 
 
-def _householder_ls(rows: list[list[float]], rhs: list[float]):
-    """Reduce [A | rhs] to [R | Q^T rhs]; returns those rows and Q^T rhs cut to n."""
-    n = len(rows[0])
-    r = [row + [y] for row, y in zip(rows, rhs)]
-    _triangularize(r, n)
-    return r, [row[n] for row in r[:n]]
+def _rows(cols: list[list[float]], n: int) -> list[list[float]]:
+    """The first n rows of the matrix with columns cols."""
+    return [list(r) for r in zip(*cols)][:n]
+
+
+def _householder_ls(cols: list[list[float]], rhs: list[float]):
+    """Reduce [A | rhs], A given by its columns (overwritten), to
+    [R | Q^T rhs]; returns the rows of the square R and Q^T rhs cut to it."""
+    n = len(cols)
+    cols.append(list(rhs))
+    _triangularize(cols, n)
+    return _rows(cols[:n], n), cols[n][:n]
 
 
 def qr(a: Matrix) -> QrFactors:
     """Householder QR of a square matrix; R diagonal signs are not normalized."""
     _require_square(a, "qr")
     m = a.rows
-    # the reflectors that take A to R take I to Q^T
-    r = [row + e for row, e in zip(a.to_rows(), Matrix.identity(m).to_rows())]
-    _triangularize(r, m)
-    q = [[row[m + i] for row in r] for i in range(m)]
-    return QrFactors(Matrix.from_rows(q), Matrix.from_rows([row[:m] for row in r]))
+    # the reflectors that take A to R take I to Q^T, whose columns are Q's rows
+    cols = [a.col(j) for j in range(m)] + Matrix.identity(m).to_rows()
+    _triangularize(cols, m)
+    return QrFactors(Matrix.from_rows(cols[m:]), Matrix.from_rows(_rows(cols[:m], m)))
 
 
 def cholesky(a: Matrix) -> Matrix:
@@ -249,43 +267,43 @@ def cholesky(a: Matrix) -> Matrix:
     rows = a.to_rows()
     if not _symmetric(rows):
         raise NotSpd("matrix is not symmetric")
-    lo = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = rows[i][j] - math.fsum(lo[i][k] * lo[j][k] for k in range(j))
-            if i == j:
-                if s <= 0.0:
-                    raise NotSpd("matrix is not positive definite")
-                lo[i][i] = math.sqrt(s)
-            else:
-                lo[i][j] = s / lo[j][j]
-    return Matrix.from_rows(lo)
+    lo: list[list[float]] = []
+    for i, arow in enumerate(rows):
+        # row i of L grows entry by entry; map stops at its length j
+        li: list[float] = []
+        for lj, x in zip(lo, arow):
+            li.append((x - math.fsum(map(mul, li, lj))) / lj[-1])
+        s = arow[i] - math.fsum(map(mul, li, li))
+        if s <= 0.0:
+            raise NotSpd("matrix is not positive definite")
+        li.append(math.sqrt(s))
+        lo.append(li)
+    return Matrix.from_rows([li + [0.0] * (n - 1 - i) for i, li in enumerate(lo)])
 
 
 def det(a: Matrix) -> float:
     """Determinant as sign * product of U's diagonal; singular input gives 0."""
     _require_square(a, "det")
     try:
-        f = lu(a)
+        _, urows, _, sign = _lu_rows(a.to_rows())
     except Singular:
         return 0.0
-    p = float(f.sign)
-    for i in range(a.rows):
-        p *= f.u.get(i, i)
+    p = float(sign)
+    for i, row in enumerate(urows):
+        p *= row[i]
     return p
 
 
 def inv(a: Matrix) -> Matrix:
     _require_square(a, "inv")
-    f = lu(a)
+    lrows, urows, perm, _ = _lu_rows(a.to_rows())
     n = a.rows
-    lrows, urows = f.l.to_rows(), f.u.to_rows()
     cols = []
     for j in range(n):
         e = [0.0] * n
         e[j] = 1.0
-        cols.append(_solve_lu_factors(lrows, urows, f.perm, e))
-    return Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+        cols.append(_solve_lu_factors(lrows, urows, perm, e))
+    return Matrix.from_rows(_rows(cols, n))
 
 
 # direct solves
@@ -300,12 +318,12 @@ def solve_direct(a: Matrix, b: VecLike, method: str = "gauss") -> Vector:
     n = a.rows
     if method in ("gauss", "lu"):
         # Gaussian elimination with partial pivoting is the LU factorization
-        f = lu(a)
-        return Vector(_solve_lu_factors(f.l.to_rows(), f.u.to_rows(), f.perm, bv))
+        lrows, urows, perm, _ = _lu_rows(a.to_rows())
+        return Vector(_solve_lu_factors(lrows, urows, perm, bv))
     if method == "qr":
-        arows = a.to_rows()
-        r, y = _householder_ls(arows, bv)
-        thresh = _PIVOT_REL * _maxabs(arows)
+        cols = [a.col(j) for j in range(n)]
+        thresh = _PIVOT_REL * _maxabs(cols)
+        r, y = _householder_ls(cols, bv)
         if any(abs(r[i][i]) <= thresh for i in range(n)):
             raise Singular("R has a negligible diagonal entry")
         return Vector(_back_substitute(r, y))
@@ -321,6 +339,11 @@ def solve_direct(a: Matrix, b: VecLike, method: str = "gauss") -> Vector:
 
 
 # iterative solves
+
+
+def _off_diagonal_dot(row: list[float], x: list[float], i: int) -> float:
+    # the sum of row[j] * x[j] over j != i, from the slices on either side
+    return math.fsum(chain(map(mul, row[:i], x), map(mul, row[i + 1 :], x[i + 1 :])))
 
 
 def solve_iterative(
@@ -355,25 +378,15 @@ def solve_iterative(
             return Vector(x), IterReport(0, res, True)
         for k in range(1, cfg.max_iter + 1):
             if method == "jacobi":
-                new = [
-                    (
-                        bv[i]
-                        - math.fsum(arows[i][j] * x[j] for j in range(n) if j != i)
-                    )
-                    / arows[i][i]
-                    for i in range(n)
-                ]
+                new = [(bi - _off_diagonal_dot(row, x, i)) / row[i] for i, (row, bi) in enumerate(zip(arows, bv))]
                 if not all(map(math.isfinite, new)):
                     raise NonFinite(f"{method} iterate overflowed at sweep {k}")
                 step = max(abs(u - v) for u, v in zip(new, x))
                 x = new
             else:
                 step = 0.0
-                for i in range(n):
-                    s = bv[i] - math.fsum(
-                        arows[i][j] * x[j] for j in range(n) if j != i
-                    )
-                    nxt = s / arows[i][i]
+                for i, (row, bi) in enumerate(zip(arows, bv)):
+                    nxt = (bi - _off_diagonal_dot(row, x, i)) / row[i]
                     if not math.isfinite(nxt):
                         raise NonFinite(f"{method} iterate overflowed at sweep {k}")
                     step = max(step, abs(nxt - x[i]))
@@ -421,13 +434,15 @@ def solve_iterative(
 def _hessenberg(rows: list[list[float]], n: int) -> list[list[float]]:
     h = [row[:] for row in rows]
     for k in range(n - 2):
-        ref = _reflector(h, k + 1, k)
+        ref = _reflector([row[k] for row in h[k + 1 :]])
         if ref is None:
             continue
         v, _, vtv = ref
-        # left reflection on rows k+1.., then the mirror from the right
-        _reflect_left(h, k + 1, v, vtv, 0)
-        _reflect_right(h, k + 1, v, vtv)
+        # H A H: the kernel on the columns, then on the rows
+        cols = [list(c) for c in zip(*h)]
+        _reflect(cols, k + 1, v, vtv)
+        h = _rows(cols, n)
+        _reflect(h, k + 1, v, vtv)
     return h
 
 
@@ -536,15 +551,15 @@ def _inverse_iteration(
             v = [1.0 / math.sqrt(n)] * n
         eps = (1e-11 + 1e-9 * attempt) * (1.0 + abs(lam))
         shifted = [row[:] for row in rows]
-        for i in range(n):
-            shifted[i][i] -= lam + eps
+        diag = [row[i] - (lam + eps) for i, row in enumerate(rows)]
+        for i, d in enumerate(_checked_floats(diag, "shifted matrix")):
+            shifted[i][i] = d
         try:
-            f = lu(Matrix.from_rows(shifted))
+            lrows, urows, perm, _ = _lu_rows(shifted)
         except Singular:
             continue
-        lrows, urows = f.l.to_rows(), f.u.to_rows()
         for _ in range(40):
-            w = _solve_lu_factors(lrows, urows, f.perm, v)
+            w = _solve_lu_factors(lrows, urows, perm, v)
             nw = _norm2(w)
             if nw <= 1e-250:
                 break
@@ -660,9 +675,9 @@ def _svd(rows: list[list[float]], k: int):
     if m < n:
         vrows, sigma, urows = _svd([list(c) for c in zip(*rows)], m)
         return urows, sigma, vrows
-    r = [row[:] for row in rows]
-    reflectors = _triangularize(r, n)
-    wcols, vcols = _jacobi([list(c) for c in zip(*r[:n])])
+    cols = [list(c) for c in zip(*rows)]
+    reflectors = _triangularize(cols, n)
+    wcols, vcols = _jacobi([c[:n] for c in cols])
     norms = list(map(_norm2, wcols))
     order = sorted(range(n), key=norms.__getitem__, reverse=True)
     smax = norms[order[0]]
@@ -671,14 +686,13 @@ def _svd(rows: list[list[float]], k: int):
     rank = len(ucols)
     if rank < k:
         # triangularizing [U | I] turns I into Q^T, whose rows rank.. complete U
-        eye = Matrix.identity(n).to_rows()
-        aug = [[u[i] for u in ucols] + e for i, e in enumerate(eye)]
+        aug = [c[:] for c in ucols] + Matrix.identity(n).to_rows()
         _triangularize(aug, rank)
-        ucols += [aug[j][rank:] for j in range(rank, k)]
-    urows = [list(row) for row in zip(*ucols)] + [[0.0] * k for _ in range(m - n)]
+        ucols += _rows(aug[rank:], k)[rank:]
+    ucols = [c + [0.0] * (m - n) for c in ucols]
     for j, v, vtv in reversed(reflectors):
-        _reflect_left(urows, j, v, vtv, 0)
-    return urows, sigma, [list(row) for row in zip(*(vcols[j] for j in order))]
+        _reflect(ucols, j, v, vtv)
+    return _rows(ucols, m), sigma, _rows([vcols[j] for j in order], n)
 
 
 def svd(a: Matrix) -> SvdResult:
@@ -717,9 +731,9 @@ def polyfit(xs: VecLike, ys: VecLike, degree: int) -> Vector:
         raise ShapeMismatch("xs and ys lengths differ")
     if len(xv) < p:
         raise ShapeMismatch(f"need at least {p} samples for degree {degree}")
-    vand = [[x ** (degree - j) for j in range(p)] for x in xv]
-    r, qty = _householder_ls(vand, yv)
+    vand = [[x ** (degree - j) for x in xv] for j in range(p)]
     thresh = 1e-12 * max(1.0, _maxabs(vand))
+    r, qty = _householder_ls(vand, yv)
     if any(abs(r[i][i]) <= thresh for i in range(p)):
         raise RankDeficient("Vandermonde system is rank deficient")
     return Vector(_back_substitute(r, qty))
