@@ -5,13 +5,12 @@ factorization, QR, Cholesky, explicit inverse), stationary and Krylov
 iterations (Jacobi, Gauss-Seidel, conjugate gradient), eigenproblems, SVD,
 PCA, and polynomial least squares on a Vandermonde system.
 
-The dense kernels are dot products over contiguous lists, the "ijk forms"
-of Dongarra, Gustavson & Karp (SIAM Review 26, 1984). LU runs in
-left-looking Crout order: each entry of L and U is one dot product of a
-row of L with a column of U. One Householder reflector kernel works on
-column lists and serves QR, least squares, the SVD and the Hessenberg
-reduction: QR and least squares reduce the columns of A followed by extra
-columns (the columns of I become Q^T, b becomes Q^T b). One one-sided
+The dense kernels are dot products over lists (the "ijk forms" of Dongarra,
+Gustavson & Karp, SIAM Review 26, 1984). LU runs in left-looking Crout
+order, each entry a row of L times a column of U. One Householder kernel
+reflects column lists for QR, least squares, the SVD and the Hessenberg
+reduction; QR and least squares reduce A's columns and then I to Q^T or b
+to Q^T b. One one-sided
 Jacobi kernel serves symmetric eig (on S + |S|_inf I for the symmetric
 part S, which is positive semidefinite), svd (on the R of a QR) and pca
 (the SVD of the centered data); shifted QR on the Hessenberg form with
@@ -106,6 +105,16 @@ def _maxabs(rows: list[list[float]]) -> float:
     return max((abs(x) for row in rows for x in row), default=0.0)
 
 
+def _scaled(rows: list[list[float]]) -> tuple[list[list[float]], float]:
+    """rows times the power of two 2^-e that puts the largest magnitude in
+    [1, 2), and 2^e: exact, and no square, sum or shift of it overflows."""
+    big = _maxabs(rows)
+    if not math.isfinite(big):
+        raise NonFinite(f"entry of magnitude {big} cannot be scaled")
+    e = math.frexp(big)[1] - 1
+    return [list(map(math.ldexp, row, repeat(-e))) for row in rows], math.ldexp(1.0, e)
+
+
 def _symmetric(rows: list[list[float]]) -> bool:
     # relative to the largest entry, so the verdict does not depend on scale
     n, tol = len(rows), 1e-9 * _maxabs(rows)
@@ -133,8 +142,7 @@ def _lu_rows(rows: list[list[float]]):
     perm = list(range(n))
     sign = 1
     for k in range(n):
-        uk = ucols[k]
-        c = [ai[k] - sum(map(mul, li, uk)) for ai, li in zip(a[k:], lrows[k:])]
+        c = [ai[k] - sum(map(mul, li, ucols[k])) for ai, li in zip(a[k:], lrows[k:])]
         mags = list(map(abs, c))
         p = mags.index(max(mags))
         if mags[p] <= thresh:
@@ -146,15 +154,13 @@ def _lu_rows(rows: list[list[float]]):
             perm[k], perm[q] = perm[q], perm[k]
             c[0], c[p] = c[p], c[0]
             sign = -sign
-        pivot = c[0]
-        lk = lrows[k]
-        rest = [x - sum(map(mul, lk, uc)) for x, uc in zip(a[k][k + 1 :], ucols[k + 1 :])]
-        uk.append(pivot)
-        for uc, x in zip(ucols[k + 1 :], rest):
+        lk, ak = lrows[k], a[k]
+        urow = c[:1] + [ak[j] - sum(map(mul, lk, ucols[j])) for j in range(k + 1, n)]
+        for uc, x in zip(ucols[k:], urow):
             uc.append(x)
         for li, x in zip(lrows[k + 1 :], c[1:]):
-            li.append(x / pivot)
-        urows.append([0.0] * k + [pivot] + rest)
+            li.append(x / c[0])
+        urows.append([0.0] * k + urow)
     # a non-finite L entry reaches U once its row becomes the pivot row
     if not all(map(math.isfinite, chain.from_iterable(urows))):
         raise NonFinite("LU factors contain a non-finite entry")
@@ -163,8 +169,7 @@ def _lu_rows(rows: list[list[float]]):
 
 
 def lu(a: Matrix) -> LuFactors:
-    """Partially pivoted factorization P*A = L*U in left-looking Crout
-    order; L has a unit diagonal."""
+    """Partially pivoted P*A = L*U in left-looking Crout order, unit-diagonal L."""
     _require_square(a, "lu")
     lrows, urows, perm, sign = _lu_rows(a.to_rows())
     return LuFactors(Matrix.from_rows(lrows), Matrix.from_rows(urows), perm, sign)
@@ -180,11 +185,9 @@ def _forward_substitute(lo: list[list[float]], b: list[float]) -> list[float]:
 
 def _back_substitute(u: list[list[float]], y: list[float]) -> list[float]:
     # upper-triangular U x = y, from the last row up
-    n = len(y)
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        row = u[i]
-        x[i] = (y[i] - math.fsum(map(mul, row[i + 1 :], x[i + 1 :]))) / row[i]
+    x = [0.0] * len(y)
+    for i in reversed(range(len(y))):
+        x[i] = (y[i] - math.fsum(map(mul, u[i][i + 1 :], x[i + 1 :]))) / u[i][i]
     return x
 
 
@@ -196,33 +199,34 @@ def _solve_lu_factors(lrows, urows, perm: list[int], b: list[float]) -> list[flo
 
 
 def _reflector(x: list[float]):
-    """Reflector H = I - 2 v v^T / v^T v with H x = (alpha, 0, ..., 0):
-    (v, alpha, v^T v), or None when x is negligible."""
-    nx = math.sqrt(math.fsum(map(mul, x, x)))
-    if nx <= 1e-300:
+    """(v, alpha, v^T v) for H = I - 2 v v^T / v^T v with H x = (alpha, 0, ...),
+    or None for x = 0. v is x scaled by a power of two, so |x|^2, v^T v and v.c
+    cannot overflow or underflow; elsewhere every rounding is the unscaled one."""
+    (v,), f = _scaled([x])
+    nx = math.sqrt(math.fsum(map(mul, v, v)))
+    if nx == 0.0:
         return None
-    alpha = -nx if x[0] >= 0 else nx
-    v = list(x)
+    alpha = -nx if v[0] >= 0 else nx
     v[0] -= alpha
-    vtv = math.fsum(map(mul, v, v))
-    if vtv <= 1e-300:
-        return None
-    return v, alpha, vtv
+    return v, alpha * f, math.fsum(map(mul, v, v))
 
 
 def _reflect(cols: list[list[float]], top: int, v: list[float], vtv: float) -> None:
     # H on entries top.. of each list
-    for c in cols:
-        seg = c[top:]
-        s = 2.0 * math.fsum(map(mul, v, seg)) / vtv
-        if s != 0.0:
-            c[top:] = map(sub, seg, map(mul, repeat(s), v))
+    try:
+        for c in cols:
+            seg = c[top:]
+            s = 2.0 * math.fsum(map(mul, v, seg)) / vtv
+            if s != 0.0:
+                c[top:] = map(sub, seg, map(mul, repeat(s), v))
+    except (OverflowError, ValueError):
+        # fsum meets an overflowing sum, or entries that overflowed earlier
+        raise NonFinite("Householder reflection overflowed") from None
 
 
 def _triangularize(cols: list[list[float]], n: int) -> list[tuple]:
-    """Reduce the first n of the column lists cols to upper-triangular form,
-    reflecting the later columns with them; returns the reflectors applied,
-    as (k, v, v^T v)."""
+    """Reduce the first n column lists to upper-triangular form, reflecting
+    the later ones with them; returns the reflectors applied, as (k, v, v^T v)."""
     m = len(cols[0])
     applied = []
     for k in range(min(m - 1, n)):
@@ -241,13 +245,16 @@ def _rows(cols: list[list[float]], n: int) -> list[list[float]]:
     return [list(r) for r in zip(*cols)][:n]
 
 
-def _householder_ls(cols: list[list[float]], rhs: list[float]):
-    """Reduce [A | rhs], A given by its columns (overwritten), to
-    [R | Q^T rhs]; returns the rows of the square R and Q^T rhs cut to it."""
+def _householder_ls(cols: list[list[float]], rhs: list[float], thresh: float, err):
+    """Least squares by reducing [A | rhs], A given by its columns
+    (overwritten), to [R | Q^T rhs]; raises err when a diagonal entry of R
+    is at most thresh in magnitude."""
     n = len(cols)
     cols.append(list(rhs))
     _triangularize(cols, n)
-    return _rows(cols[:n], n), cols[n][:n]
+    if any(abs(cols[i][i]) <= thresh for i in range(n)):
+        raise err
+    return _back_substitute(_rows(cols[:n], n), cols[n][:n])
 
 
 def qr(a: Matrix) -> QrFactors:
@@ -288,22 +295,15 @@ def det(a: Matrix) -> float:
         _, urows, _, sign = _lu_rows(a.to_rows())
     except Singular:
         return 0.0
-    p = float(sign)
-    for i, row in enumerate(urows):
-        p *= row[i]
-    return p
+    return math.prod((row[i] for i, row in enumerate(urows)), start=float(sign))
 
 
 def inv(a: Matrix) -> Matrix:
     _require_square(a, "inv")
     lrows, urows, perm, _ = _lu_rows(a.to_rows())
-    n = a.rows
-    cols = []
-    for j in range(n):
-        e = [0.0] * n
-        e[j] = 1.0
-        cols.append(_solve_lu_factors(lrows, urows, perm, e))
-    return Matrix.from_rows(_rows(cols, n))
+    eye = Matrix.identity(a.rows).to_rows()
+    cols = [_solve_lu_factors(lrows, urows, perm, e) for e in eye]
+    return Matrix.from_rows(_rows(cols, a.rows))
 
 
 # direct solves
@@ -322,11 +322,8 @@ def solve_direct(a: Matrix, b: VecLike, method: str = "gauss") -> Vector:
         return Vector(_solve_lu_factors(lrows, urows, perm, bv))
     if method == "qr":
         cols = [a.col(j) for j in range(n)]
-        thresh = _PIVOT_REL * _maxabs(cols)
-        r, y = _householder_ls(cols, bv)
-        if any(abs(r[i][i]) <= thresh for i in range(n)):
-            raise Singular("R has a negligible diagonal entry")
-        return Vector(_back_substitute(r, y))
+        singular = Singular("R has a negligible diagonal entry")
+        return Vector(_householder_ls(cols, bv, _PIVOT_REL * _maxabs(cols), singular))
     if method == "cholesky":
         lo = cholesky(a).to_rows()
         # L y = b, then L^T x = y on the rows of L^T
@@ -339,11 +336,6 @@ def solve_direct(a: Matrix, b: VecLike, method: str = "gauss") -> Vector:
 
 
 # iterative solves
-
-
-def _off_diagonal_dot(row: list[float], x: list[float], i: int) -> float:
-    # the sum of row[j] * x[j] over j != i, from the slices on either side
-    return math.fsum(chain(map(mul, row[:i], x), map(mul, row[i + 1 :], x[i + 1 :])))
 
 
 def solve_iterative(
@@ -377,20 +369,16 @@ def solve_iterative(
         if res < cfg.tol:
             return Vector(x), IterReport(0, res, True)
         for k in range(1, cfg.max_iter + 1):
-            if method == "jacobi":
-                new = [(bi - _off_diagonal_dot(row, x, i)) / row[i] for i, (row, bi) in enumerate(zip(arows, bv))]
-                if not all(map(math.isfinite, new)):
+            # Jacobi reads the previous iterate, Gauss-Seidel the one it updates
+            old = list(x)
+            src = old if method == "jacobi" else x
+            for i, (row, bi) in enumerate(zip(arows, bv)):
+                # the terms j != i, from the slices on either side of i
+                off = chain(map(mul, row[:i], src), map(mul, row[i + 1 :], src[i + 1 :]))
+                x[i] = (bi - math.fsum(off)) / row[i]
+                if not math.isfinite(x[i]):
                     raise NonFinite(f"{method} iterate overflowed at sweep {k}")
-                step = max(abs(u - v) for u, v in zip(new, x))
-                x = new
-            else:
-                step = 0.0
-                for i, (row, bi) in enumerate(zip(arows, bv)):
-                    nxt = (bi - _off_diagonal_dot(row, x, i)) / row[i]
-                    if not math.isfinite(nxt):
-                        raise NonFinite(f"{method} iterate overflowed at sweep {k}")
-                    step = max(step, abs(nxt - x[i]))
-                    x[i] = nxt
+            step = max(map(abs, map(sub, x, old)))
             res = _residual_inf(arows, x, bv)
             if step < cfg.tol or res < cfg.tol:
                 return Vector(x), IterReport(k, res, True)
@@ -474,9 +462,16 @@ def _qr_step(h: list[list[float]], m: int, mu: float) -> None:
         h[i][i] += mu
 
 
+def _negligible(x: float, a: float, d: float) -> bool:
+    # |x| <= 1e-12 (|a| + |d|) as a deflation test; halved terms once the sum overflows
+    bound = abs(a) + abs(d) + 1e-300
+    if bound < math.inf:
+        return abs(x) <= 1e-12 * bound
+    return 0.5 * abs(x) <= 1e-12 * (0.5 * abs(a) + 0.5 * abs(d))
+
+
 def _eig_values(rows: list[list[float]], n: int) -> list[float]:
     h = _hessenberg(rows, n)
-    tiny = 1e-300
     vals: list[float] = []
     m = n - 1
     sweeps = 0
@@ -487,15 +482,12 @@ def _eig_values(rows: list[list[float]], n: int) -> list[float]:
             vals.append(h[0][0])
             m -= 1
             continue
-        if abs(h[m][m - 1]) <= 1e-12 * (abs(h[m - 1][m - 1]) + abs(h[m][m]) + tiny):
+        if _negligible(h[m][m - 1], h[m - 1][m - 1], h[m][m]):
             vals.append(h[m][m])
             m -= 1
             since_deflation = 0
             continue
-        isolated2 = m == 1 or abs(h[m - 1][m - 2]) <= 1e-12 * (
-            abs(h[m - 2][m - 2]) + abs(h[m - 1][m - 1]) + tiny
-        )
-        if isolated2:
+        if m == 1 or _negligible(h[m - 1][m - 2], h[m - 2][m - 2], h[m - 1][m - 1]):
             a_, b_, c_, d_ = h[m - 1][m - 1], h[m - 1][m], h[m][m - 1], h[m][m]
             half = 0.5 * (a_ - d_)
             disc = half * half + b_ * c_
@@ -550,10 +542,9 @@ def _inverse_iteration(
         else:
             v = [1.0 / math.sqrt(n)] * n
         eps = (1e-11 + 1e-9 * attempt) * (1.0 + abs(lam))
-        shifted = [row[:] for row in rows]
-        diag = [row[i] - (lam + eps) for i, row in enumerate(rows)]
-        for i, d in enumerate(_checked_floats(diag, "shifted matrix")):
-            shifted[i][i] = d
+        d = lam + eps
+        shifted = [row[:i] + [row[i] - d] + row[i + 1 :] for i, row in enumerate(rows)]
+        _checked_floats([shifted[i][i] for i in range(n)], "shifted matrix")
         try:
             lrows, urows, perm, _ = _lu_rows(shifted)
         except Singular:
@@ -584,13 +575,6 @@ def _inverse_iteration(
 # 2 eps |x| |y|, so a pair counts as orthogonal below twice that
 _JACOBI_TOL = 4.0 * math.ulp(1.0)
 _JACOBI_SWEEPS = 60
-
-
-def _scaled(rows: list[list[float]]) -> tuple[list[list[float]], float]:
-    """rows times the power of two 2^-e that puts the largest magnitude in
-    [1, 2), and 2^e: exact, and no square, sum or shift of it overflows."""
-    e = math.frexp(_maxabs(rows))[1] - 1
-    return [list(map(math.ldexp, row, repeat(-e))) for row in rows], math.ldexp(1.0, e)
 
 
 def _jacobi(cols: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
@@ -731,9 +715,10 @@ def polyfit(xs: VecLike, ys: VecLike, degree: int) -> Vector:
         raise ShapeMismatch("xs and ys lengths differ")
     if len(xv) < p:
         raise ShapeMismatch(f"need at least {p} samples for degree {degree}")
-    vand = [[x ** (degree - j) for x in xv] for j in range(p)]
+    try:
+        vand = [[x ** (degree - j) for x in xv] for j in range(p)]
+    except OverflowError:
+        raise NonFinite(f"Vandermonde entry x^{degree} overflows") from None
     thresh = 1e-12 * max(1.0, _maxabs(vand))
-    r, qty = _householder_ls(vand, yv)
-    if any(abs(r[i][i]) <= thresh for i in range(p)):
-        raise RankDeficient("Vandermonde system is rank deficient")
-    return Vector(_back_substitute(r, qty))
+    deficient = RankDeficient("Vandermonde system is rank deficient")
+    return Vector(_householder_ls(vand, yv, thresh, deficient))

@@ -181,11 +181,32 @@ def check_qr(arr, f):
         [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # zero first column: reflector skipped
         [[0, 0, 1], [3, 6, 1], [4, 8, 2]],  # step 0 zeroes column 1 below row 1 exactly
         [[2, 1, 1], [0, 3, 1], [0, 0, 4]],  # already upper triangular
-        [[1e-200, 1], [0, 1]],  # v^T v underflows: second guard skips
+        [[1e-200, 1], [0, 1]],  # v^T v would underflow without the scaling
+        [[1e200, 1], [1, 1]],  # |x|^2 would overflow without the scaling
     ],
 )
 def test_qr_skipped_and_reduced_columns(rows):
     check_qr(rows, ld.qr(Matrix.from_rows(rows)))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e160, 1e200, 1e300])
+def test_qr_and_qr_solve_at_extreme_scales(scale):
+    # each reflector is scaled by a power of two: unscaled, |x|^2 overflowed
+    # from 1e160 up (ValueError from fsum), and at 1e-150 and below v^T v or
+    # |x| fell under the absolute 1e-300 guards, so reflectors were skipped
+    # and R was not triangular
+    arr = scale * np.array([[2.0, 1.0, -1.0], [1.0, -3.0, 2.0], [-1.0, 2.0, 4.0]])
+    a = Matrix.from_rows(arr.tolist())
+    f = ld.qr(a)
+    q, r = np.array(f.q.to_rows()), np.array(f.r.to_rows())
+    q_np, r_np = np.linalg.qr(arr)
+    signs = np.sign(np.diag(r)) * np.sign(np.diag(r_np))
+    assert np.max(np.abs(q * signs - q_np)) <= 1e-14
+    assert np.max(np.abs(r * signs[:, None] - r_np)) <= 1e-14 * scale
+    assert np.all(np.tril(r, -1) == 0.0)
+    x = np.array(ld.solve_direct(a, [1.0, 2.0, 3.0], "qr").data)
+    want = np.linalg.solve(arr, [1.0, 2.0, 3.0])
+    assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_one_by_one_householder_paths():
@@ -343,14 +364,19 @@ def digest(name, s):
     return h.hexdigest()[:16]
 
 
-# one digest per scale, in the order of DIGEST_SCALES
+# One digest per scale, in the order of DIGEST_SCALES. Entries at 1e-10 and
+# 1 are those of the row-wise kernels. At 1e-300 and 1e300 the qr, solve_qr
+# and eig entries and polyfit's at 1e300 were recorded again when the
+# reflector was scaled by a power of two: unscaled, |x|^2 underflowed to 0
+# at 1e-300, so qr skipped every reflector and returned A as R, and at
+# 1e300 it overflowed, so qr raised ValueError and polyfit OverflowError.
 DIGESTS = {
     "cholesky": ["c862c97771bdde01", "87678be7e8f285e1", "7c6b1f1fd2a8472d", "457f576f343195d9"],
-    "eig": ["b6a1d232ef4b3b92", "40b5a9d7a8518672", "3dcbb3ba2d57a233", "778f3557fc5ee4c3"],
+    "eig": ["acdee3920585f20b", "40b5a9d7a8518672", "3dcbb3ba2d57a233", "d400a7b8e4d64944"],
     "pca": ["56daef86ed0e9131", "1db222e423f8d8b5", "cbe9e7125b31d38f", "3476c1f7e01f53d7"],
-    "polyfit": ["8685ecd2cb0b856b", "f05c52b380c99f76", "8975d43e91c0085c", "827769335dd0d7b6"],
-    "qr": ["73101619fddde1ea", "3403627ad5eb1d1a", "edebb95558cab758", "e24b5850d5df0e5d"],
-    "solve_qr": ["5b676d4b779ee6bf", "6278da733d5852fa", "256012720522f649", "5fc2600325c45ea4"],
+    "polyfit": ["8685ecd2cb0b856b", "f05c52b380c99f76", "8975d43e91c0085c", "d693a877b26a3e6e"],
+    "qr": ["cf9d3cd1b9071e47", "3403627ad5eb1d1a", "edebb95558cab758", "9edf4d9d64b84600"],
+    "solve_qr": ["512258f632bb22c4", "6278da733d5852fa", "256012720522f649", "9bb7722a75b5bc04"],
     "svd": ["4b7008ae9a43b929", "d4e0811c1ccac18b", "fc2b22242db8748c", "c5aa71177fb08d85"],
 }
 
@@ -820,6 +846,14 @@ def test_overflow_gives_finite_result_or_non_finite():
     assert np.max(np.abs(proj - want)) <= 1e-15 * 8e307
     with pytest.raises(NonFinite):
         ld.pca(Matrix.from_rows([[1.5e308, 1.5e308], [-1.5e308, -1.5e308], [0.0, 0.0]]), 1)
+    # x^2 overflows while the Vandermonde columns are built
+    with pytest.raises(NonFinite):
+        ld.polyfit([1e160, 2e160, 3e160], [1, 2, 3], 2)
+    # the eigenvalues 1.316e308 and 6.84e307 are finite but b * c in the 2x2
+    # formula is not; the deflation bound 1e-12 (|h00| + |h11|) used to
+    # overflow, so h10 looked negligible and the diagonal came back
+    with pytest.raises(NonFinite):
+        ld.eig(Matrix.from_rows([[1e308, 1e308], [1e307, 1e308]]))
 
 
 # polynomial least squares
