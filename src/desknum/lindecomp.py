@@ -102,7 +102,7 @@ def _vec_list(b: VecLike) -> list[float]:
 
 
 def _maxabs(rows: list[list[float]]) -> float:
-    return max((abs(x) for row in rows for x in row), default=0.0)
+    return max(map(abs, chain.from_iterable(rows)), default=0.0)
 
 
 def _scaled(rows: list[list[float]]) -> tuple[list[list[float]], float]:
