@@ -463,7 +463,7 @@ def _qr_step(h: list[list[float]], m: int, mu: float) -> None:
 
 
 def _negligible(x: float, a: float, d: float) -> bool:
-    # |x| <= 1e-12 (|a| + |d|) as a deflation test; halved terms once the sum overflows
+    # deflate when |x| <= 1e-12 (|a| + |d| + 1e-300); halved terms once that overflows
     bound = abs(a) + abs(d) + 1e-300
     if bound < math.inf:
         return abs(x) <= 1e-12 * bound

@@ -854,6 +854,11 @@ def test_overflow_gives_finite_result_or_non_finite():
     # overflow, so h10 looked negligible and the diagonal came back
     with pytest.raises(NonFinite):
         ld.eig(Matrix.from_rows([[1e308, 1e308], [1e307, 1e308]]))
+    # the Hessenberg reduction overflows a column, which then reaches the
+    # next reflector's power-of-two scaling (a bare OverflowError from ldexp)
+    big = [[1e308, 1e308, 9e307, -9e307], [1, -9e307, 1e308, 9e307], [1, 9e307, 0, 0], [1e308, 9e307, -9e307, -9e307]]
+    with pytest.raises(NonFinite):
+        ld.eig(Matrix.from_rows(big))
 
 
 # polynomial least squares
