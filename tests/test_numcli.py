@@ -83,6 +83,16 @@ def test_write_pgm_one_pixel_golden():
     assert out == b"P2\n1 1\n255\n0\n"
 
 
+def test_write_pgm_wrap_at_70_and_71_columns_golden():
+    full = " ".join(["255"] * 17)  # 67 characters
+    out = numcli.write_pgm(Image2D(1, 19, [255.0] * 17 + [12.0, 7.0]))
+    assert out == ("P2\n19 1\n255\n" + full + " 12\n7\n").encode()
+    out = numcli.write_pgm(Image2D(1, 19, [255.0] * 17 + [123.0, 7.0]))
+    assert out == ("P2\n19 1\n255\n" + full + "\n123 7\n").encode()
+    out = numcli.write_pgm(Image2D(1, 1, [254.9999999]))
+    assert out == b"P2\n1 1\n255\n255\n"
+
+
 def test_pgm_round_trip_exact():
     data = [float((13 * k + 7) % 256) for k in range(35)]
     img = Image2D(5, 7, data)

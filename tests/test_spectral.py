@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from desknum import spectral
@@ -466,6 +466,55 @@ def test_fft_ifft_property_against_numpy(p, seed):
     assert np.max(np.abs(as_np(spectral.ifft(x)) - np.fft.ifft(xs))) <= bound / n
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    p=st.integers(min_value=0, max_value=12),
+    row_bits=st.integers(min_value=0, max_value=12),
+    keep_frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(p=12, row_bits=0, keep_frac=1.0, seed=1)
+@example(p=12, row_bits=1, keep_frac=1.0, seed=2)
+@example(p=12, row_bits=11, keep_frac=0.0, seed=3)
+@example(p=12, row_bits=12, keep_frac=0.0, seed=4)
+@example(p=1, row_bits=1, keep_frac=0.5, seed=5)
+@example(p=0, row_bits=0, keep_frac=0.0, seed=6)
+def test_real_input_transforms_property_against_numpy(p, row_bits, keep_frac, seed):
+    # the fft bound above on every real-input path: log2(n) * eps * sum|x|
+    # on spectra, over n on outputs that come back through an inverse
+    n = 1 << p
+    rng = random.Random(seed)
+    x = [rng.uniform(-1, 1) for _ in range(n)]
+    bound = 4e-16 * (p + 1) * math.fsum(map(abs, x))
+
+    bins = as_np(spectral.spectrum(x, 1.0).bins)
+    assert np.max(np.abs(bins - np.fft.fft(x))) <= bound
+
+    if n > 1:
+        cutoff = rng.uniform(0.01, 0.49)
+        ref = np.fft.fft(x)
+        ref[np.abs(np.fft.fftfreq(n, 1.0)) > cutoff] = 0.0
+        got = np.array(spectral.lowpass1d(x, 1.0, cutoff).data)
+        assert np.max(np.abs(got - np.fft.ifft(ref).real)) <= bound / n
+
+    g = [rng.uniform(-1, 1) for _ in range(rng.randint(1, n))]
+    size = 1 << (n + len(g) - 2).bit_length()
+    q = size.bit_length() - 1
+    conv_bound = 4e-16 * (q + 1) * math.fsum(map(abs, x)) * math.fsum(map(abs, g))
+    got = np.array(spectral.convolve_fft(x, g).data)
+    assert np.max(np.abs(got - np.convolve(x, g))) <= conv_bound / size
+
+    rows = 1 << min(row_bits, p)
+    cols = n // rows
+    arr = np.array(x).reshape(rows, cols)
+    img = Image2D(rows, cols, x)
+    field = np.array([as_np(row) for row in spectral.fft2(img)])
+    assert np.max(np.abs(field - np.fft.fft2(arr))) <= bound
+    keep = 1 + int(keep_frac * (min(rows, cols) - 1))
+    pooled = np.array(spectral.spectral_pool2d(img, keep).data).reshape(rows, cols)
+    assert np.max(np.abs(pooled - pooled_oracle(img, keep))) <= bound / n
+
+
 def test_overflow_raises_non_finite():
     big = 1e308
     cvec = ComplexVec([big] * 8, [big] * 8)
@@ -495,6 +544,14 @@ def test_pool_overflow_in_discarded_bins_only():
     img = Image2D(2, 2, [a, -a, a, -a])
     with pytest.raises(NonFinite):
         spectral.fft2(img)
+    assert spectral.spectral_pool2d(img, 1).data == [0.0] * 4
+
+
+@pytest.mark.parametrize("a", [1e308, 1.7e308])
+def test_pool_near_float_max_keeps_exact_zero_dc(a):
+    # the kept DC bin is a - a + a - a = 0 exactly; the discarded bins are
+    # 2a and 4a, which overflow, so no kept value may be formed from them
+    img = Image2D(2, 2, [a, -a, a, -a])
     assert spectral.spectral_pool2d(img, 1).data == [0.0] * 4
 
 
