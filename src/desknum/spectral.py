@@ -13,9 +13,22 @@ through a cached bit-reversal table, and does each stage's butterflies
 as slice operations over whichever is shorter, the blocks or the
 twiddles. Each element still gets exactly u + v*w, u - v*w and z*scale
 with the twiddles of _roots, so results do not depend on the batching.
-fft2 is one batched pass over the rows and one over the transposed
-columns; spectral_pool2d computes only the bins its mask keeps (output
-pruning, Markel 1971).
+
+Real input takes half the work (Sorensen, Jones, Heideman & Burrus,
+1987). _rfft_rows packs each real row of length n as even + i*odd
+samples, runs one batched complex FFT of length n/2 over all rows and
+splits the result into bins 0..n/2; _irfft_rows merges a Hermitian half
+spectrum the same way and runs one half-length inverse. The split and
+merge factors are entries of _roots, and no other table is cached.
+spectrum, peak_frequency, lowpass1d and convolve_fft use this pair; fft2
+transforms the real rows, then only columns 0..cols/2, and fills the
+other columns from the conjugate symmetry of a real image's spectrum;
+spectral_pool2d computes only the bins its mask keeps (output pruning,
+Markel 1971), and its inverse stays complex.
+
+Computed spectra are checked for finiteness once, as complex values,
+and stored without a second pass through the ComplexVec constructor,
+which keeps its checks for values from outside.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, mul, neg, sub
 from typing import Sequence
 
 from .errors import (
@@ -113,7 +126,13 @@ def _to_complex(x: ComplexVec) -> list[complex]:
 
 
 def _from_complex(xs: Sequence[complex]) -> ComplexVec:
-    return ComplexVec(list(map(_real, xs)), list(map(_imag, xs)))
+    """ComplexVec of computed values, checked once instead of by __init__."""
+    if not all(map(cmath.isfinite, xs)):
+        raise NonFinite("complex entries must be finite")
+    out = ComplexVec.__new__(ComplexVec)
+    out.re = list(map(_real, xs))
+    out.im = list(map(_imag, xs))
+    return out
 
 
 def _require_pow2(n: int) -> None:
@@ -194,6 +213,89 @@ def _fft_inplace(a: list[complex], inverse: bool, block: int = 0) -> None:
         a[:] = map(mul, a, repeat(1.0 / n))
 
 
+_conj = complex.conjugate
+
+
+def _split_factors(n: int) -> tuple[complex, ...]:
+    """-i W^k for k = 1..n/2 - 1 with W = e^{-2 pi i/n}: W^(k + n/4) below
+    k = n/4 and -W^(k - n/4) from there on. Both come from the first half of
+    _roots, whose angles are below pi; its entries past n/2 carry up to
+    three times the rounding of those angles."""
+    q = n // 4
+    roots = _roots(n)
+    return roots[q + 1 : 2 * q] + tuple(map(neg, roots[:q]))
+
+
+def _rfft_rows(data: Sequence[float], rows: int, cols: int, take: int) -> list[complex]:
+    """First `take` bins of the FFT of each real row of the row-major data.
+
+    Each row is packed as z = even + i*odd, and all rows go through one
+    batched FFT of length h = cols/2. With A = Z[k] and B = conj Z[h - k],
+    bin k is A/2 + B/2 + (A/2 - B/2) * (-i W^k) (Sorensen et al., 1987);
+    A and B are halved first, so no partial sum overflows where the bin
+    does not. Bins 0 and h are real, and bins above h are conj X[cols - k]."""
+    if cols == 1:
+        return list(map(complex, data))
+    h = cols // 2
+    z = list(map(complex, data[0::2], data[1::2]))
+    _fft_inplace(z, inverse=False, block=h)
+    m = min(take, h) - 1  # bins 1..m come from the split
+    zh = list(map(mul, z, repeat(0.5)))
+    a: list[complex] = []
+    b: list[complex] = []
+    for base in range(0, len(z), h):
+        a += zh[base + 1 : base + 1 + m]
+        b += zh[base + h - 1 : base + h - 1 - m : -1]
+    b = list(map(_conj, b))
+    w = _split_factors(cols)[:m] * rows
+    mid = list(map(add, map(add, a, b), map(mul, map(sub, a, b), w)))
+    out: list[complex] = []
+    for r in range(rows):
+        z0 = z[r * h]
+        x = mid[r * m : r * m + m]
+        out.append(complex(z0.real + z0.imag))
+        out += x
+        if take > h:
+            out.append(complex(z0.real - z0.imag))
+            out += map(_conj, x[cols - take : h - 1][::-1])
+    return out
+
+
+def _irfft_rows(half: Sequence[complex], rows: int, n: int) -> list[float]:
+    """Inverse FFT (scaled by 1/n) of each Hermitian spectrum in half, given
+    by its bins 0..n/2, as one real row-major list.
+
+    Undoes the split of _rfft_rows: with A = X[k] and B = conj X[h - k],
+    Z[k] = A/2 + B/2 + (A/2 - B/2) * (i W^-k), and one batched inverse of
+    length h = n/2 gives the even samples as its real parts and the odd
+    ones as its imaginary parts. Only the real parts of bins 0 and h count."""
+    if n == 1:
+        return list(map(_real, half))
+    h = n // 2
+    step = h + 1
+    xh = list(map(mul, half, repeat(0.5)))
+    a: list[complex] = []
+    b: list[complex] = []
+    for base in range(0, len(xh), step):
+        a += xh[base + 1 : base + h]
+        b += xh[base + h - 1 : base : -1]
+    b = list(map(_conj, b))
+    # i W^-k = -i W^(h - k): the split factors reversed
+    w = _split_factors(n)[::-1] * rows
+    mid = list(map(add, map(add, a, b), map(mul, map(sub, a, b), w)))
+    z: list[complex] = []
+    for r in range(rows):
+        x0 = xh[r * step].real
+        x1 = xh[r * step + h].real
+        z.append(complex(x0 + x1, x0 - x1))
+        z += mid[r * (h - 1) : (r + 1) * (h - 1)]
+    _fft_inplace(z, inverse=True, block=h)
+    out = [0.0] * (2 * len(z))
+    out[0::2] = map(_real, z)
+    out[1::2] = map(_imag, z)
+    return out
+
+
 def fft(x: ComplexVec) -> ComplexVec:
     _require_pow2(len(x))
     a = _to_complex(x)
@@ -242,13 +344,10 @@ def convolve_fft(f: Sequence[float], g: Sequence[float]) -> Vector:
     size = 1
     while size < m:
         size *= 2
-    both = list(map(complex, a)) + [0j] * (size - len(a))
-    both += map(complex, b)
-    both += [0j] * (size - len(b))
-    _fft_inplace(both, inverse=False, block=size)
-    prod = list(map(mul, both[:size], both[size:]))
-    _fft_inplace(prod, inverse=True)
-    return Vector(list(map(_real, prod[:m])))
+    take = size // 2 + 1
+    both = _rfft_rows(a + [0.0] * (size - len(a)) + b + [0.0] * (size - len(b)), 2, size, take)
+    prod = list(map(mul, both[:take], both[take:]))
+    return Vector(_irfft_rows(prod, 1, size)[:m])
 
 
 def convolve_circular(f: Sequence[float], g: Sequence[float], n: int) -> Vector:
@@ -264,10 +363,20 @@ def convolve_circular(f: Sequence[float], g: Sequence[float], n: int) -> Vector:
 
 
 def fft2(img: Image2D) -> list[ComplexVec]:
-    """Separable transform: FFT each row, then each column."""
-    _require_pow2(img.rows)
-    _require_pow2(img.cols)
-    return _fft2_grid(list(map(complex, img.data)), img.rows, img.cols, inverse=False)
+    """Separable transform: the real FFT of each row, then the FFT of each
+    column 0..cols/2; the other columns follow from the conjugate symmetry
+    F[u][v] = conj F[-u][cols - v] of a real image."""
+    rows, cols = img.rows, img.cols
+    _require_pow2(rows)
+    _require_pow2(cols)
+    take = cols // 2 + 1
+    t = _transpose(_rfft_rows(img.data, rows, cols, take), take, take)
+    _fft_inplace(t, inverse=False, block=rows)
+    low = [t[u::rows] for u in range(rows)]
+    return [
+        _from_complex(row + list(map(_conj, low[-u][cols - take : 0 : -1])))
+        for u, row in enumerate(low)
+    ]
 
 
 def ifft2(field: Sequence[ComplexVec]) -> list[ComplexVec]:
@@ -281,7 +390,10 @@ def ifft2(field: Sequence[ComplexVec]) -> list[ComplexVec]:
     grid: list[complex] = []
     for row in field:
         grid += map(complex, row.re, row.im)
-    return _fft2_grid(grid, rows, cols, inverse=True)
+    _fft_inplace(grid, inverse=True, block=cols)
+    t = _transpose(grid, cols, cols)
+    _fft_inplace(t, inverse=True, block=rows)
+    return [_from_complex(t[r::rows]) for r in range(rows)]
 
 
 def _transpose(a: list[complex], cols: int, take: int) -> list[complex]:
@@ -290,13 +402,6 @@ def _transpose(a: list[complex], cols: int, take: int) -> list[complex]:
     for c in range(take):
         out += a[c::cols]
     return out
-
-
-def _fft2_grid(grid: list[complex], rows: int, cols: int, inverse: bool) -> list[ComplexVec]:
-    _fft_inplace(grid, inverse, block=cols)
-    t = _transpose(grid, cols, cols)
-    _fft_inplace(t, inverse, block=rows)
-    return [_from_complex(t[r::rows]) for r in range(rows)]
 
 
 def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vector:
@@ -308,27 +413,24 @@ def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vec
     _require_pow2(n)
     if not 0 < cutoff < sample_rate / 2:
         raise BadCutoff("cutoff must lie in (0, sample_rate/2)")
-    a = list(map(complex, data))
-    _fft_inplace(a, inverse=False)
+    half = _rfft_rows(data, 1, n, n // 2 + 1)
     # |fft_freqs(n, d)[k]| is min(k, n - k) / (n * d), non-decreasing in
     # min(k, n - k), so the bins above the cutoff form one band around n/2
     d = 1.0 / sample_rate
     keep = bisect.bisect_right(range(n // 2 + 1), cutoff, key=lambda m: m / (n * d))
-    a[keep : n - keep + 1] = [0j] * (n - 2 * keep + 1)
-    _fft_inplace(a, inverse=True)
-    return Vector(list(map(_real, a)))
+    half[keep:] = [0j] * (n // 2 + 1 - keep)
+    return Vector(_irfft_rows(half, 1, n))
 
 
 def spectral_pool2d(img: Image2D, keep: int) -> Image2D:
     """Keep the keep x keep lowest-index corner of fft2(img), zero the rest
-    and transform back. Only the kept columns are transformed forward."""
+    and transform back. Only the kept bins of each row and the kept
+    columns are transformed forward."""
     rows, cols = img.rows, img.cols
     _require_keep(rows, cols, keep)
     _require_pow2(rows)
     _require_pow2(cols)
-    a = list(map(complex, img.data))
-    _fft_inplace(a, inverse=False, block=cols)
-    low = _transpose(a, cols, keep)
+    low = _transpose(_rfft_rows(img.data, rows, cols, keep), keep, keep)
     _fft_inplace(low, inverse=False, block=rows)
     return _pool_band([low[r::rows] for r in range(keep)], rows, cols)
 
@@ -366,7 +468,7 @@ def spectrum(signal: Sequence[float], sample_spacing: float) -> Spectrum:
     _require_pow2(len(data))
     if sample_spacing <= 0:
         raise BadCutoff("sample spacing must be positive")
-    bins = fft(ComplexVec.from_real(data))
+    bins = _from_complex(_rfft_rows(data, 1, len(data), len(data)))
     freqs = tuple(fft_freqs(len(data), sample_spacing))
     return Spectrum(bins, freqs, sample_spacing)
 
@@ -376,7 +478,7 @@ def peak_frequency(signal: Sequence[float], sample_rate: float) -> float:
     data = Vector(list(signal)).data
     n = len(data)
     _require_pow2(n)
-    bins = fft(ComplexVec.from_real(data))
+    bins = _from_complex(_rfft_rows(data, 1, n, n))
     freqs = fft_freqs(n, 1.0 / sample_rate)
     best_k = -1
     best_mag = 0.0
