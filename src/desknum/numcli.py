@@ -11,8 +11,11 @@ starts with the error class name).
 from __future__ import annotations
 
 import argparse
+import bisect
 import math
 import sys
+from itertools import accumulate, repeat
+from operator import add, sub
 from typing import List, Optional, Sequence, Tuple
 
 from . import (
@@ -121,22 +124,27 @@ def read_matrix_csv(data: bytes) -> Matrix:
 
 def write_pgm(img: Image2D) -> bytes:
     """ASCII P2, maxval 255, pixel lines kept at 70 characters or less."""
-    tokens = []
-    for v in img.data:
-        n = int(round(v))
-        if abs(v - n) > 1e-6 or not 0 <= n <= 255:
-            raise MalformedPgm(f"pixel {v!r} is not an integer in [0, 255]")
-        tokens.append(str(n))
+    values = list(map(round, img.data))
+    if (
+        max(map(abs, map(sub, img.data, values))) > 1e-6
+        or min(values) < 0
+        or max(values) > 255
+    ):
+        bad = next(
+            v for v, n in zip(img.data, values) if abs(v - n) > 1e-6 or not 0 <= n <= 255
+        )
+        raise MalformedPgm(f"pixel {bad!r} is not an integer in [0, 255]")
+    tokens = list(map(str, values))
+    # ends[i] is the width of tokens[:i] with one space after each, so a
+    # line tokens[s:e] is ends[e] - ends[s] - 1 wide; each line takes as
+    # many tokens as fit in 70 columns
+    ends = list(accumulate(map(add, map(len, tokens), repeat(1)), initial=0))
     lines = ["P2", f"{img.cols} {img.rows}", "255"]
-    cur = ""
-    for tok in tokens:
-        if cur and len(cur) + 1 + len(tok) > 70:
-            lines.append(cur)
-            cur = tok
-        else:
-            cur = tok if not cur else cur + " " + tok
-    if cur:
-        lines.append(cur)
+    start = 0
+    while start < len(tokens):
+        end = bisect.bisect_right(ends, ends[start] + 71, start + 1) - 1
+        lines.append(" ".join(tokens[start:end]))
+        start = end
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -145,16 +153,17 @@ def read_pgm(data: bytes) -> Image2D:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise MalformedPgm("PGM must be ASCII (P2)") from exc
-    # strip end-of-line comments, then tokenize
-    body = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
-    tokens = body.split()
+    if "#" in text:
+        # strip end-of-line comments before tokenizing
+        text = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
+    tokens = text.split()
     if not tokens or tokens[0] != "P2":
         raise MalformedPgm("only ASCII PGM (magic P2) is supported")
     if len(tokens) < 4:
         raise MalformedPgm("truncated PGM header")
     try:
         cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        pixels = [int(t) for t in tokens[4:]]
+        pixels = list(map(int, tokens[4:]))
     except ValueError as exc:
         raise MalformedPgm("non-integer token in PGM") from exc
     if cols < 1 or rows < 1:
@@ -163,9 +172,9 @@ def read_pgm(data: bytes) -> Image2D:
         raise MalformedPgm(f"maxval must be 255, got {maxval}")
     if len(pixels) != rows * cols:
         raise MalformedPgm(f"expected {rows * cols} pixels, got {len(pixels)}")
-    if any(not 0 <= p <= 255 for p in pixels):
+    if min(pixels) < 0 or max(pixels) > 255:
         raise MalformedPgm("pixel outside [0, 255]")
-    return Image2D(rows, cols, [float(p) for p in pixels])
+    return Image2D(rows, cols, list(map(float, pixels)))
 
 
 # named built-in functions (no expression parser by design)
