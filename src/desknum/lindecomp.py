@@ -175,19 +175,30 @@ def lu(a: Matrix) -> LuFactors:
     return LuFactors(Matrix.from_rows(lrows), Matrix.from_rows(urows), perm, sign)
 
 
+# fsum raises OverflowError when a finite sum overflows and ValueError on
+# inf - inf; both mean the solution is not representable
+_SUM_OVERFLOW = "triangular solve overflowed"
+
+
 def _forward_substitute(lo: list[list[float]], b: list[float]) -> list[float]:
     # lower-triangular L y = b; a unit diagonal divides exactly
     y: list[float] = []
-    for row, bi in zip(lo, b):
-        y.append((bi - math.fsum(map(mul, row, y))) / row[len(y)])
+    try:
+        for row, bi in zip(lo, b):
+            y.append((bi - math.fsum(map(mul, row, y))) / row[len(y)])
+    except (OverflowError, ValueError):
+        raise NonFinite(_SUM_OVERFLOW) from None
     return y
 
 
 def _back_substitute(u: list[list[float]], y: list[float]) -> list[float]:
     # upper-triangular U x = y, from the last row up
     x = [0.0] * len(y)
-    for i in reversed(range(len(y))):
-        x[i] = (y[i] - math.fsum(map(mul, u[i][i + 1 :], x[i + 1 :]))) / u[i][i]
+    try:
+        for i in reversed(range(len(y))):
+            x[i] = (y[i] - math.fsum(map(mul, u[i][i + 1 :], x[i + 1 :]))) / u[i][i]
+    except (OverflowError, ValueError):
+        raise NonFinite(_SUM_OVERFLOW) from None
     return x
 
 
@@ -295,7 +306,10 @@ def det(a: Matrix) -> float:
         _, urows, _, sign = _lu_rows(a.to_rows())
     except Singular:
         return 0.0
-    return math.prod((row[i] for i, row in enumerate(urows)), start=float(sign))
+    d = math.prod((row[i] for i, row in enumerate(urows)), start=float(sign))
+    if not math.isfinite(d):
+        raise NonFinite("determinant overflows")
+    return d
 
 
 def inv(a: Matrix) -> Matrix:

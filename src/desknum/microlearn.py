@@ -136,7 +136,10 @@ def _forward(cols: list, biases: Sequence, rows: List[List[float]]) -> list:
 
 
 def _mse(out: List[List[float]], targets: List[List[float]]) -> float:
-    total = fsum((a - t) ** 2 for o, ts in zip(out, targets) for a, t in zip(o, ts))
+    try:
+        total = fsum((a - t) ** 2 for o, ts in zip(out, targets) for a, t in zip(o, ts))
+    except OverflowError:
+        raise NonFinite("squared error overflows") from None
     return total / (len(out) * len(out[0]))
 
 
@@ -215,8 +218,8 @@ def mlp_train(
     which also gives the loss, one backward pass and a list update. An
     update that overflows raises NonFinite at its epoch.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
     rows, targets = _inputs(p, x), _targets(p, x, y)

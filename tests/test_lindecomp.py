@@ -861,6 +861,27 @@ def test_overflow_gives_finite_result_or_non_finite():
         ld.eig(Matrix.from_rows(big))
 
 
+def test_det_overflow_raises_non_finite():
+    with pytest.raises(NonFinite):
+        ld.det(Matrix.from_rows([[1e200, 0.0], [0.0, 1e200]]))
+    assert ld.det(Matrix.from_rows([[2.0**500, 0.0], [0.0, -(2.0**523)]])) == -(2.0**1023)
+
+
+@pytest.mark.parametrize(
+    "method,scale,seed",
+    # each seed's triangular solve overflows in fsum: the first raised a bare
+    # OverflowError, the second a bare ValueError (-inf + inf)
+    [("lu", 1.7e308, 71), ("lu", 1.7e308, 80), ("qr", 1e306, 791), ("qr", 1e306, 256)],
+)
+def test_triangular_solve_overflow_raises_non_finite(method, scale, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 8) if method == "qr" else rng.randint(2, 8)
+    a = Matrix.from_rows([[rng.uniform(-1, 1) * scale for _ in range(n)] for _ in range(n)])
+    b = [rng.uniform(-1, 1) * scale for _ in range(n)]
+    with pytest.raises(NonFinite):
+        ld.solve_direct(a, b, method)
+
+
 # polynomial least squares
 
 

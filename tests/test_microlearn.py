@@ -289,6 +289,26 @@ def test_train_validation():
         ml.mlp_train(p, XOR_X, XOR_Y, 0.5, -1)
 
 
+def test_train_rejects_nan_and_infinite_eta():
+    p = ml.mlp_init([3, 4, 1], seed=0)
+    for eta in (math.nan, math.inf, -math.inf):
+        for epochs in (0, 1):
+            with pytest.raises(ValueError):
+                ml.mlp_train(p, XOR_X, XOR_Y, eta, epochs)
+
+
+def test_overflowing_squared_error_raises_nonfinite():
+    # (a - t)^2 overflows for a target above about 1.3e154; the sum of two
+    # finite squares near 1e308 overflows in fsum
+    p = ml.mlp_init([3, 4, 1], seed=0)
+    for ys in ([[2e154], [0.0], [0.0], [0.0]], [[1e154], [1e154], [0.0], [0.0]]):
+        y = Matrix.from_rows(ys)
+        with pytest.raises(NonFinite):
+            ml.mlp_loss(p, XOR_X, y)
+        with pytest.raises(NonFinite):
+            ml.mlp_train(p, XOR_X, y, 0.5, 1)
+
+
 def test_train_overflowing_update_raises_nonfinite():
     # zero first-layer weights keep every unit unsaturated, so the input
     # of 1e308 reaches the weight gradient and the first step overflows
