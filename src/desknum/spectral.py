@@ -363,20 +363,26 @@ def convolve_circular(f: Sequence[float], g: Sequence[float], n: int) -> Vector:
 
 
 def fft2(img: Image2D) -> list[ComplexVec]:
-    """Separable transform: the real FFT of each row, then the FFT of each
-    column 0..cols/2; the other columns follow from the conjugate symmetry
-    F[u][v] = conj F[-u][cols - v] of a real image."""
+    """Separable transform: the real FFT of each row, then each column."""
+    _require_pow2(img.rows)
+    _require_pow2(img.cols)
+    return list(map(_from_complex, _fft2_band(img, img.rows, img.cols)))
+
+
+def _fft2_band(img: Image2D, height: int, width: int) -> list[list[complex]]:
+    """The first `height` rows of fft2(img), each cut to its first `width`
+    bins. Only columns 0..cols/2 are transformed; the columns above follow
+    from the symmetry F[u][v] = conj F[-u][cols - v] of a real image."""
     rows, cols = img.rows, img.cols
-    _require_pow2(rows)
-    _require_pow2(cols)
-    take = cols // 2 + 1
-    t = _transpose(_rfft_rows(img.data, rows, cols, take), take, take)
+    low = min(width, cols // 2 + 1)
+    t = _transpose(_rfft_rows(img.data, rows, cols, low), low, low)
     _fft_inplace(t, inverse=False, block=rows)
-    low = [t[u::rows] for u in range(rows)]
-    return [
-        _from_complex(row + list(map(_conj, low[-u][cols - take : 0 : -1])))
-        for u, row in enumerate(low)
-    ]
+    band = [t[u::rows] for u in range(height)]
+    if width > low:
+        for u, row in enumerate(band):
+            mirror = t[-u % rows :: rows]
+            row += map(_conj, mirror[cols - width + 1 : cols // 2][::-1])
+    return band
 
 
 def ifft2(field: Sequence[ComplexVec]) -> list[ComplexVec]:
@@ -430,9 +436,7 @@ def spectral_pool2d(img: Image2D, keep: int) -> Image2D:
     _require_keep(rows, cols, keep)
     _require_pow2(rows)
     _require_pow2(cols)
-    low = _transpose(_rfft_rows(img.data, rows, cols, keep), keep, keep)
-    _fft_inplace(low, inverse=False, block=rows)
-    return _pool_band([low[r::rows] for r in range(keep)], rows, cols)
+    return _pool_band(_fft2_band(img, keep, keep), rows, cols)
 
 
 def _pool_field(field: Sequence[ComplexVec], keep: int) -> Image2D:
