@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+from array import array
 import math
 import sys
 from itertools import accumulate, repeat
@@ -122,6 +123,10 @@ def read_matrix_csv(data: bytes) -> Matrix:
     return Matrix.from_rows(rows)
 
 
+# one shared string per pixel value, so a large image makes no new strings
+_PIXEL_TOKENS = tuple(map(str, range(256)))
+
+
 def write_pgm(img: Image2D) -> bytes:
     """ASCII P2, maxval 255, pixel lines kept at 70 characters or less."""
     values = list(map(round, img.data))
@@ -134,11 +139,11 @@ def write_pgm(img: Image2D) -> bytes:
             v for v, n in zip(img.data, values) if abs(v - n) > 1e-6 or not 0 <= n <= 255
         )
         raise MalformedPgm(f"pixel {bad!r} is not an integer in [0, 255]")
-    tokens = list(map(str, values))
+    tokens = list(map(_PIXEL_TOKENS.__getitem__, values))
     # ends[i] is the width of tokens[:i] with one space after each, so a
     # line tokens[s:e] is ends[e] - ends[s] - 1 wide; each line takes as
     # many tokens as fit in 70 columns
-    ends = list(accumulate(map(add, map(len, tokens), repeat(1)), initial=0))
+    ends = array("q", accumulate(map(add, map(len, tokens), repeat(1)), initial=0))
     lines = ["P2", f"{img.cols} {img.rows}", "255"]
     start = 0
     while start < len(tokens):
