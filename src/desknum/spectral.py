@@ -19,7 +19,7 @@ Real input takes half the work (Sorensen, Jones, Heideman & Burrus,
 samples, runs one batched complex FFT of length n/2 over all rows and
 splits the result into bins 0..n/2; _irfft_rows merges a Hermitian half
 spectrum the same way and runs one half-length inverse. The split and
-merge factors are entries of _roots, and no other table is cached.
+merge factors come from the first half of _roots; no other table is cached.
 spectrum, peak_frequency, lowpass1d and convolve_fft use this pair; fft2
 transforms the real rows, then only columns 0..cols/2, and fills the
 other columns from the conjugate symmetry of a real image's spectrum;
