@@ -13,10 +13,13 @@ reduction; QR and least squares reduce A's columns and then I to Q^T or b
 to Q^T b. One one-sided
 Jacobi kernel serves symmetric eig (on S + |S|_inf I for the symmetric
 part S, which is positive semidefinite), svd (on the R of a QR) and pca
-(the SVD of the centered data); shifted QR on the Hessenberg form with
-inverse-iteration eigenvectors is left to non-symmetric input, where
-mirrored entries differ by more than 1e-9 of the largest entry. All
-triangular solves end in one back-substitution.
+(the SVD of the centered data). Non-symmetric input, where mirrored
+entries differ by more than 1e-9 of the largest entry, goes to the real
+Schur form T = Z^T A Z by shifted QR on the Hessenberg form; each
+eigenvector is Z y, with y from a back-substitution on T. Eigenproblems,
+the SVD and PCA run on the input scaled by a power of two, so their
+results do not depend on its scale. All triangular solves end in one
+back-substitution.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     Singular,
     ZeroDiagonal,
 )
-from .ndcore import Matrix, Vector, _checked_floats, _dot, _matvec, _norm2, _norm_inf
+from .ndcore import Matrix, Vector, _checked_floats, _dot, _matvec, _norm2, _norm_inf, _vec
 
 # relative pivot threshold shared by the pivoted factorizations
 _PIVOT_REL = 1e-12
@@ -93,12 +96,6 @@ VecLike = Union[Vector, Sequence[float]]
 def _require_square(a: Matrix, who: str) -> None:
     if a.rows != a.cols:
         raise ShapeMismatch(f"{who} needs a square matrix, got {a.rows}x{a.cols}")
-
-
-def _vec_list(b: VecLike) -> list[float]:
-    if isinstance(b, Vector):
-        return list(b.data)
-    return [float(x) for x in b]
 
 
 def _maxabs(rows: list[list[float]]) -> float:
@@ -326,7 +323,7 @@ def inv(a: Matrix) -> Matrix:
 def solve_direct(a: Matrix, b: VecLike, method: str = "gauss") -> Vector:
     """Solve A x = b by gauss, lu, qr, cholesky, or inverse."""
     _require_square(a, "solve_direct")
-    bv = _vec_list(b)
+    bv = _vec(b, "b")
     if len(bv) != a.rows:
         raise ShapeMismatch(f"rhs length {len(bv)} does not match {a.rows} rows")
     n = a.rows
@@ -367,8 +364,8 @@ def solve_iterative(
     _require_square(a, "solve_iterative")
     if cfg.tol <= 0 or cfg.max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
-    bv = _vec_list(b)
-    xv = _vec_list(x0)
+    bv = _vec(b, "b")
+    xv = _vec(x0, "x0")
     n = a.rows
     if len(bv) != n or len(xv) != n:
         raise ShapeMismatch("rhs/start length does not match matrix size")
@@ -433,106 +430,129 @@ def solve_iterative(
 # eigenvalues and eigenvectors
 
 
-def _hessenberg(rows: list[list[float]], n: int) -> list[list[float]]:
+def _hessenberg(rows: list[list[float]], n: int):
+    """Rows of H = Z^T A Z, upper Hessenberg, and of the orthogonal Z."""
     h = [row[:] for row in rows]
+    z = Matrix.identity(n).to_rows()
     for k in range(n - 2):
         ref = _reflector([row[k] for row in h[k + 1 :]])
         if ref is None:
             continue
         v, _, vtv = ref
-        # H A H: the kernel on the columns, then on the rows
+        # H A H: the kernel on the columns, then on the rows; Z H on Z's rows
         cols = [list(c) for c in zip(*h)]
         _reflect(cols, k + 1, v, vtv)
         h = _rows(cols, n)
         _reflect(h, k + 1, v, vtv)
-    return h
+        _reflect(z, k + 1, v, vtv)
+    return h, z
 
 
-def _qr_step(h: list[list[float]], m: int, mu: float) -> None:
-    # one shifted QR sweep, in place, on the leading (m+1) block
+def _rotate_rows(t: list[list[float]], k: int, c: float, s: float) -> None:
+    # rows k and k+1 of T, from column k on, by the transposed rotation
+    x, y = t[k][k:], t[k + 1][k:]
+    t[k][k:] = [c * a + s * b for a, b in zip(x, y)]
+    t[k + 1][k:] = [c * b - s * a for a, b in zip(x, y)]
+
+
+def _rotate_cols(t, zcols, k: int, c: float, s: float, top: int) -> None:
+    # columns k and k+1 of T's rows 0..top, and of Z, by the rotation
+    for row in t[: top + 1]:
+        a, b = row[k], row[k + 1]
+        row[k], row[k + 1] = c * a + s * b, c * b - s * a
+    x, y = zcols[k], zcols[k + 1]
+    zcols[k] = [c * a + s * b for a, b in zip(x, y)]
+    zcols[k + 1] = [c * b - s * a for a, b in zip(x, y)]
+
+
+def _qr_sweep(t, zcols, m: int, mu: float) -> None:
+    """One explicitly shifted QR sweep on the leading (m+1) block of T; each
+    rotation also reaches the rest of T's rows and Z, so T = Z^T A Z holds."""
     for i in range(m + 1):
-        h[i][i] -= mu
+        t[i][i] -= mu
     rots = []
     for k in range(m):
-        a_, b_ = h[k][k], h[k + 1][k]
-        r = math.hypot(a_, b_)
-        if r <= 1e-300:
-            c, s = 1.0, 0.0
-        else:
-            c, s = a_ / r, b_ / r
+        r = math.hypot(t[k][k], t[k + 1][k])
+        c, s = (t[k][k] / r, t[k + 1][k] / r) if r else (1.0, 0.0)
         rots.append((c, s))
         if s != 0.0:
-            for j in range(k, m + 1):
-                x, y = h[k][j], h[k + 1][j]
-                h[k][j] = c * x + s * y
-                h[k + 1][j] = c * y - s * x
+            _rotate_rows(t, k, c, s)
     for k, (c, s) in enumerate(rots):
         if s != 0.0:
-            for i in range(min(k + 2, m) + 1):
-                x, y = h[i][k], h[i][k + 1]
-                h[i][k] = c * x + s * y
-                h[i][k + 1] = c * y - s * x
+            _rotate_cols(t, zcols, k, c, s, min(k + 2, m))
     for i in range(m + 1):
-        h[i][i] += mu
+        t[i][i] += mu
+
+
+def _block(t: list[list[float]], m: int):
+    """(half, mid, s) for the 2x2 block of rows m-1 and m, whose eigenvalues
+    are mid +- s; s is None for a complex pair."""
+    a_, d_ = t[m - 1][m - 1], t[m][m]
+    half = 0.5 * (a_ - d_)
+    disc = half * half + t[m - 1][m] * t[m][m - 1]
+    return half, 0.5 * (a_ + d_), math.sqrt(disc) if disc >= 0.0 else None
+
+
+def _split_2x2(t, zcols, m: int) -> None:
+    """Triangularize the isolated block of rows m-1 and m with one rotation,
+    whose first column is the eigenvector of the closed-form mid + s; the
+    diagonal becomes mid + s and mid - s."""
+    p = m - 1
+    half, mid, s = _block(t, m)
+    if s is None:
+        raise NoConvergence("complex eigenvalue pair encountered")
+    # of the two null vectors of the block minus (mid + s), the one whose
+    # first entry does not cancel
+    x, y = (s + half, t[m][p]) if half >= 0.0 else (t[p][m], s - half)
+    r = math.hypot(x, y)
+    if r:
+        _rotate_rows(t, p, x / r, y / r)
+        _rotate_cols(t, zcols, p, x / r, y / r, m)
+    t[p][p], t[m][m] = mid + s, mid - s
 
 
 def _negligible(x: float, a: float, d: float) -> bool:
-    # deflate when |x| <= 1e-12 (|a| + |d| + 1e-300); halved terms once that overflows
-    bound = abs(a) + abs(d) + 1e-300
-    if bound < math.inf:
-        return abs(x) <= 1e-12 * bound
-    return 0.5 * abs(x) <= 1e-12 * (0.5 * abs(a) + 0.5 * abs(d))
+    return abs(x) <= 1e-12 * (abs(a) + abs(d))
 
 
-def _eig_values(rows: list[list[float]], n: int) -> list[float]:
-    h = _hessenberg(rows, n)
-    vals: list[float] = []
+def _real_schur(rows: list[list[float]], n: int):
+    """Real Schur form T = Z^T A Z of scaled rows, by shifted QR on the
+    Hessenberg form; returns T's rows and Z's columns. T's upper triangle,
+    with the eigenvalues on its diagonal, is the Schur form; the entries
+    below it are deflated or rounding residue and are never read. A complex
+    pair raises NoConvergence."""
+    t, z = _hessenberg(rows, n)
+    zcols = [list(c) for c in zip(*z)]
     m = n - 1
     sweeps = 0
     since_deflation = 0
     budget = 300 * n + 60
-    while m >= 0:
-        if m == 0:
-            vals.append(h[0][0])
-            m -= 1
-            continue
-        if _negligible(h[m][m - 1], h[m - 1][m - 1], h[m][m]):
-            vals.append(h[m][m])
+    while m > 0:
+        if _negligible(t[m][m - 1], t[m - 1][m - 1], t[m][m]):
             m -= 1
             since_deflation = 0
             continue
-        if m == 1 or _negligible(h[m - 1][m - 2], h[m - 2][m - 2], h[m - 1][m - 1]):
-            a_, b_, c_, d_ = h[m - 1][m - 1], h[m - 1][m], h[m][m - 1], h[m][m]
-            half = 0.5 * (a_ - d_)
-            disc = half * half + b_ * c_
-            if disc < 0.0:
-                raise NoConvergence("complex eigenvalue pair encountered")
-            s = math.sqrt(disc)
-            mid = 0.5 * (a_ + d_)
-            vals.append(mid + s)
-            vals.append(mid - s)
+        if m == 1 or _negligible(t[m - 1][m - 2], t[m - 2][m - 2], t[m - 1][m - 1]):
+            _split_2x2(t, zcols, m)
             m -= 2
             since_deflation = 0
             continue
         if sweeps >= budget:
             raise NoConvergence("eigenvalue iteration exhausted its sweep budget")
-        a_, b_, c_, d_ = h[m - 1][m - 1], h[m - 1][m], h[m][m - 1], h[m][m]
-        half = 0.5 * (a_ - d_)
-        disc = half * half + b_ * c_
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            mid = 0.5 * (a_ + d_)
+        _, mid, s = _block(t, m)
+        d_ = t[m][m]
+        if s is None:
+            mu = d_
+        else:
             r1, r2 = mid + s, mid - s
             mu = r1 if abs(r1 - d_) <= abs(r2 - d_) else r2
-        else:
-            mu = d_
         if since_deflation > 0 and since_deflation % 12 == 0:
             # occasional ad-hoc shift to break shift cycling
-            mu = d_ + abs(h[m][m - 1])
-        _qr_step(h, m, mu)
+            mu = d_ + abs(t[m][m - 1])
+        _qr_sweep(t, zcols, m, mu)
         sweeps += 1
         since_deflation += 1
-    return vals
+    return t, zcols
 
 
 def _sign_fix(v: list[float]) -> list[float]:
@@ -540,47 +560,24 @@ def _sign_fix(v: list[float]) -> list[float]:
     return [-x for x in v] if max(v, key=abs) < 0.0 else v
 
 
-def _inverse_iteration(
-    rows: list[list[float]],
-    n: int,
-    lam: float,
-    idx: int,
-) -> list[float]:
-    res_tol = 1e-9 * (1.0 + abs(lam))
-    best_v: list[float] | None = None
-    best_res = math.inf
-    for attempt in range(n + 2):
-        if attempt < n:
-            v = [0.0] * n
-            v[(idx + attempt) % n] = 1.0
-        else:
-            v = [1.0 / math.sqrt(n)] * n
-        eps = (1e-11 + 1e-9 * attempt) * (1.0 + abs(lam))
-        d = lam + eps
-        shifted = [row[:i] + [row[i] - d] + row[i + 1 :] for i, row in enumerate(rows)]
-        _checked_floats([shifted[i][i] for i in range(n)], "shifted matrix")
-        try:
-            lrows, urows, perm, _ = _lu_rows(shifted)
-        except Singular:
-            continue
-        for _ in range(40):
-            w = _solve_lu_factors(lrows, urows, perm, v)
-            nw = _norm2(w)
-            if nw <= 1e-250:
-                break
-            v = [x / nw for x in w]
-            av = _matvec(rows, v)
-            res = max(abs(av[i] - lam * v[i]) for i in range(n))
-            if res < best_res:
-                best_res = res
-                best_v = list(v)
-            if res <= res_tol:
-                return _sign_fix(list(v))
-    if best_v is None:
-        # fully defective direction; fall back to a basis vector
-        best_v = [0.0] * n
-        best_v[idx % n] = 1.0
-    return _sign_fix(best_v)
+def _schur_vectors(t: list[list[float]], zcols: list[list[float]]) -> list[list[float]]:
+    """Unit eigenvectors Z y for upper-triangular T: y solves the leading
+    block of (T - t_kk I) y = 0 with y_k = 1, every pivot kept at least
+    eps |T| in magnitude (LAPACK trevc)."""
+    smin = math.ulp(1.0) * _maxabs(t)
+    zrows = _rows(zcols, len(t))
+    vecs = []
+    for k, tk in enumerate(t):
+        lam = tk[k]
+        u = [row[:k] for row in t[:k]]
+        for i, ui in enumerate(u):
+            d = ui[i] - lam
+            ui[i] = d if abs(d) >= smin else math.copysign(smin, d)
+        y = _back_substitute(u, [-row[k] for row in t[:k]]) + [1.0]
+        (v,), _ = _scaled([_matvec(zrows, y)])
+        nv = math.sqrt(math.fsum(map(mul, v, v)))
+        vecs.append(_sign_fix([x / nv for x in v]))
+    return vecs
 
 
 # one-sided Jacobi kernel shared by symmetric eig, svd and pca
@@ -639,26 +636,25 @@ def eig(a: Matrix) -> EigResult:
     _require_square(a, "eig")
     n = a.rows
     rows = a.to_rows()
+    srows, f = _scaled(rows)
     if _symmetric(rows):
         # B = S + tau I, for the symmetric part S and tau = |S|_inf, is
         # positive semidefinite, so its right singular vectors are
         # eigenvectors of S, with Rayleigh quotients for eigenvalues
-        srows, f = _scaled(rows)
         srows = [[0.5 * (x + y) for x, y in zip(*rc)] for rc in zip(srows, zip(*srows))]
         tau = max(math.fsum(map(abs, row)) for row in srows)
         b = [row[:] for row in srows]
         for j in range(n):
             b[j][j] += tau
-        _, vcols = _jacobi(b)
-        lam = [_dot(v, _matvec(srows, v)) for v in vcols]
-        order = sorted(range(n), key=lam.__getitem__, reverse=True)
-        vals = [lam[j] * f for j in order]
-        vecs = [vcols[j] for j in order]
+        _, vecs = _jacobi(b)
+        lam = [_dot(v, _matvec(srows, v)) for v in vecs]
     else:
-        vals = sorted(_eig_values(rows, n), reverse=True)
-        vecs = [_inverse_iteration(rows, n, lam, idx) for idx, lam in enumerate(vals)]
-    vectors = Matrix.from_rows([list(r) for r in zip(*vecs)])
-    return EigResult(_checked_floats(vals, "eigenvalues"), vectors)
+        t, zcols = _real_schur(srows, n)
+        lam = [row[i] for i, row in enumerate(t)]
+        vecs = _schur_vectors(t, zcols)
+    order = sorted(range(n), key=lam.__getitem__, reverse=True)
+    vals = _checked_floats([lam[j] * f for j in order], "eigenvalues")
+    return EigResult(vals, Matrix.from_rows(_rows([vecs[j] for j in order], n)))
 
 
 # SVD and PCA
@@ -720,8 +716,8 @@ def pca(x: Matrix, k: int) -> Matrix:
 
 def polyfit(xs: VecLike, ys: VecLike, degree: int) -> Vector:
     """Least-squares polynomial coefficients, highest degree first."""
-    xv = _vec_list(xs)
-    yv = _vec_list(ys)
+    xv = _vec(xs, "xs")
+    yv = _vec(ys, "ys")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     p = degree + 1
@@ -733,6 +729,10 @@ def polyfit(xs: VecLike, ys: VecLike, degree: int) -> Vector:
         vand = [[x ** (degree - j) for x in xv] for j in range(p)]
     except OverflowError:
         raise NonFinite(f"Vandermonde entry x^{degree} overflows") from None
-    thresh = 1e-12 * max(1.0, _maxabs(vand))
+    # each column times its own power of two, so the rank test is relative
+    # to every column and the coefficients unscale exactly
+    scaled = [_scaled([c]) for c in vand]
+    cols = [c for (c,), _ in scaled]
     deficient = RankDeficient("Vandermonde system is rank deficient")
-    return Vector(_householder_ls(vand, yv, thresh, deficient))
+    coef = _householder_ls(cols, yv, _PIVOT_REL * _maxabs(cols), deficient)
+    return Vector([x / f for x, (_, f) in zip(coef, scaled)])

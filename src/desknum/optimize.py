@@ -27,7 +27,7 @@ from .errors import (
     Singular,
     SingularHessian,
 )
-from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _dot, _matvec, _norm2, _norm_inf
+from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _dot, _matvec, _norm2, _norm_inf, _vec
 
 VecFn = Callable[[Sequence[float]], Sequence[float]]
 
@@ -114,10 +114,6 @@ class MinimizeResult:
     state: QuasiNewtonState | None = None
 
 
-def _vec(x, name="x") -> list[float]:
-    return Vector(list(x)).data
-
-
 def gd_minimize(
     grad: VecFn, x0: Sequence[float], eta: float, iters: int
 ) -> list[Vector]:
@@ -125,7 +121,8 @@ def gd_minimize(
         raise ValueError("eta must be positive")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    x = _vec(x0)
+    # a copy: callbacks receive x, and may not reach a Vector's own list
+    x = list(_vec(x0, "x0"))
     traj = [Vector(x)]
     for _ in range(iters):
         g = list(grad(x))
@@ -146,8 +143,8 @@ def optimizer_step(
     state: OptState,
     cfg: OptConfig,
 ) -> tuple[Vector, OptState]:
-    th = _vec(theta)
-    gr = _vec(g)
+    th = _vec(theta, "theta")
+    gr = _vec(g, "g")
     n = len(th)
     if len(gr) != n:
         raise ShapeMismatch("gradient size differs from parameter size")
@@ -210,7 +207,7 @@ def lr_at(sched: Schedule, t: int) -> float:
 def clip_by_norm(g: Sequence[float], threshold: float) -> Vector:
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    gr = _vec(g)
+    gr = _vec(g, "g")
     norm = _norm2(gr)
     if norm <= threshold:
         return Vector(gr)
@@ -225,7 +222,7 @@ def newton_minimize(
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> MinimizeResult:
-    x = _vec(x0)
+    x = list(_vec(x0, "x0"))
     g = list(grad(x))
     if _norm_inf(g) <= 1e-15:
         return MinimizeResult(Vector(x), 0, _norm_inf(g), True)
@@ -262,7 +259,7 @@ def bfgs_minimize(
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> MinimizeResult:
-    x = _vec(x0)
+    x = list(_vec(x0, "x0"))
     n = len(x)
     g = list(grad(x))
     fx = f(x)
@@ -321,7 +318,7 @@ def lbfgs_minimize(
 ) -> MinimizeResult:
     if memory < 1:
         raise ValueError("memory must be >= 1")
-    x = _vec(x0)
+    x = list(_vec(x0, "x0"))
     g = list(grad(x))
     fx = f(x)
     pairs: list[tuple[list[float], list[float]]] = []
@@ -394,7 +391,7 @@ def nelder_mead(
     accepted only when freshly built, or when a restart from its best vertex
     no longer lowers f by more than tol (Kelley, SIAM J. Optim. 10, 1999).
     """
-    x = _vec(x0)
+    x = _vec(x0, "x0")
     n = len(x)
     simplex, fvals = _initial_simplex(f, x)
     fresh = True
@@ -467,8 +464,8 @@ def sgd_linreg(
     convex quadratic descent (with-replacement resampling would break
     that monotonicity).
     """
-    data_x = _vec(xs)
-    data_y = _vec(ys)
+    data_x = _vec(xs, "xs")
+    data_y = _vec(ys, "ys")
     if len(data_x) != len(data_y):
         raise ShapeMismatch(f"{len(data_x)} inputs but {len(data_y)} targets")
     if not 1 <= batch <= len(data_x):

@@ -16,11 +16,13 @@ from typing import Callable, Sequence
 from .errors import (
     BadOrder,
     BadPartition,
+    NonFinite,
     OddPartition,
     ShapeMismatch,
     TooFewPoints,
     UnsortedKnots,
 )
+from .ndcore import _vec
 
 Fn = Callable[[float], float]
 
@@ -54,8 +56,8 @@ def trapezoid_fn(f: Fn, a: float, b: float, n: int) -> float:
 
 
 def trapezoid_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
-    xs = list(xs)
-    ys = list(ys)
+    xs = _vec(xs, "xs")
+    ys = _vec(ys, "ys")
     if len(xs) != len(ys):
         raise ShapeMismatch(f"{len(xs)} abscissae but {len(ys)} ordinates")
     if len(xs) < 2:
@@ -63,9 +65,15 @@ def trapezoid_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
     for p, q in zip(xs, xs[1:]):
         if q < p:
             raise UnsortedKnots("sample abscissae must be nondecreasing")
-    return math.fsum(
-        (xs[i + 1] - xs[i]) * (ys[i] + ys[i + 1]) / 2.0 for i in range(len(xs) - 1)
-    )
+    try:
+        total = math.fsum(
+            (xs[i + 1] - xs[i]) * (ys[i] + ys[i + 1]) / 2.0 for i in range(len(xs) - 1)
+        )
+    except (OverflowError, ValueError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise NonFinite("trapezoid sum overflows")
+    return total
 
 
 def simpson(f: Fn, a: float, b: float, n: int) -> float:

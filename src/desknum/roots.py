@@ -23,7 +23,7 @@ from .errors import (
     SingularJacobian,
     ZeroDerivative,
 )
-from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _dot, _matvec, _norm2, _norm_inf
+from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _dot, _matvec, _norm2, _norm_inf, _vec
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ def newton_system(
     max_iter: int = 100,
 ) -> RootReport:
     """Solve F(x)=0 by J delta = -F steps; stop when ||delta||_2 < tol."""
-    x = [float(v) for v in x0]
+    # a copy: callbacks receive x, and may not reach a Vector's own list
+    x = list(_vec(x0, "x0"))
     fx = [float(v) for v in f_vec(x)]
     if _norm_inf(fx) <= 1e-15:
         return RootReport(Vector(x), 0, _norm_inf(fx), True)
@@ -174,7 +175,7 @@ def broyden(
     max_iter: int = 100,
 ) -> RootReport:
     """Quasi-Newton with the rank-one update B += ((y - B s) s^T)/(s^T s)."""
-    x = [float(v) for v in x0]
+    x = list(_vec(x0, "x0"))
     n = len(x)
     state = BroydenState(Matrix.identity(n) if b0 is None else b0)
     fx = [float(v) for v in f_vec(x)]

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from desknum import lindecomp, optimize as opt, roots
+from desknum import lindecomp, optimize as opt, quadrature, roots
 from desknum.errors import (
+    EmptyInput,
     LineSearchFailure,
     MaxIterations,
     NonFinite,
@@ -14,7 +15,7 @@ from desknum.errors import (
     ShapeMismatch,
     SingularHessian,
 )
-from desknum.ndcore import Matrix, cosine_similarity, norm
+from desknum.ndcore import Matrix, Vector, cosine_similarity, norm
 
 
 def quad1d(x):
@@ -475,3 +476,92 @@ NAN_SECOND = [0.0, math.nan]
 def test_nan_in_second_entry_is_not_convergence(call):
     with pytest.raises(NumericsError):
         call()
+
+
+# Vector inputs are read through the Vector's own list, never a copy, so
+# no routine may write to it
+
+
+def test_vector_inputs_come_back_unchanged():
+    x0, b = Vector([0.5, 0.5]), Vector([1.0, 2.0])
+    xs, ys = Vector([0.0, 1.0, 2.0, 3.0]), Vector([1.0, 0.0, 2.0, 5.0])
+    theta, g = Vector([1.0, -2.0]), Vector([0.5, 0.25])
+    a = Matrix.from_rows([[4.0, 1.0], [1.0, 3.0]])
+
+    def bowl(v):
+        return (v[0] - 1.0) ** 2 + (v[1] + 1.0) ** 2
+
+    def bowl_grad(v):
+        return [2.0 * (v[0] - 1.0), 2.0 * (v[1] + 1.0)]
+
+    lindecomp.solve_direct(a, b, "qr")
+    for method in ("jacobi", "gauss_seidel", "cg"):
+        lindecomp.solve_iterative(a, b, x0, method)
+    lindecomp.polyfit(xs, ys, 2)
+    opt.gd_minimize(bowl_grad, x0, 0.1, 5)
+    opt.optimizer_step("adam", theta, g, opt.OptState.zeros(2), opt.OptConfig(0.1))
+    opt.clip_by_norm(g, 0.1)
+    opt.newton_minimize(bowl_grad, lambda v: Matrix.from_rows([[2.0, 0.0], [0.0, 2.0]]), x0)
+    opt.bfgs_minimize(bowl, bowl_grad, x0)
+    opt.lbfgs_minimize(bowl, bowl_grad, x0)
+    opt.nelder_mead(bowl, x0)
+    opt.sgd_linreg(xs, ys, 2, 0.01, 5, seed=0)
+    roots.newton_system(bowl_grad, None, x0)
+    roots.broyden(bowl_grad, x0)
+    quadrature.trapezoid_samples(xs, ys)
+    assert x0.data == [0.5, 0.5] and b.data == [1.0, 2.0]
+    assert xs.data == [0.0, 1.0, 2.0, 3.0] and ys.data == [1.0, 0.0, 2.0, 5.0]
+    assert theta.data == [1.0, -2.0] and g.data == [0.5, 0.25]
+
+
+def scribbling_grad(v):
+    # a callback that writes into its argument
+    g = [2.0 * (v[0] - 1.0), 2.0 * (v[1] + 1.0)]
+    v[0] = 7.0
+    return g
+
+
+def scribbling_f(v):
+    f = (v[0] - 1.0) ** 2 + (v[1] + 1.0) ** 2
+    v[0] = 7.0
+    return f
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x0: opt.gd_minimize(scribbling_grad, x0, 0.1, 3),
+        lambda x0: opt.newton_minimize(scribbling_grad, lambda v: Matrix.identity(2), x0),
+        lambda x0: opt.bfgs_minimize(scribbling_f, scribbling_grad, x0),
+        lambda x0: opt.lbfgs_minimize(scribbling_f, scribbling_grad, x0),
+        lambda x0: opt.nelder_mead(scribbling_f, x0),
+        lambda x0: roots.newton_system(scribbling_grad, None, x0),
+        lambda x0: roots.broyden(scribbling_grad, x0),
+    ],
+    ids=["gd", "newton_minimize", "bfgs", "lbfgs", "nelder_mead", "newton_system", "broyden"],
+)
+def test_callbacks_never_receive_the_callers_vector(call):
+    x0 = Vector([0.5, 0.5])
+    try:
+        call(x0)
+    except NumericsError:
+        pass  # the scribbled iterate may well not converge
+    assert x0.data == [0.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x0: roots.newton_system(lambda v: list(v), None, x0),
+        lambda x0: roots.broyden(lambda v: list(v), x0),
+    ],
+    ids=["newton_system", "broyden"],
+)
+def test_system_root_finders_check_x0_at_entry(call):
+    # an empty x0 raised a bare ValueError from max() in newton_system and
+    # ShapeMismatch for a 0x0 matrix in broyden; a NaN surfaced as
+    # non-finite matrix data
+    with pytest.raises(EmptyInput, match="x0"):
+        call([])
+    with pytest.raises(NonFinite, match="x0"):
+        call([math.nan, 1.0])

@@ -8,6 +8,7 @@ from desknum import quadrature
 from desknum.errors import (
     BadOrder,
     BadPartition,
+    NonFinite,
     OddPartition,
     ShapeMismatch,
     UnsortedKnots,
@@ -119,6 +120,21 @@ def test_trapezoid_samples_errors():
         quadrature.trapezoid_samples([0.0, 1.0], [1.0])
     with pytest.raises(UnsortedKnots):
         quadrature.trapezoid_samples([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "xs,ys",
+    [
+        # these returned nan and inf
+        ([0.0, 1.0], [math.nan, 1.0]),
+        ([0.0, math.inf], [1.0, 1.0]),
+        # finite samples whose width overflows
+        ([-1e308, 1e308], [1.0, 1.0]),
+    ],
+)
+def test_trapezoid_samples_never_returns_non_finite(xs, ys):
+    with pytest.raises(NonFinite):
+        quadrature.trapezoid_samples(xs, ys)
 
 
 # simpson
