@@ -1,11 +1,15 @@
 """CLI contract tests: serialization round trips, exit codes, artifacts."""
 
 import math
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from desknum import numcli
+from desknum import numcli, spectral
 from desknum.errors import MalformedCsv, MalformedPgm, NonFinite
 from desknum.ndcore import Matrix
 from desknum.spectral import Image2D
@@ -645,3 +649,72 @@ def test_image_lowpass_repeat_is_byte_identical(tmp_path, capsys):
         )
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# image-lowpass bytes against the float formulas they were first written with
+
+
+def _reference_lowpass(img: Image2D, keep: int) -> tuple[bytes, bytes]:
+    """Pooled and spectrum PGMs from per-pixel float round/min/max,
+    Image2D and write_pgm."""
+    field = spectral.fft2(img)
+    mags = [
+        math.log1p(math.hypot(rowv.re[j], rowv.im[j]))
+        for rowv in field
+        for j in range(len(rowv))
+    ]
+    lo, hi = min(mags), max(mags)
+    span = hi - lo
+    scaled = [round(255.0 * (m - lo) / span) if span > 0 else 0 for m in mags]
+    shot = numcli.write_pgm(Image2D(img.rows, img.cols, [float(v) for v in scaled]))
+    pooled = spectral.spectral_pool2d(img, keep)
+    clamped = [min(255.0, max(0.0, round(v))) for v in pooled.data]
+    return numcli.write_pgm(Image2D(pooled.rows, pooled.cols, clamped)), shot
+
+
+def _lowpass_image(kind: str, rows: int, cols: int, seed: int) -> Image2D:
+    if kind == "constant":
+        return Image2D(rows, cols, [float(seed % 256)] * (rows * cols))
+    if kind == "checker":
+        # 3-pixel cells: no power-of-two symmetry cancels the ringing
+        return Image2D(rows, cols, [255.0 * ((r // 3 + c // 3) % 2) for r in range(rows) for c in range(cols)])
+    rng = random.Random(seed)
+    return Image2D(rows, cols, [float(rng.randrange(256)) for _ in range(rows * cols)])
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    a=st.integers(min_value=0, max_value=6),
+    b=st.integers(min_value=0, max_value=6),
+    kind=st.sampled_from(["random", "constant", "checker"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(a=4, b=4, kind="checker", seed=0)
+@example(a=6, b=6, kind="random", seed=1)
+@example(a=0, b=6, kind="constant", seed=77)
+@example(a=6, b=1, kind="checker", seed=0)
+def test_image_lowpass_bytes_match_float_reference(a, b, kind, seed):
+    rows, cols = 1 << a, 1 << b
+    img = _lowpass_image(kind, rows, cols, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in.pgm")
+        with open(src, "wb") as fh:
+            fh.write(numcli.write_pgm(img))
+        outs = [os.path.join(tmp, name) for name in ("plain.pgm", "pooled.pgm", "spec.pgm")]
+        for keep in range(1, min(rows, cols) + 1):
+            want_pooled, want_shot = _reference_lowpass(img, keep)
+            base = ["image-lowpass", "--in", src, "--keep", str(keep)]
+            assert numcli.run(base + ["--out", outs[0]]) == 0
+            assert numcli.run(base + ["--spectrum", outs[2], "--out", outs[1]]) == 0
+            got = []
+            for path in outs:
+                with open(path, "rb") as fh:
+                    got.append(fh.read())
+            assert got == [want_pooled, want_pooled, want_shot]
+
+
+def test_checkerboard_pool_rings_outside_pixel_range():
+    # the clamp in image-lowpass is reached: these pooled values leave [0, 255]
+    img = _lowpass_image("checker", 16, 16, 0)
+    pooled = spectral.spectral_pool2d(img, 14).data
+    assert min(pooled) < -0.5 and max(pooled) > 255.5
