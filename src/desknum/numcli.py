@@ -16,7 +16,7 @@ from array import array
 import math
 import sys
 from itertools import accumulate, repeat
-from operator import add, sub
+from operator import add, mul, sub, truediv
 from typing import List, Optional, Sequence, Tuple
 
 from . import (
@@ -139,12 +139,17 @@ def write_pgm(img: Image2D) -> bytes:
             v for v, n in zip(img.data, values) if abs(v - n) > 1e-6 or not 0 <= n <= 255
         )
         raise MalformedPgm(f"pixel {bad!r} is not an integer in [0, 255]")
+    return _pgm_bytes(img.rows, img.cols, values)
+
+
+def _pgm_bytes(rows: int, cols: int, values: Sequence[int]) -> bytes:
+    """write_pgm's bytes for pixels already known to be ints in [0, 255]."""
     tokens = list(map(_PIXEL_TOKENS.__getitem__, values))
     # ends[i] is the width of tokens[:i] with one space after each, so a
     # line tokens[s:e] is ends[e] - ends[s] - 1 wide; each line takes as
     # many tokens as fit in 70 columns
     ends = array("q", accumulate(map(add, map(len, tokens), repeat(1)), initial=0))
-    lines = ["P2", f"{img.cols} {img.rows}", "255"]
+    lines = ["P2", f"{cols} {rows}", "255"]
     start = 0
     while start < len(tokens):
         end = bisect.bisect_right(ends, ends[start] + 71, start + 1) - 1
@@ -179,7 +184,7 @@ def read_pgm(data: bytes) -> Image2D:
         raise MalformedPgm(f"expected {rows * cols} pixels, got {len(pixels)}")
     if min(pixels) < 0 or max(pixels) > 255:
         raise MalformedPgm("pixel outside [0, 255]")
-    return Image2D(rows, cols, list(map(float, pixels)))
+    return spectral._image(rows, cols, list(map(float, pixels)))
 
 
 # named built-in functions (no expression parser by design)
@@ -395,24 +400,27 @@ def _cmd_image_lowpass(ns) -> bytes:
     img = read_pgm(_read_file(ns.infile))
     if ns.spectrum:
         field = spectral.fft2(img)
-        mags = [
-            math.log1p(math.hypot(rowv.re[j], rowv.im[j]))
-            for rowv in field
-            for j in range(len(rowv))
-        ]
+        mags: List[float] = []
+        for rowv in field:
+            mags += map(math.log1p, map(math.hypot, rowv.re, rowv.im))
         lo, hi = min(mags), max(mags)
         span = hi - lo
-        scaled = [
-            round(255.0 * (m - lo) / span) if span > 0 else 0 for m in mags
-        ]
-        shot = Image2D(img.rows, img.cols, [float(v) for v in scaled])
+        if span > 0:
+            # 255 (m - lo) / span lies in [0, 255] up to rounding, so its
+            # rounded value is a pixel
+            scaled = map(mul, repeat(255.0), map(sub, mags, repeat(lo)))
+            shot = list(map(round, map(truediv, scaled, repeat(span))))
+        else:
+            shot = [0] * len(mags)
         with open(ns.spectrum, "wb") as fh:
-            fh.write(write_pgm(shot))
+            fh.write(_pgm_bytes(img.rows, img.cols, shot))
         pooled = spectral._pool_field(field, ns.keep)
     else:
         pooled = spectral.spectral_pool2d(img, ns.keep)
-    clamped = [min(255.0, max(0.0, round(v))) for v in pooled.data]
-    return write_pgm(Image2D(pooled.rows, pooled.cols, clamped))
+    pixels = list(map(round, pooled.data))
+    if min(pixels) < 0 or max(pixels) > 255:
+        pixels = list(map(min, repeat(255), map(max, repeat(0), pixels)))
+    return _pgm_bytes(pooled.rows, pooled.cols, pixels)
 
 
 def _cmd_optimize(ns) -> bytes:

@@ -24,7 +24,8 @@ spectrum, peak_frequency, lowpass1d and convolve_fft use this pair; fft2
 transforms the real rows, then only columns 0..cols/2, and fills the
 other columns from the conjugate symmetry of a real image's spectrum;
 spectral_pool2d computes only the bins its mask keeps (output pruning,
-Markel 1971), and its inverse stays complex.
+Markel 1971) and inverts their Hermitian part: complex inverses of only
+the rows that hold a kept bin, then _irfft_rows down each column.
 
 Computed spectra are checked for finiteness once, as complex values,
 and stored without a second pass through the ComplexVec constructor,
@@ -39,7 +40,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, attrgetter, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub, truediv
 from typing import Sequence
 
 from .errors import (
@@ -115,6 +116,16 @@ class Image2D:
 
     def get(self, r: int, c: int) -> float:
         return self.data[r * self.cols + c]
+
+
+def _image(rows: int, cols: int, data: list[float]) -> Image2D:
+    """Image2D of pixels already checked as rows * cols finite floats,
+    stored without a second pass through the constructor's checks."""
+    img = Image2D.__new__(Image2D)
+    img.rows = rows
+    img.cols = cols
+    img.data = data
+    return img
 
 
 _real = attrgetter("real")
@@ -315,7 +326,10 @@ def fft_freqs(n: int, d: float = 1.0) -> list[float]:
     if d <= 0:
         raise BadCutoff("sample spacing must be positive")
     split = (n + 1) // 2
-    return [k / (n * d) if k < split else (k - n) / (n * d) for k in range(n)]
+    nd = n * d
+    return list(map(truediv, range(split), repeat(nd))) + list(
+        map(truediv, range(split - n, 0), repeat(nd))
+    )
 
 
 def fftshift(v: Sequence[float]) -> list[float]:
@@ -401,7 +415,7 @@ def ifft2(field: Sequence[ComplexVec]) -> list[ComplexVec]:
     return [_from_complex(t[r::rows]) for r in range(rows)]
 
 
-def _transpose(a: list[complex], cols: int, take: int) -> list[complex]:
+def _transpose(a: list, cols: int, take: int) -> list:
     """First `take` columns of the row-major a (row length cols), column by column."""
     out: list[complex] = []
     for c in range(take):
@@ -429,8 +443,10 @@ def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vec
 
 def spectral_pool2d(img: Image2D, keep: int) -> Image2D:
     """Keep the keep x keep lowest-index corner of fft2(img), zero the rest
-    and transform back. Only the kept bins of each row and the kept
-    columns are transformed forward."""
+    and return the real part of its inverse. Only the kept bins of each
+    row and the kept columns are transformed forward; the real part is
+    the exact inverse of the band's Hermitian part (see _pool_band), so
+    no imaginary part is computed on the way back."""
     rows, cols = img.rows, img.cols
     _require_keep(rows, cols, keep)
     _require_pow2(rows)
@@ -447,23 +463,44 @@ def _pool_field(field: Sequence[ComplexVec], keep: int) -> Image2D:
 
 
 def _pool_band(band: list[list[complex]], rows: int, cols: int) -> Image2D:
-    """Inverse fft2 of a rows x cols spectrum that is zero outside the
-    keep x keep corner `band`. A row of zeros transforms to exact +0j,
-    so only the keep nonzero rows are row-transformed."""
+    """Re ifft2 of a rows x cols spectrum B that is zero outside the keep x
+    keep corner `band`, computed as the inverse of B's Hermitian part
+    H[u][v] = (B[u][v] + conj B[-u][-v]) / 2, which is real.
+
+    Row u of H is nonzero only if u < keep or rows - u < keep; only those
+    of rows 0..rows/2 are built and inverted, in one batched transform, and
+    the other rows stay exact 0j. Each column of the result is then
+    Hermitian in u, and _irfft_rows turns its bins 0..rows/2 into pixels.
+    The band is halved first, so each partial sum over a row of H is the
+    mean of the matching sums over the rows of B it comes from: the row
+    pass overflows only where a complex inverse of B, rows first, does."""
     keep = len(band)
-    a: list[complex] = []
-    for row in band:
-        a += row
-        a += [0j] * (cols - keep)
-    _fft_inplace(a, inverse=True, block=cols)
+    h = rows // 2 + 1
+    built: list[int] = []
     t: list[complex] = []
-    for c in range(cols):
-        t += a[c::cols]
-        t += [0j] * (rows - keep)
-    _fft_inplace(t, inverse=True, block=rows)
-    if not all(map(cmath.isfinite, t)):
+    for u in range(h):
+        w = -u % rows
+        if u >= keep and w >= keep:
+            continue
+        row = [0j] * cols
+        if u < keep:
+            row[:keep] = map(mul, band[u], repeat(0.5))
+        if w < keep:
+            # conj B[w][v'] / 2 lands in column -v' of row u
+            m = list(map(mul, map(_conj, band[w]), repeat(0.5)))
+            row[0] += m[0]
+            lo = cols - keep + 1
+            row[lo:] = map(add, row[lo:], m[:0:-1])
+        built.append(u)
+        t += row
+    _fft_inplace(t, inverse=True, block=cols)
+    half = [0j] * (cols * h)
+    for j, u in enumerate(built):
+        half[u::h] = t[j * cols : (j + 1) * cols]
+    out = _irfft_rows(half, cols, rows)
+    if not all(map(math.isfinite, out)):
         raise NonFinite("complex entries must be finite")
-    return Image2D(rows, cols, list(map(_real, _transpose(t, rows, rows))))
+    return _image(rows, cols, _transpose(out, rows, rows))
 
 
 def spectrum(signal: Sequence[float], sample_spacing: float) -> Spectrum:

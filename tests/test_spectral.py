@@ -1,8 +1,10 @@
 """Transform and convolution tests; numpy.fft is the independent oracle."""
 
+import cmath
 import hashlib
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -134,6 +136,15 @@ def test_fft_freqs_golden():
 def test_fft_freqs_matches_numpy():
     for n, d in [(4, 1.0), (5, 1.0), (8, 0.25), (7, 2.0), (16, 0.001)]:
         assert np.allclose(spectral.fft_freqs(n, d), np.fft.fftfreq(n, d), atol=0)
+
+
+def test_fft_freqs_bit_identical_to_per_bin_formula():
+    for d in (1, 0.1, 1 / 3, 1e-300, 1e300):
+        for n in range(1, 1101):
+            split = (n + 1) // 2
+            want = [k / (n * d) if k < split else (k - n) / (n * d) for k in range(n)]
+            got = spectral.fft_freqs(n, d)
+            assert array("d", got).tobytes() == array("d", want).tobytes(), (n, d)
 
 
 def test_fftshift():
@@ -577,12 +588,78 @@ def test_pool_error_order():
         spectral.spectral_pool2d(Image2D(3, 4, [1.0] * 12), 4)
 
 
+POOL_SHAPES = [(1 << a, 1 << b) for a in range(7) for b in range(7)]
+
+
+def pool_error_ratio(img: Image2D, keep: int) -> float:
+    """Largest pooled-pixel error against numpy over the property bound
+    4e-16 (p + 1) sum|x| / n of test_real_input_transforms_property_against_numpy."""
+    n = img.rows * img.cols
+    bound = 4e-16 * n.bit_length() * math.fsum(map(abs, img.data)) / n
+    got = np.array(spectral.spectral_pool2d(img, keep).data).reshape(img.rows, img.cols)
+    return float(np.max(np.abs(got - pooled_oracle(img, keep)))) / bound
+
+
+@pytest.mark.parametrize("rows,cols", POOL_SHAPES)
+def test_pool_every_shape_and_keep_within_property_bound(rows, cols):
+    rng = random.Random(rows * 1000 + cols)
+    img = random_image(rng, rows, cols)
+    for keep in range(1, min(rows, cols) + 1):
+        assert pool_error_ratio(img, keep) <= 1.0, keep
+
+
+def complex_pool(img: Image2D, keep: int) -> list[float] | None:
+    """Real part of the full complex 2-D inverse of the zero-padded band:
+    rows first, then every column. None where any entry is not finite."""
+    rows, cols = img.rows, img.cols
+    a: list[complex] = []
+    for row in spectral._fft2_band(img, keep, keep):
+        a += row + [0j] * (cols - keep)
+    spectral._fft_inplace(a, inverse=True, block=cols)
+    t: list[complex] = []
+    for c in range(cols):
+        t += a[c::cols] + [0j] * (rows - keep)
+    spectral._fft_inplace(t, inverse=True, block=rows)
+    if not all(map(cmath.isfinite, t)):
+        return None
+    return [t[c * rows + r].real for r in range(rows) for c in range(cols)]
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e306, 1e307, 5e307, 1e308, 1.7e308])
+def test_pool_near_float_max_finite_where_complex_inverse_is(scale):
+    # the Hermitian path inverts rows first, as complex_pool does, from a
+    # halved band, so no image that complex_pool pools to finite pixels
+    # may raise here
+    rng = random.Random(int(math.log2(scale)))
+    for rows, cols in [(1, 8), (8, 1), (2, 2), (4, 4), (4, 16), (16, 4), (8, 8)]:
+        for signed in (True, False):
+            lo = -1.0 if signed else 0.0
+            x = [rng.uniform(lo, 1.0) * scale for _ in range(rows * cols)]
+            img = Image2D(rows, cols, x)
+            unit = Image2D(rows, cols, [v / scale for v in x])
+            for keep in range(1, min(rows, cols) + 1):
+                ref = complex_pool(img, keep)
+                try:
+                    got = spectral.spectral_pool2d(img, keep).data
+                except NonFinite:
+                    assert ref is None, (rows, cols, keep, signed)
+                    continue
+                if ref is not None:
+                    n = rows * cols
+                    bound = 4e-16 * n.bit_length() * math.fsum(map(abs, unit.data)) / n
+                    diff = np.array(got) / scale - pooled_oracle(unit, keep).ravel()
+                    assert np.max(np.abs(diff)) <= bound
+
+
 # exact-value pin: sha256 of the outputs' float.hex strings, so any change
 # of a bit, a signed zero included, fails. The complex transforms (fft*,
 # ifft*, ifft2*) were recorded before the batched kernel replaced the
 # per-butterfly loop; the real-input entries whose last bits the packed
-# real FFT changed were re-recorded with it. The twiddles come from
-# cmath.exp, so the pin assumes a correctly rounded libm (as glibc's).
+# real FFT changed were re-recorded with it, and the pool entries with
+# keep > 1 when the pool began to invert the band's Hermitian part through
+# _irfft_rows (keep = 1 inverts a lone DC bin and kept its bits). The
+# twiddles come from cmath.exp, so the pin assumes a correctly rounded
+# libm (as glibc's).
 
 
 def _pin_outputs() -> dict[str, list[float]]:
@@ -670,17 +747,17 @@ PIN_DIGESTS = {
     "ifft2_4x16": "15ad66fbf54b6d018756256bf2a0a6705288fadb5944213b48fe0915b78cc592",
     "ifft2_4x16_zeros": "30e4e87a4bf0cf2cf20953a73c27ccc707ba022154162910ce6af95e9fc19e67",
     "pool_4x16_1": "01e0c79527fd2c8d8114f113633df9291b07e4a297367a3a8901fbdfcbd2a178",
-    "pool_4x16_4": "d847aec15a299416637542a668b63aad5d19c5c48348e755621e3f502776c604",
+    "pool_4x16_4": "7632e6c19e1303ef88e298ae40d5395faa389220bb4fdd8a5a7073f4ea5bbda0",
     "fft2_16x4": "6c192f2a724deecd5f044053932d7b4cd4d550a03fea6241548868f69829e82f",
     "ifft2_16x4": "397a56eada92480a992ab6e8dce590536cb8a4d421aac91c0077f1a7cdd9db85",
     "ifft2_16x4_zeros": "f585cab66209a7f694322aaf9dc24f044688553c4e31c28ae88b8231d55216c0",
     "pool_16x4_1": "a966eeb50e2f6eb1814d0abe9fce10222c0657be1f11759134d9463407912f76",
-    "pool_16x4_4": "55e6df07d140287f3c4feaed77aeb62f3db5f3cd4e1201ab6675604c3514d3b8",
+    "pool_16x4_4": "185082cbab17a176896290d5719d3444f5feead53382cf40f148f917d3ad34ed",
     "fft2_32x32": "217938830c89a4b10ad0a18db661461c81e2765bbf1cb38eee9ad8d422f920bd",
     "ifft2_32x32": "fe015df96eb123c81cda97c70bc37265fe96f92c1db02c829b495454e18137a2",
     "ifft2_32x32_zeros": "dac4189525725ad852cb1280c0b55cebf56b4423163a599a5356e5438beebc1b",
     "pool_32x32_1": "7546db7b852b399967b24a4501483e6d107b158fca33cd1ffb7354c458d448a8",
-    "pool_32x32_32": "3056d783acf36003f1ab0b998dcc096e4bb5c726523cb3a63427bdc09ab19108",
+    "pool_32x32_32": "1709540d6623be13c96c86e24995f5829d139e2d0229b04164ee73d2434dae24",
 }
 
 
