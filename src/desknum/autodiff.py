@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, NonFinite
-from .ndcore import Matrix
+from .ndcore import Matrix, _checked_floats
 
 
 @dataclass(frozen=True)
@@ -182,12 +182,7 @@ def sigmoid(e: Expr) -> Expr:
 def record(f: Callable[..., Expr], inputs: Sequence[float]) -> tuple[float, Tape]:
     """Evaluate f on fresh tape inputs; return (value, tape)."""
     tape = Tape()
-    exprs = []
-    for v in inputs:
-        fv = float(v)
-        if not math.isfinite(fv):
-            raise NonFinite("inputs must be finite")
-        exprs.append(tape._input(fv))
+    exprs = [tape._input(v) for v in _checked_floats(inputs, "inputs")]
     out = f(*exprs)
     if not isinstance(out, Expr):
         out = tape._const(float(out))
@@ -217,12 +212,7 @@ def gradient(tape: Tape) -> Grad:
 def jacobian(f: Callable[..., Sequence[Expr]], x: Sequence[float]) -> Matrix:
     """m x n Jacobian of a vector-valued expression family at x."""
     tape = Tape()
-    exprs = []
-    for v in x:
-        fv = float(v)
-        if not math.isfinite(fv):
-            raise NonFinite("inputs must be finite")
-        exprs.append(tape._input(fv))
+    exprs = [tape._input(v) for v in _checked_floats(x, "x")]
     outs = list(f(*exprs))
     rows = []
     for out in outs:
@@ -237,7 +227,7 @@ def hessian_fd(f: Callable[..., Expr], x: Sequence[float], h: float = 1e-5) -> M
     """Central finite differences of the reverse-mode gradient, symmetrized."""
     if h <= 0.0:
         raise ValueError("h must be positive")
-    xs = [float(v) for v in x]
+    xs = _checked_floats(x, "x")
     n = len(xs)
     cols = []
     for j in range(n):

@@ -26,7 +26,7 @@ from .errors import (
     SingularJacobian,
     Unstable,
 )
-from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _norm_inf
+from .ndcore import Matrix, Vector, _bounded, _checked_floats, _norm_inf
 
 StateFn = Callable[[float, Sequence[float]], Sequence[float]]
 
@@ -45,9 +45,11 @@ class IvpProblem:
     t_end: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "y0", tuple(float(v) for v in self.y0))
+        object.__setattr__(self, "y0", tuple(_checked_floats(self.y0, "y0")))
         if not self.y0:
             raise ShapeMismatch("state must have at least one component")
+        if not all(map(math.isfinite, (self.t0, self.h, self.t_end))):
+            raise ValueError("t0, h and t_end must be finite")
         if self.h <= 0:
             raise ValueError("h must be positive")
         if self.t_end <= self.t0:
@@ -160,18 +162,17 @@ def _eval_rhs(f: StateFn, t: float, y: Sequence[float]) -> list:
     return out
 
 
-def _check_state(y: Sequence[float], t: float) -> None:
-    for v in y:
-        if not math.isfinite(v) or abs(v) > DIVERGE_LIMIT:
-            raise NonFinite(f"state diverged near t = {t:.6g}")
+# each step function advances y from time t to time b
 
 
-def _euler_step(f: StateFn, t: float, y: list, h: float) -> list:
+def _euler_step(f: StateFn, t: float, b: float, y: list) -> list:
+    h = b - t
     fy = _eval_rhs(f, t, y)
     return [yi + h * fi for yi, fi in zip(y, fy)]
 
 
-def _rk4_step(f: StateFn, t: float, y: list, h: float) -> list:
+def _rk4_step(f: StateFn, t: float, b: float, y: list) -> list:
+    h = b - t
     k1 = _eval_rhs(f, t, y)
     k2 = _eval_rhs(f, t + h / 2.0, [yi + h / 2.0 * v for yi, v in zip(y, k1)])
     k3 = _eval_rhs(f, t + h / 2.0, [yi + h / 2.0 * v for yi, v in zip(y, k2)])
@@ -187,10 +188,31 @@ def _integrate(step, p: IvpProblem) -> Trajectory:
     y = list(p.y0)
     rows = [list(y)]
     for a, b in zip(ts, ts[1:]):
-        y = step(p.f, a, y, b - a)
-        _check_state(y, b)
+        y = step(p.f, a, b, y)
+        if not _bounded(y):
+            raise NonFinite(f"state diverged near t = {b:.6g}")
         rows.append(list(y))
     return Trajectory(tuple(ts), Matrix.from_rows(rows))
+
+
+def _backward_euler_step(f: StateFn, t: float, b: float, y: list) -> list:
+    h = b - t
+
+    def implicit(z):
+        fz = _eval_rhs(f, b, z)
+        return [zi - yi - h * fi for zi, yi, fi in zip(z, y, fz)]
+
+    try:
+        report = roots.newton_system(implicit, None, y, tol=1e-12, max_iter=50)
+    except (MaxIterations, SingularJacobian) as exc:
+        raise NewtonFailure(f"implicit step at t = {b:.6g} failed") from exc
+    z = report.root.data
+    residual = _norm_inf(implicit(z))
+    if residual > _IMPLICIT_TOL:
+        raise NewtonFailure(
+            f"implicit step at t = {b:.6g} stalled at residual {residual:.3g}"
+        )
+    return z
 
 
 def euler_solve(p: IvpProblem) -> Trajectory:
@@ -210,29 +232,7 @@ def backward_euler_solve(p: IvpProblem) -> Trajectory:
     seeded at the previous state; the accepted state must satisfy the
     implicit equation to 1e-10 in the sup norm.
     """
-    ts = _grid(p.t0, p.h, p.t_end)
-    y = list(p.y0)
-    rows = [list(y)]
-    for a, b in zip(ts, ts[1:]):
-        h = b - a
-
-        def implicit(z, y=y, b=b, h=h):
-            fz = _eval_rhs(p.f, b, z)
-            return [zi - yi - h * fi for zi, yi, fi in zip(z, y, fz)]
-
-        try:
-            report = roots.newton_system(implicit, None, y, tol=1e-12, max_iter=50)
-        except (MaxIterations, SingularJacobian) as exc:
-            raise NewtonFailure(f"implicit step at t = {b:.6g} failed") from exc
-        y = list(report.root.data)
-        residual = _norm_inf(implicit(y))
-        if residual > _IMPLICIT_TOL:
-            raise NewtonFailure(
-                f"implicit step at t = {b:.6g} stalled at residual {residual:.3g}"
-            )
-        _check_state(y, b)
-        rows.append(list(y))
-    return Trajectory(tuple(ts), Matrix.from_rows(rows))
+    return _integrate(_backward_euler_step, p)
 
 
 def lif_simulate(params: LifParams, h: float, t_end: float) -> Trajectory:
@@ -284,5 +284,5 @@ def heat1d_explicit(
             nxt[i] = u[i] + r * (u[i + 1] - 2.0 * u[i] + u[i - 1])
         u = nxt
         if snapshot_every and n % snapshot_every == 0:
-            shots.append((n * p.dt, Vector(list(u))))
+            shots.append((n * p.dt, Vector(u)))
     return HeatResult(tuple(xs), Vector(u), tuple(shots))

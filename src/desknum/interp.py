@@ -19,18 +19,18 @@ from .errors import (
     TooFewPoints,
     UnsortedKnots,
 )
-from .ndcore import Vector
+from .ndcore import _vec
 
 # knots closer than this are considered the same point
 _KNOT_TOL = 1e-12
 
 
 def _as_points(xs: Sequence[float], ys: Sequence[float]):
-    vx = Vector(list(xs))
-    vy = Vector(list(ys))
-    if len(vx) != len(vy):
-        raise SizeMismatch(f"{len(vx)} knots but {len(vy)} values")
-    return vx.data, vy.data
+    kx = _vec(xs, "xs")
+    ky = _vec(ys, "ys")
+    if len(kx) != len(ky):
+        raise SizeMismatch(f"{len(kx)} knots but {len(ky)} values")
+    return kx, ky
 
 
 def _check_distinct(xs: Sequence[float]) -> None:

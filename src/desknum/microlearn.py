@@ -32,7 +32,7 @@ from typing import List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
 from .errors import BadArchitecture, NonFinite, ShapeMismatch, TooSmallBatch
-from .ndcore import Matrix, Vector
+from .ndcore import Matrix, Vector, _checked_floats
 
 
 def sigmoid_derivative(a: float) -> float:
@@ -80,8 +80,8 @@ def mlp_init(sizes: Sequence[int], seed: int) -> MlpParams:
 
 def affine(w: Matrix, x: Sequence[float], b: Sequence[float]) -> Vector:
     """Single-sample pre-activation W x + b."""
-    xs = [float(v) for v in x]
-    bs = [float(v) for v in b]
+    xs = _checked_floats(x, "x")
+    bs = _checked_floats(b, "b")
     if w.cols != len(xs) or w.rows != len(bs):
         raise ShapeMismatch(
             f"{w.rows}x{w.cols} weights cannot map {len(xs)} inputs "

@@ -4,8 +4,14 @@ Row-major real-valued matrices and vectors with element-wise arithmetic,
 reductions, naive (row-by-column dot product) and Strassen multiplication
 (rectangular, zero-padded by one row or column at each odd level),
 transpose/reshape, vector geometry, norms, and absolute/relative error
-metrics. Everything is a pure function over immutable values; constructors
-reject non-finite entries.
+metrics. Everything is a pure function over immutable values.
+
+Two decisions are made here and nowhere else. `_checked_floats` is the one
+gate for floats from outside: every caller input in the package is converted
+by float() and required finite there (through `_vec` where an empty input is
+an error), and NonFinite names the input and its first bad entry.
+`_bounded` is the one divergence test: an iterate is data while every entry
+is within DIVERGE_LIMIT in magnitude.
 """
 
 from __future__ import annotations
@@ -35,13 +41,16 @@ DIVERGE_LIMIT = 1e12
 
 
 def _checked_floats(values: Iterable[float], what: str) -> list[float]:
-    out = []
-    for v in values:
-        f = float(v)
-        if not math.isfinite(f):
-            raise NonFinite(f"{what} contains a non-finite entry: {v!r}")
-        out.append(f)
+    out = list(map(float, values))
+    if not all(map(math.isfinite, out)):
+        bad = next(f for f in out if not math.isfinite(f))
+        raise NonFinite(f"{what} contains a non-finite entry: {bad!r}")
     return out
+
+
+def _bounded(values: Iterable[float]) -> bool:
+    # false for NaN too, which fails every comparison
+    return all(abs(v) <= DIVERGE_LIMIT for v in values)
 
 
 class Matrix:

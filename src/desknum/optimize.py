@@ -27,7 +27,7 @@ from .errors import (
     Singular,
     SingularHessian,
 )
-from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _dot, _matvec, _norm2, _norm_inf, _vec
+from .ndcore import Matrix, Vector, _bounded, _dot, _matvec, _norm2, _norm_inf, _vec
 
 VecFn = Callable[[Sequence[float]], Sequence[float]]
 
@@ -129,9 +129,8 @@ def gd_minimize(
         if len(g) != len(x):
             raise ShapeMismatch("gradient size differs from parameter size")
         x = [p - eta * q for p, q in zip(x, g)]
-        for v in x:
-            if not math.isfinite(v) or abs(v) > DIVERGE_LIMIT:
-                raise NonFinite("gradient descent diverged")
+        if not _bounded(x):
+            raise NonFinite("gradient descent diverged")
         traj.append(Vector(x))
     return traj
 

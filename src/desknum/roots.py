@@ -8,7 +8,6 @@ the budget runs out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -23,7 +22,7 @@ from .errors import (
     SingularJacobian,
     ZeroDerivative,
 )
-from .ndcore import DIVERGE_LIMIT, Matrix, Vector, _dot, _matvec, _norm2, _norm_inf, _vec
+from .ndcore import Matrix, Vector, _bounded, _dot, _matvec, _norm2, _norm_inf, _vec
 
 
 @dataclass(frozen=True)
@@ -32,13 +31,6 @@ class RootReport:
     iterations: int
     residual: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class BroydenState:
-    """Current Jacobian approximation carried between Broyden steps."""
-
-    b: Matrix
 
 
 def bisection(
@@ -116,7 +108,7 @@ def fixed_point(
     x = float(x0)
     for k in range(1, max_iter + 1):
         gx = g(x)
-        if not math.isfinite(gx) or abs(gx) > DIVERGE_LIMIT:
+        if not _bounded((gx,)):
             raise NonFinite(f"iteration diverged at step {k}")
         if abs(gx - x) < tol:
             return RootReport(gx, k, abs(gx - x), True)
@@ -177,13 +169,13 @@ def broyden(
     """Quasi-Newton with the rank-one update B += ((y - B s) s^T)/(s^T s)."""
     x = list(_vec(x0, "x0"))
     n = len(x)
-    state = BroydenState(Matrix.identity(n) if b0 is None else b0)
+    jac = Matrix.identity(n) if b0 is None else b0
     fx = [float(v) for v in f_vec(x)]
     if _norm_inf(fx) <= 1e-15:
         return RootReport(Vector(x), 0, _norm_inf(fx), True)
     for k in range(1, max_iter + 1):
         try:
-            s = lindecomp.solve_direct(state.b, [-v for v in fx], "lu").data
+            s = lindecomp.solve_direct(jac, [-v for v in fx], "lu").data
         except Singular as exc:
             raise SingularApproximation(str(exc)) from exc
         x_new = [xi + si for xi, si in zip(x, s)]
@@ -193,13 +185,13 @@ def broyden(
         if _norm2(s) < tol:
             return RootReport(Vector(x_new), k, _norm_inf(f_new), True)
         y = [a - b for a, b in zip(f_new, fx)]
-        brows = state.b.to_rows()
+        brows = jac.to_rows()
         bs = _matvec(brows, s)
         sts = _dot(s, s)
         upd = [
             [brows[i][j] + (y[i] - bs[i]) * s[j] / sts for j in range(n)]
             for i in range(n)
         ]
-        state = BroydenState(Matrix.from_rows(upd))
+        jac = Matrix.from_rows(upd)
         x, fx = x_new, f_new
     raise MaxIterations(f"broyden did not converge in {max_iter} iterations")

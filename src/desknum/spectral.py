@@ -51,7 +51,7 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
 )
-from .ndcore import Vector
+from .ndcore import Vector, _checked_floats, _vec
 
 
 class ComplexVec:
@@ -60,12 +60,10 @@ class ComplexVec:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Sequence[float], im: Sequence[float]):
-        re = list(map(float, re))
-        im = list(map(float, im))
+        re = _checked_floats(re, "re")
+        im = _checked_floats(im, "im")
         if len(re) != len(im):
             raise ShapeMismatch(f"re has {len(re)} entries, im has {len(im)}")
-        if not (all(map(math.isfinite, re)) and all(map(math.isfinite, im))):
-            raise NonFinite("complex entries must be finite")
         self.re = re
         self.im = im
 
@@ -105,11 +103,9 @@ class Image2D:
     def __init__(self, rows: int, cols: int, data: Sequence[float]):
         if rows < 1 or cols < 1:
             raise ShapeMismatch("image dimensions must be positive")
-        data = list(map(float, data))
+        data = _checked_floats(data, "data")
         if len(data) != rows * cols:
             raise ShapeMismatch(f"expected {rows * cols} pixels, got {len(data)}")
-        if not all(map(math.isfinite, data)):
-            raise NonFinite("pixel values must be finite")
         self.rows = rows
         self.cols = cols
         self.data = data
@@ -341,8 +337,8 @@ def fftshift(v: Sequence[float]) -> list[float]:
 
 
 def convolve_direct(f: Sequence[float], g: Sequence[float]) -> Vector:
-    a = Vector(list(f)).data
-    b = Vector(list(g)).data
+    a = _vec(f, "f")
+    b = _vec(g, "g")
     out = [0.0] * (len(a) + len(b) - 1)
     for i, fi in enumerate(a):
         for j, gj in enumerate(b):
@@ -351,8 +347,8 @@ def convolve_direct(f: Sequence[float], g: Sequence[float]) -> Vector:
 
 
 def convolve_fft(f: Sequence[float], g: Sequence[float]) -> Vector:
-    a = Vector(list(f)).data
-    b = Vector(list(g)).data
+    a = _vec(f, "f")
+    b = _vec(g, "g")
     m = len(a) + len(b) - 1
     size = 1
     while size < m:
@@ -364,8 +360,8 @@ def convolve_fft(f: Sequence[float], g: Sequence[float]) -> Vector:
 
 
 def convolve_circular(f: Sequence[float], g: Sequence[float], n: int) -> Vector:
-    a = Vector(list(f)).data
-    b = Vector(list(g)).data
+    a = _vec(f, "f")
+    b = _vec(g, "g")
     if n < max(len(a), len(b)):
         raise ValueError("period n must cover both inputs")
     out = [0.0] * n
@@ -427,7 +423,7 @@ def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vec
     """Zero every FFT bin whose frequency magnitude exceeds the cutoff,
     then transform back. Conjugate partners share one |freq|, so the
     mask keeps the output real."""
-    data = Vector(list(signal)).data
+    data = _vec(signal, "signal")
     n = len(data)
     _require_pow2(n)
     if not 0 < cutoff < sample_rate / 2:
@@ -504,7 +500,7 @@ def _pool_band(band: list[list[complex]], rows: int, cols: int) -> Image2D:
 
 
 def spectrum(signal: Sequence[float], sample_spacing: float) -> Spectrum:
-    data = Vector(list(signal)).data
+    data = _vec(signal, "signal")
     _require_pow2(len(data))
     if sample_spacing <= 0:
         raise BadCutoff("sample spacing must be positive")
@@ -515,7 +511,7 @@ def spectrum(signal: Sequence[float], sample_spacing: float) -> Spectrum:
 
 def peak_frequency(signal: Sequence[float], sample_rate: float) -> float:
     """Frequency of the strongest non-DC bin on the nonnegative half."""
-    data = Vector(list(signal)).data
+    data = _vec(signal, "signal")
     n = len(data)
     _require_pow2(n)
     bins = _from_complex(_rfft_rows(data, 1, n, n))

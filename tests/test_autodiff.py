@@ -43,6 +43,11 @@ def test_tape_topological_and_finite():
         assert math.isfinite(node.value)
 
 
+def test_record_with_zero_inputs():
+    v, tape = ad.record(lambda: 3.0, [])
+    assert v == 3.0 and ad.gradient(tape).partials == []
+
+
 def test_record_domain_errors():
     with pytest.raises(DomainError):
         ad.record(lambda x: ad.log(x), [-1.0])

@@ -69,6 +69,23 @@ def test_problem_validation():
         dyn.IvpProblem(f, 0.0, (), 0.1, 1.0)
 
 
+@pytest.mark.parametrize(
+    "t0, h, t_end",
+    [
+        (math.nan, 0.1, 1.0),
+        (0.0, math.nan, 1.0),
+        (0.0, 0.1, math.nan),
+        (-math.inf, 0.1, 1.0),
+        (0.0, math.inf, 1.0),
+        (0.0, 0.1, math.inf),
+    ],
+)
+def test_problem_rejects_non_finite_times(t0, h, t_end):
+    # h = nan used to pass and then fail in the grid's int() conversion
+    with pytest.raises(ValueError, match="must be finite"):
+        dyn.IvpProblem(decay_rhs, t0, (1.0,), h, t_end)
+
+
 def test_rhs_shape_checked():
     bad = lambda t, y: [1.0, 2.0]
     with pytest.raises(ShapeMismatch):

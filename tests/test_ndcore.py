@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desknum import ndcore
+from desknum import autodiff, dynamics, interp, microlearn, ndcore, spectral
 from desknum.errors import (
     DivisionByZero,
     EmptyInput,
@@ -50,6 +50,54 @@ def test_matrix_rejects_non_finite():
         Matrix.from_rows([[1.0, float("inf")]])
     with pytest.raises(NonFinite):
         Vector([float("-inf")])
+
+
+# every caller input goes through ndcore._checked_floats, whose message
+# names the input and its first non-finite entry
+
+_W23 = Matrix.from_rows([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+_KNOTS = [0.0, 1.0, 2.0]
+
+_NAMED_INPUTS = [
+    pytest.param(lambda v: ndcore._checked_floats([1, v, math.nan], "values"), "values", id="checked_floats"),
+    pytest.param(lambda v: spectral.convolve_direct([1.0, v], [1.0]), "f", id="convolve_direct-f"),
+    pytest.param(lambda v: spectral.convolve_direct([1.0], [v]), "g", id="convolve_direct-g"),
+    pytest.param(lambda v: spectral.convolve_fft([v], [1.0]), "f", id="convolve_fft-f"),
+    pytest.param(lambda v: spectral.convolve_fft([1.0], [2.0, v]), "g", id="convolve_fft-g"),
+    pytest.param(lambda v: spectral.convolve_circular([v], [1.0], 4), "f", id="convolve_circular-f"),
+    pytest.param(lambda v: spectral.convolve_circular([1.0], [v], 4), "g", id="convolve_circular-g"),
+    pytest.param(lambda v: spectral.lowpass1d([1.0, v, 0.0, 0.0], 8.0, 1.0), "signal", id="lowpass1d"),
+    pytest.param(lambda v: spectral.spectrum([1.0, 0.0, v, 0.0], 0.1), "signal", id="spectrum"),
+    pytest.param(lambda v: spectral.peak_frequency([v, 1.0, 0.0, -1.0], 8.0), "signal", id="peak_frequency"),
+    pytest.param(lambda v: spectral.ComplexVec([v, 1.0], [0.0, 0.0]), "re", id="ComplexVec-re"),
+    pytest.param(lambda v: spectral.ComplexVec([0.0, 1.0], [0.0, v]), "im", id="ComplexVec-im"),
+    pytest.param(lambda v: spectral.Image2D(1, 2, [0.0, v]), "data", id="Image2D"),
+    pytest.param(lambda v: interp.lagrange_eval([0.0, v], [1.0, 2.0], 0.5), "xs", id="lagrange_eval"),
+    pytest.param(lambda v: interp.newton_dd_build(_KNOTS, [1.0, v, 2.0]), "ys", id="newton_dd_build"),
+    pytest.param(lambda v: interp.cubic_spline_build([0.0, 1.0, v], [1.0, 2.0, 3.0]), "xs", id="cubic_spline_build"),
+    pytest.param(lambda v: interp.linear_interp(_KNOTS, [v, 1.0, 2.0], 0.5), "ys", id="linear_interp"),
+    pytest.param(lambda v: autodiff.record(lambda a, b: a * b, [1.0, v]), "inputs", id="record"),
+    pytest.param(lambda v: autodiff.jacobian(lambda a: [a], [v]), "x", id="jacobian"),
+    pytest.param(lambda v: autodiff.hessian_fd(lambda a: a * a, [v]), "x", id="hessian_fd"),
+    pytest.param(lambda v: microlearn.affine(_W23, [v, 1.0], [0.0] * 3), "x", id="affine-x"),
+    pytest.param(lambda v: microlearn.affine(_W23, [0.0, 1.0], [0.0, v, 0.0]), "b", id="affine-b"),
+    pytest.param(lambda v: dynamics.IvpProblem(lambda t, y: y, 0.0, (v,), 0.1, 1.0), "y0", id="IvpProblem"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call, what", _NAMED_INPUTS)
+def test_non_finite_input_is_named_at_entry(call, what, bad):
+    with pytest.raises(NonFinite) as info:
+        call(bad)
+    assert str(info.value) == f"{what} contains a non-finite entry: {bad!r}"
+
+
+def test_bounded_is_the_divergence_test():
+    limit = ndcore.DIVERGE_LIMIT
+    assert ndcore._bounded([limit, -limit, 0.0]) and ndcore._bounded([])
+    for v in (math.nextafter(limit, math.inf), -math.inf, math.nan):
+        assert not ndcore._bounded([1.0, v])
 
 
 def test_matrix_rejects_bad_shape():

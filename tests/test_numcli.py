@@ -3,6 +3,8 @@
 import math
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -19,6 +21,23 @@ def run(args, capsys):
     rc = numcli.run(args)
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+def test_module_entry_point_runs_without_warnings(capsys):
+    # numcli used to be imported with the package, so runpy warned that
+    # it was already in sys.modules before running it as __main__
+    rc = numcli.run(["eig"])
+    want = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(numcli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "desknum.numcli", "eig"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (rc, proc.returncode, proc.stderr) == (0, 0, "")
+    assert proc.stdout == want
 
 
 # CSV serialization
