@@ -19,7 +19,7 @@ from .errors import (
     TooFewPoints,
     UnsortedKnots,
 )
-from .ndcore import _vec
+from .ndcore import _checked_float, _vec
 
 # knots closer than this are considered the same point
 _KNOT_TOL = 1e-12
@@ -66,6 +66,7 @@ class CubicSpline:
 def lagrange_eval(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
     """Evaluate the unique interpolating polynomial at x via the basis
     product formula. Exact at the knots by construction."""
+    x = _checked_float(x, "x")
     kx, ky = _as_points(xs, ys)
     _check_distinct(kx)
     total = 0.0
@@ -92,6 +93,7 @@ def newton_dd_build(xs: Sequence[float], ys: Sequence[float]) -> DividedDiffPoly
 
 
 def newton_dd_eval(p: DividedDiffPoly, x: float) -> float:
+    x = _checked_float(x, "x")
     result = p.coeffs[-1]
     for i in range(len(p.coeffs) - 2, -1, -1):
         result = result * (x - p.xs[i]) + p.coeffs[i]
@@ -140,6 +142,7 @@ def _segment(xs: Sequence[float], x: float) -> int:
 def cubic_spline_eval(s: CubicSpline, x: float) -> float:
     """Evaluate the spline; outside the hull the boundary piece is
     extended as-is (cubic extrapolation)."""
+    x = _checked_float(x, "x")
     i = _segment(s.xs, x)
     a, b, c, d = s.coeffs[i]
     t = x - s.xs[i]
@@ -147,6 +150,7 @@ def cubic_spline_eval(s: CubicSpline, x: float) -> float:
 
 
 def linear_interp(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
+    x = _checked_float(x, "x")
     kx, ky = _as_points(xs, ys)
     if len(kx) < 2:
         raise TooFewPoints("piecewise linear interpolation needs 2 knots")

@@ -5,19 +5,14 @@ descent on mean-squared error, a batch-normalization forward pass,
 and tabular Q-learning on a five-state ring environment. Everything
 is deterministic given an explicit seed.
 
-The network runs on one private kernel over plain lists. `_forward`
-computes each unit as sigmoid(sum(map(mul, sample, w_col)) + b) from
-per-unit weight columns. `_backward` computes each weight gradient as
-fsum(map(mul, prev_col, delta_col)) over the batch and each hidden
-delta as sum(map(mul, delta_row, w_row)) * a(1-a). Plain `sum` adds
-its terms left to right and `fsum` is exact, so the results do not
-depend on how the lists are laid out. Each computed value that leaves
-the kernel (output activations, gradients, updated parameters) is
-checked for finiteness where it is formed and raises NonFinite.
-`mlp_forward`, `mlp_loss` and `mlp_gradients` are thin wrappers over
-the kernel. `mlp_train` validates once, then runs one forward and one
-backward pass per epoch on the lists and builds a single `MlpParams`
-at the end.
+The network runs on one private kernel over flat, batch-wide lists:
+activations are sample-major, weights column-major in the forward pass
+and row-major (as in `Matrix`) in the backward pass. Each layer makes one
+map(mul, ...) over its (sample, unit, input) triples; dot products are
+grouped builtin sums, which add left to right from 0 as a per-sample loop
+does, and gradients are grouped fsums over the batch. Every value that
+leaves the kernel (outputs, gradients, updated parameters) is checked
+where it is formed and raises NonFinite.
 """
 
 from __future__ import annotations
@@ -25,10 +20,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
-from math import fsum, isfinite
-from operator import mul
-from typing import List, Sequence, Tuple
+from itertools import chain, repeat
+from math import exp, fsum, isfinite
+from operator import add, mul, sub
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
 from .errors import BadArchitecture, NonFinite, ShapeMismatch, TooSmallBatch
@@ -90,103 +85,114 @@ def affine(w: Matrix, x: Sequence[float], b: Sequence[float]) -> Vector:
     return Vector([sum(map(mul, row, xs)) + bi for row, bi in zip(w.to_rows(), bs)])
 
 
-# the list kernel: weights as per-unit columns (forward) and rows
-# (backward), activations and deltas as batch x width rows
-
-
-def _finite(rows: Sequence[Sequence[float]], what: str) -> None:
-    if not all(map(isfinite, chain.from_iterable(rows))):
+def _finite(values: Iterable[float], what: str) -> None:
+    if not all(map(isfinite, values)):
         raise NonFinite(f"{what} contains a non-finite entry")
 
 
-def _columns(p: MlpParams) -> List[List[List[float]]]:
-    return [[w.col(j) for j in range(w.cols)] for w in p.weights]
+def _groups(flat: Iterable[float], k: int) -> Iterator[tuple]:
+    return zip(*[iter(flat)] * k)
 
 
-def _inputs(p: MlpParams, x: Matrix) -> List[List[float]]:
+def _tiled(flat: List[float], k: int, times: int) -> Iterator[float]:
+    # each k-tuple of flat repeated `times` times in a row
+    return chain.from_iterable(map(mul, _groups(flat, k), repeat(times)))
+
+
+def _transpose(flat: List[float], cols: int) -> List[float]:
+    return list(chain.from_iterable(zip(*_groups(flat, cols))))
+
+
+def _batch_fsums(terms: Iterable[float], k: int, what: str) -> List[float]:
+    # fsum over the batch of each of k sample-major quantities; fsum raises
+    # OverflowError when a finite sum overflows and ValueError on inf - inf
+    try:
+        sums = list(map(fsum, zip(*_groups(terms, k))))
+    except (OverflowError, ValueError):
+        raise NonFinite(f"{what} overflows") from None
+    _finite(sums, what)
+    return sums
+
+
+def _columns(p: MlpParams) -> Tuple[list, list]:
+    # column-major weights and the biases of every layer, for `_forward`
+    return [_transpose(w.data, w.cols) for w in p.weights], [b.data for b in p.biases]
+
+
+def _inputs(p: MlpParams, x: Matrix) -> List[float]:
     if x.cols != p.sizes[0]:
         raise ShapeMismatch(f"{x.cols} features fed to a {p.sizes[0]}-input net")
-    return x.to_rows()
+    return x.data
 
 
-def _targets(p: MlpParams, x: Matrix, y: Matrix) -> List[List[float]]:
+def _targets(p: MlpParams, x: Matrix, y: Matrix) -> List[float]:
     if y.cols != p.sizes[-1] or y.rows != x.rows:
         raise ShapeMismatch(
             f"targets are {y.rows}x{y.cols}, expected {x.rows}x{p.sizes[-1]}"
         )
-    return y.to_rows()
+    return y.data
 
 
-def _forward(cols: list, biases: Sequence, rows: List[List[float]]) -> list:
-    """Activations of every layer, the input rows first.
+def _forward(sizes: Sequence[int], cols: list, biases: list, x: List[float]) -> list:
+    """Activations of every layer, the inputs first.
 
     A NaN pre-activation reaches every later unit of its sample, so
     checking the output catches a NaN anywhere in the net.
     """
-    acts = [rows]
-    for w_cols, b in zip(cols, biases):
+    acts = [x]
+    batch = len(x) // sizes[0]
+    for k, m, w, b in zip(sizes, sizes[1:], cols, biases):
+        # one product per (sample, unit, input), one sum per (sample, unit)
+        prods = map(mul, _tiled(acts[-1], k, m), w * batch)
+        pre = map(add, map(sum, _groups(prods, k)), b * batch)
+        # both branches of `sigmoid`, inlined
         acts.append(
-            [
-                [sigmoid(sum(map(mul, s, c)) + bj) for c, bj in zip(w_cols, b)]
-                for s in acts[-1]
-            ]
+            [1.0 / (1.0 + exp(-v)) if v >= 0.0 else (z := exp(v)) / (1.0 + z) for v in pre]
         )
     _finite(acts[-1], "network output")
     return acts
 
 
-def _mse(out: List[List[float]], targets: List[List[float]]) -> float:
+def _mse(out: List[float], targets: List[float]) -> float:
     try:
-        total = fsum((a - t) ** 2 for o, ts in zip(out, targets) for a, t in zip(o, ts))
+        total = fsum(map(pow, map(sub, out, targets), repeat(2)))
     except OverflowError:
         raise NonFinite("squared error overflows") from None
-    return total / (len(out) * len(out[0]))
+    return total / len(out)
 
 
-def _backward(
-    w_rows: list, acts: list, targets: List[List[float]]
-) -> Tuple[list, list]:
-    """Per-layer weight gradients, as per-unit columns, and bias gradients."""
+def _backward(sizes: Sequence[int], w_rows: list, acts: list, targets: list) -> tuple:
+    """Per-layer weight gradients, row-major, and bias gradients."""
     out = acts[-1]
-    scale = 2.0 / (len(out) * len(out[0]))
-    delta = [
-        [scale * (a - t) * sigmoid_derivative(a) for a, t in zip(o, ts)]
-        for o, ts in zip(out, targets)
-    ]
-    g_cols: list = [None] * len(w_rows)
-    g_biases: list = [None] * len(w_rows)
-    for l in range(len(w_rows) - 1, -1, -1):
-        prev_cols = list(zip(*acts[l]))
-        delta_cols = list(zip(*delta))
-        # each gradient is checked as it is formed, before the next
-        # layer's sums run
-        g_w = [[fsum(map(mul, p, d)) for p in prev_cols] for d in delta_cols]
-        _finite(g_w, "weight gradient")
-        g_b = [fsum(d) for d in delta_cols]
-        _finite([g_b], "bias gradient")
-        g_cols[l], g_biases[l] = g_w, g_b
+    scale = 2.0 / len(out)
+    delta = [scale * (a - t) * (a * (1.0 - a)) for a, t in zip(out, targets)]
+    g_w, g_b = [], []
+    for l in reversed(range(len(w_rows))):
+        k, m, prev = sizes[l], sizes[l + 1], acts[l]
+        # delta[s][j] at every (sample, input, unit) triple
+        spread = list(_tiled(delta, m, k))
+        # each gradient is checked as it is formed, before the next sums run
+        prods = map(mul, chain.from_iterable(zip(*[prev] * m)), spread)
+        g_w.append(_batch_fsums(prods, k * m, "weight gradient"))
+        g_b.append(_batch_fsums(delta, m, "bias gradient"))
         if l:
-            delta = [
-                [
-                    sum(map(mul, d, w)) * sigmoid_derivative(a)
-                    for w, a in zip(w_rows[l], act)
-                ]
-                for d, act in zip(delta, acts[l])
-            ]
-    return g_cols, g_biases
+            back = map(mul, spread, w_rows[l] * (len(prev) // k))
+            sums = map(sum, _groups(back, m))
+            delta = [v * (a * (1.0 - a)) for v, a in zip(sums, prev)]
+    return g_w[::-1], g_b[::-1]
 
 
 def mlp_forward(p: MlpParams, x: Matrix) -> Tuple[Tuple[Matrix, ...], Matrix]:
     """Run the batch through every layer; returns (activations, output)."""
-    acts = _forward(_columns(p), p.biases, _inputs(p, x))
-    mats = tuple(Matrix.from_rows(a) for a in acts[1:])
+    acts = _forward(p.sizes, *_columns(p), _inputs(p, x))
+    mats = tuple(Matrix(x.rows, m, a) for m, a in zip(p.sizes[1:], acts[1:]))
     return mats, mats[-1]
 
 
 def mlp_loss(p: MlpParams, x: Matrix, y: Matrix) -> float:
     """Mean squared error of the network output against targets."""
     rows, targets = _inputs(p, x), _targets(p, x, y)
-    return _mse(_forward(_columns(p), p.biases, rows)[-1], targets)
+    return _mse(_forward(p.sizes, *_columns(p), rows)[-1], targets)
 
 
 def mlp_gradients(
@@ -201,11 +207,11 @@ def mlp_gradients(
     the list kernel that `mlp_train` runs every epoch.
     """
     rows, targets = _inputs(p, x), _targets(p, x, y)
-    acts = _forward(_columns(p), p.biases, rows)
-    g_cols, g_biases = _backward([w.to_rows() for w in p.weights], acts, targets)
+    acts = _forward(p.sizes, *_columns(p), rows)
+    g_w, g_b = _backward(p.sizes, [w.data for w in p.weights], acts, targets)
     return (
-        tuple(Matrix.from_rows(list(zip(*g))) for g in g_cols),
-        tuple(Vector(g) for g in g_biases),
+        tuple(Matrix(w.rows, w.cols, g) for w, g in zip(p.weights, g_w)),
+        tuple(Vector(g) for g in g_b),
     )
 
 
@@ -223,24 +229,18 @@ def mlp_train(
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
     rows, targets = _inputs(p, x), _targets(p, x, y)
-    cols = _columns(p)
-    w_rows = [w.to_rows() for w in p.weights]
-    biases = [b.data for b in p.biases]
+    cols, biases = _columns(p)
+    w_rows = [w.data for w in p.weights]
     history: List[float] = []
     for _ in range(epochs):
-        acts = _forward(cols, biases, rows)
+        acts = _forward(p.sizes, cols, biases, rows)
         history.append(_mse(acts[-1], targets))
-        g_cols, g_biases = _backward(w_rows, acts, targets)
-        cols = [
-            [[w - eta * g for w, g in zip(c, gc)] for c, gc in zip(layer, g_layer)]
-            for layer, g_layer in zip(cols, g_cols)
-        ]
-        biases = [
-            [b - eta * g for b, g in zip(bl, gl)] for bl, gl in zip(biases, g_biases)
-        ]
-        _finite(chain(*cols, biases), "updated parameters")
-        w_rows = [list(zip(*layer)) for layer in cols]
-    weights = tuple(Matrix.from_rows(r) for r in w_rows)
+        g_w, g_b = _backward(p.sizes, w_rows, acts, targets)
+        w_rows = [[w - eta * g for w, g in zip(*pair)] for pair in zip(w_rows, g_w)]
+        biases = [[b - eta * g for b, g in zip(*pair)] for pair in zip(biases, g_b)]
+        _finite(chain(*w_rows, *biases), "updated parameters")
+        cols = [_transpose(w, m) for w, m in zip(w_rows, p.sizes[1:])]
+    weights = tuple(Matrix(w.rows, w.cols, r) for w, r in zip(p.weights, w_rows))
     return MlpParams(p.sizes, weights, tuple(Vector(b) for b in biases)), history
 
 

@@ -9,7 +9,8 @@ metrics. Everything is a pure function over immutable values.
 Two decisions are made here and nowhere else. `_checked_floats` is the one
 gate for floats from outside: every caller input in the package is converted
 by float() and required finite there (through `_vec` where an empty input is
-an error), and NonFinite names the input and its first bad entry.
+an error, and through `_checked_float` for a single scalar), and NonFinite
+names the input and its first bad entry.
 `_bounded` is the one divergence test: an iterate is data while every entry
 is within DIVERGE_LIMIT in magnitude.
 """
@@ -46,6 +47,13 @@ def _checked_floats(values: Iterable[float], what: str) -> list[float]:
         bad = next(f for f in out if not math.isfinite(f))
         raise NonFinite(f"{what} contains a non-finite entry: {bad!r}")
     return out
+
+
+def _checked_float(value: float, what: str) -> float:
+    f = float(value)
+    if not math.isfinite(f):
+        raise NonFinite(f"{what} is not finite: {f!r}")
+    return f
 
 
 def _bounded(values: Iterable[float]) -> bool:

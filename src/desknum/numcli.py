@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 from array import array
 import math
 import sys
@@ -644,10 +645,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Building the argparse tree takes milliseconds, longer than a small
+# subcommand's own work. Parsing reads the tree and never changes it, so
+# run() builds one on first use and every later call in the process reuses it.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = _parser().parse_args(list(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

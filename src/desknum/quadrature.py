@@ -22,7 +22,7 @@ from .errors import (
     TooFewPoints,
     UnsortedKnots,
 )
-from .ndcore import _vec
+from .ndcore import _checked_float, _vec
 
 Fn = Callable[[float], float]
 
@@ -34,6 +34,7 @@ _MAX_GAUSS_ORDER = 64
 def finite_diff(f: Fn, x: float, h: float = 1e-5, scheme: str = "central") -> float:
     """Difference quotient of f at x. central is second order in h,
     forward and backward are first order."""
+    x, h = _checked_float(x, "x"), _checked_float(h, "h")
     if h <= 0:
         raise ValueError("step h must be positive")
     if scheme == "forward":
@@ -46,6 +47,7 @@ def finite_diff(f: Fn, x: float, h: float = 1e-5, scheme: str = "central") -> fl
 
 
 def trapezoid_fn(f: Fn, a: float, b: float, n: int) -> float:
+    a, b = _checked_float(a, "a"), _checked_float(b, "b")
     if n < 1:
         raise BadPartition("need at least one subinterval")
     if not a < b:
@@ -77,6 +79,7 @@ def trapezoid_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def simpson(f: Fn, a: float, b: float, n: int) -> float:
+    a, b = _checked_float(a, "a"), _checked_float(b, "b")
     if n % 2 != 0:
         raise OddPartition("n must be even")
     if n < 2:
@@ -129,6 +132,7 @@ def gauss_rule(n: int) -> GaussRule:
 
 
 def gauss_legendre(f: Fn, a: float, b: float, n: int) -> float:
+    a, b = _checked_float(a, "a"), _checked_float(b, "b")
     rule = gauss_rule(n)
     mid = (a + b) / 2.0
     half = (b - a) / 2.0

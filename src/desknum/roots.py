@@ -22,7 +22,17 @@ from .errors import (
     SingularJacobian,
     ZeroDerivative,
 )
-from .ndcore import Matrix, Vector, _bounded, _dot, _matvec, _norm2, _norm_inf, _vec
+from .ndcore import (
+    Matrix,
+    Vector,
+    _bounded,
+    _checked_float,
+    _dot,
+    _matvec,
+    _norm2,
+    _norm_inf,
+    _vec,
+)
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,7 @@ def bisection(
     max_iter: int = 100,
 ) -> RootReport:
     """Halve [a, b] keeping a sign change; return the midpoint at tolerance."""
+    a, b = _checked_float(a, "a"), _checked_float(b, "b")
     fa, fb = f(a), f(b)
     if fa * fb >= 0:
         raise NoSignChange("f(a) and f(b) must have opposite signs")
@@ -65,7 +76,7 @@ def newton_scalar(
 ) -> RootReport:
     """Newton steps x - f(x)/f'(x); df=None uses a central difference."""
     h = 1e-6
-    x = float(x0)
+    x = _checked_float(x0, "x0")
     for k in range(1, max_iter + 1):
         d = df(x) if df is not None else (f(x + h) - f(x - h)) / (2.0 * h)
         if abs(d) < 1e-14:
@@ -84,6 +95,7 @@ def secant(
     tol: float = 1e-5,
     max_iter: int = 100,
 ) -> RootReport:
+    x0, x1 = _checked_float(x0, "x0"), _checked_float(x1, "x1")
     f0, f1 = f(x0), f(x1)
     for k in range(1, max_iter + 1):
         if abs(f1 - f0) < tol:
@@ -105,7 +117,7 @@ def fixed_point(
     max_iter: int = 100,
 ) -> RootReport:
     """Iterate x <- g(x) until the update defect |g(x) - x| drops below tol."""
-    x = float(x0)
+    x = _checked_float(x0, "x0")
     for k in range(1, max_iter + 1):
         gx = g(x)
         if not _bounded((gx,)):

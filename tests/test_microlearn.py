@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desknum import microlearn as ml
 from desknum.errors import BadArchitecture, NonFinite, ShapeMismatch, TooSmallBatch
@@ -256,6 +258,97 @@ def test_mlp_train_exact_value_pin():
     assert got == MLP_PIN_DIGESTS
 
 
+# the batch-wide kernel against the per-sample, per-unit formulas written
+# out: every dot product is a builtin sum of its products in input order
+# and every gradient an fsum over the batch in sample order, so the two
+# must agree to the last bit on any CPython
+
+
+def _reference_pass(w, b, xs, ys):
+    """Loss and (weight, bias) gradients of one full-batch pass."""
+    acts = [xs]
+    for wl, bl in zip(w, b):
+        layer = []
+        for a in acts[-1]:
+            row = []
+            for j in range(len(bl)):
+                dot = sum(a[i] * wl[i][j] for i in range(len(a)))
+                row.append(ml.sigmoid(dot + bl[j]))
+            layer.append(row)
+        acts.append(layer)
+    out, batch, outs = acts[-1], len(xs), len(ys[0])
+    loss = math.fsum(
+        (out[s][j] - ys[s][j]) ** 2 for s in range(batch) for j in range(outs)
+    ) / (batch * outs)
+    delta = [
+        [
+            2.0 / (batch * outs) * (out[s][j] - ys[s][j]) * ml.sigmoid_derivative(out[s][j])
+            for j in range(outs)
+        ]
+        for s in range(batch)
+    ]
+    g_w, g_b = [None] * len(w), [None] * len(w)
+    for l in reversed(range(len(w))):
+        prev, wl = acts[l], w[l]
+        g_w[l] = [
+            [math.fsum(prev[s][i] * delta[s][j] for s in range(batch)) for j in range(len(wl[0]))]
+            for i in range(len(wl))
+        ]
+        g_b[l] = [math.fsum(delta[s][j] for s in range(batch)) for j in range(len(wl[0]))]
+        hidden = []
+        for s in range(batch):
+            row = []
+            for i in range(len(wl)):
+                dot = sum(delta[s][j] * wl[i][j] for j in range(len(wl[0])))
+                row.append(dot * ml.sigmoid_derivative(prev[s][i]))
+            hidden.append(row)
+        delta = hidden
+    return loss, g_w, g_b
+
+
+def _hexes(value):
+    # float.hex of every float in nested lists, in order
+    if isinstance(value, float):
+        return [value.hex()]
+    return [h for v in value for h in _hexes(v)]
+
+
+_FEATURE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _mlp_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
+    batch = draw(st.integers(1, 8))
+    xs = draw(st.lists(st.lists(_FEATURE, min_size=sizes[0], max_size=sizes[0]), min_size=batch, max_size=batch))
+    ys = [[draw(st.floats(0.0, 1.0)) for _ in range(sizes[-1])] for _ in range(batch)]
+    return sizes, draw(st.integers(0, 2**32)), xs, ys, draw(st.sampled_from([0.1, 0.5, 3.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mlp_cases(), st.integers(1, 4))
+def test_kernel_bits_match_per_sample_formulas(case, epochs):
+    sizes, seed, xs, ys, eta = case
+    p = ml.mlp_init(sizes, seed)
+    x, y = Matrix.from_rows(xs), Matrix.from_rows(ys)
+    w = [m.to_rows() for m in p.weights]
+    b = [list(v.data) for v in p.biases]
+    _, g_w0, g_b0 = _reference_pass(w, b, xs, ys)
+    history = []
+    for _ in range(epochs):
+        loss, g_w, g_b = _reference_pass(w, b, xs, ys)
+        history.append(loss)
+        w = [[[v - eta * g for v, g in zip(r, gr)] for r, gr in zip(wl, gl)] for wl, gl in zip(w, g_w)]
+        b = [[v - eta * g for v, g in zip(bl, gl)] for bl, gl in zip(b, g_b)]
+    got_gw, got_gb = ml.mlp_gradients(p, x, y)
+    trained, got_history = ml.mlp_train(p, x, y, eta, epochs)
+    got_grads = [[m.to_rows() for m in got_gw], [v.data for v in got_gb]]
+    assert _hexes(got_grads) == _hexes([g_w0, g_b0])
+    assert _hexes(got_history) == _hexes(history)
+    got_params = [[m.to_rows() for m in trained.weights], [v.data for v in trained.biases]]
+    assert _hexes(got_params) == _hexes([w, b])
+
+
 # training
 
 
@@ -327,6 +420,23 @@ def test_train_overflowing_update_raises_nonfinite():
         assert ml.mlp_train(p, x, y, eta, 0)[1] == []
         with pytest.raises(NonFinite):
             ml.mlp_train(p, x, y, eta, 1)
+
+
+def test_gradient_sum_overflow_raises_nonfinite():
+    # the weight gradient of a zero net on inputs of 1e308 sums products
+    # that are inf and -inf (fsum raised a bare ValueError) or finite with
+    # an overflowing total (a bare OverflowError)
+    p = ml.MlpParams((1, 1), (Matrix.from_rows([[0.0]]),), (Vector([0.0]),))
+    cases = (
+        ([[1e308], [-1e308]], [[1e150], [1e150]]),
+        ([[1e308], [1e308]], [[-4.0], [-4.0]]),
+    )
+    for xs, ys in cases:
+        x, y = Matrix.from_rows(xs), Matrix.from_rows(ys)
+        with pytest.raises(NonFinite, match="weight gradient overflows"):
+            ml.mlp_gradients(p, x, y)
+        with pytest.raises(NonFinite, match="weight gradient overflows"):
+            ml.mlp_train(p, x, y, 0.5, 1)
 
 
 def test_train_huge_eta_on_xor_saturates_without_overflow():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desknum import autodiff, dynamics, interp, microlearn, ndcore, spectral
+from desknum import autodiff, dynamics, interp, microlearn, ndcore, quadrature, roots, spectral
 from desknum.errors import (
     DivisionByZero,
     EmptyInput,
@@ -91,6 +91,47 @@ def test_non_finite_input_is_named_at_entry(call, what, bad):
     with pytest.raises(NonFinite) as info:
         call(bad)
     assert str(info.value) == f"{what} contains a non-finite entry: {bad!r}"
+
+
+# scalar inputs go through ndcore._checked_float; before it, a NaN
+# endpoint or start point was integrated, iterated or interpolated into a
+# silent NaN, a bare ValueError or a misleading MaxIterations
+
+
+def _x2m2(x):
+    return x * x - 2.0
+
+
+_SPLINE = interp.cubic_spline_build(_KNOTS, [1.0, 3.0, 2.0])
+
+_NAMED_SCALARS = [
+    pytest.param(lambda v: ndcore._checked_float(v, "value"), "value", id="checked_float"),
+    pytest.param(lambda v: quadrature.finite_diff(math.sin, v), "x", id="finite_diff-x"),
+    pytest.param(lambda v: quadrature.finite_diff(math.sin, 1.0, v), "h", id="finite_diff-h"),
+    pytest.param(lambda v: quadrature.trapezoid_fn(math.sin, v, 1.0, 8), "a", id="trapezoid_fn"),
+    pytest.param(lambda v: quadrature.simpson(math.sin, 0.0, v, 8), "b", id="simpson"),
+    pytest.param(lambda v: quadrature.gauss_legendre(math.sin, v, 1.0, 4), "a", id="gauss_legendre"),
+    pytest.param(lambda v: roots.bisection(_x2m2, v, 2.0), "a", id="bisection"),
+    pytest.param(lambda v: roots.newton_scalar(_x2m2, None, v), "x0", id="newton_scalar"),
+    pytest.param(lambda v: roots.secant(_x2m2, v, 2.0), "x0", id="secant"),
+    pytest.param(lambda v: roots.fixed_point(math.cos, v), "x0", id="fixed_point"),
+    pytest.param(lambda v: interp.lagrange_eval(_KNOTS, [1.0, 3.0, 2.0], v), "x", id="lagrange_eval"),
+    pytest.param(
+        lambda v: interp.newton_dd_eval(interp.newton_dd_build(_KNOTS, [1.0, 3.0, 2.0]), v),
+        "x",
+        id="newton_dd_eval",
+    ),
+    pytest.param(lambda v: interp.cubic_spline_eval(_SPLINE, v), "x", id="cubic_spline_eval"),
+    pytest.param(lambda v: interp.linear_interp(_KNOTS, [1.0, 3.0, 2.0], v), "x", id="linear_interp"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call, what", _NAMED_SCALARS)
+def test_non_finite_scalar_is_named_at_entry(call, what, bad):
+    with pytest.raises(NonFinite) as info:
+        call(bad)
+    assert str(info.value) == f"{what} is not finite: {bad!r}"
 
 
 def test_bounded_is_the_divergence_test():

@@ -1,5 +1,6 @@
 """CLI contract tests: serialization round trips, exit codes, artifacts."""
 
+import hashlib
 import math
 import os
 import random
@@ -227,6 +228,65 @@ def test_out_flag_matches_stdout(tmp_path, capsys):
     rc2, out2, _ = run(["eig", "--out", str(path)], capsys)
     assert rc2 == 0 and out2 == ""
     assert path.read_bytes() == out.encode()
+
+
+# run() parses with one parser per process; one session of calls, usage
+# errors and --help included, must give what a parser built afresh for
+# every call gives
+
+_SESSION = [
+    ["linalg", "--op", "inv"],
+    ["solve", "--method", "cg", "--out", "{tmp}/solve.csv"],
+    ["eig"],
+    ["roots", "--f", "x2m4", "--method", "secant"],
+    ["solve", "--method", "bogus"],
+    ["roots", "--f", "circlepara", "--method", "broyden"],
+    ["roots", "--f", "quad", "--method", "bisection"],
+    ["interp", "--method", "spline", "--num", "9"],
+    ["integrate", "--method", "simpson", "--f", "sin", "--a", "0", "--b", "3.14159", "--n", "64"],
+    ["fft", "--n", "16", "--freq", "2", "--fs", "16"],
+    ["xor", "--help"],
+    ["fft", "--out", "{tmp}/fft.csv"],
+    ["image-lowpass", "--in", "{tmp}/in.pgm", "--keep", "3",
+     "--spectrum", "{tmp}/spec.pgm", "--out", "{tmp}/low.pgm"],
+    ["optimize", "--objective", "rosenbrock", "--method", "adam", "--iters", "50"],
+    ["ode", "--problem", "stiff", "--method", "backward_euler", "--out", "{tmp}/ode.csv"],
+    ["heat", "--alpha", "0.01", "--L", "10", "--nx", "21", "--nt", "100", "--t", "1"],
+    ["xor", "--epochs", "50", "--seed", "3"],
+    ["qlearn", "--episodes", "200", "--out", "{tmp}/q.csv"],
+    ["integrate", "--f", "sin"],
+    ["linalg", "--op", "det"],
+]
+_SESSION_CODES = [0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]
+
+
+def _run_session(tmp_path, capsys):
+    results = []
+    for args in _SESSION:
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
+        outs = [argv[i + 1] for i, a in enumerate(argv) if a in ("--out", "--spectrum")]
+        rc = numcli.run(argv)
+        cap = capsys.readouterr()
+        files = []
+        for path in outs:
+            with open(path, "rb") as fh:
+                files.append(fh.read())
+            os.remove(path)
+        results.append((rc, cap.out, cap.err, files))
+    return results
+
+
+def test_reused_parser_matches_a_fresh_parser_per_call(tmp_path, capsys, monkeypatch):
+    _checker_pgm(tmp_path)
+    assert numcli.build_parser() is not numcli.build_parser()
+    reused = _run_session(tmp_path, capsys)
+    assert numcli._parser() is numcli._parser()
+    monkeypatch.setattr(numcli, "_parser", numcli.build_parser)
+    fresh = _run_session(tmp_path, capsys)
+    assert [r[0] for r in reused] == _SESSION_CODES
+    assert all(r[2].startswith("usage error") for r in reused if r[0] == 1)
+    assert "numcli xor" in reused[_SESSION.index(["xor", "--help"])][1]
+    assert reused == fresh
 
 
 # subcommand outputs
@@ -604,6 +664,18 @@ def test_xor_zero_epochs_writes_header_only(capsys):
     rc, out, _ = run(["xor", "--epochs", "0"], capsys)
     assert rc == 0
     assert out == "epoch,loss\n"
+
+
+# sha256 of the default `numcli xor` stdout (10,000 epochs), recorded with
+# the per-sample MLP kernel; builtin sum adds left to right up to CPython
+# 3.11, as the MLP pins in test_microlearn.py assume
+XOR_STDOUT_SHA256 = "95f4b18f71a15578dfe07ee6a2e61ef2f59732d40af143bed8956a85a7d0f75b"
+
+
+def test_xor_default_stdout_pin(capsys):
+    rc, out, err = run(["xor"], capsys)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == XOR_STDOUT_SHA256
 
 
 def test_qlearn_table_shape_and_bounds(capsys):
