@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
 from .errors import BadArchitecture, NonFinite, ShapeMismatch, TooSmallBatch
-from .ndcore import Matrix, Vector, _checked_floats
+from .ndcore import Matrix, Vector, _checked_floats, _transpose
 
 
 def sigmoid_derivative(a: float) -> float:
@@ -97,10 +97,6 @@ def _groups(flat: Iterable[float], k: int) -> Iterator[tuple]:
 def _tiled(flat: List[float], k: int, times: int) -> Iterator[float]:
     # each k-tuple of flat repeated `times` times in a row
     return chain.from_iterable(map(mul, _groups(flat, k), repeat(times)))
-
-
-def _transpose(flat: List[float], cols: int) -> List[float]:
-    return list(chain.from_iterable(zip(*_groups(flat, cols))))
 
 
 def _batch_fsums(terms: Iterable[float], k: int, what: str) -> List[float]:
@@ -312,12 +308,9 @@ class QTable:
     values: Matrix
 
     def best_action(self, state: int) -> int:
-        # ties go to the lowest action index
-        best = 0
-        for j in range(1, self.values.cols):
-            if self.values.get(state, j) > self.values.get(state, best):
-                best = j
-        return best
+        # index finds the first of equal values: ties go to the lowest action
+        row = self.values.row(state)
+        return row.index(max(row))
 
 
 def q_learn(
@@ -349,10 +342,7 @@ def q_learn(
             if rng.random() < eps_explore:
                 action = rng.randrange(env.n_actions)
             else:
-                action = 0
-                for j in range(1, env.n_actions):
-                    if q[state][j] > q[state][action]:
-                        action = j
+                action = q[state].index(max(q[state]))  # as best_action
             nxt, reward = env.step(state, action)
             q[state][action] += alpha * (
                 reward + gamma_disc * max(q[nxt]) - q[state][action]

@@ -323,13 +323,16 @@ def matmul(a: Matrix, b: Matrix, algo: str = "naive") -> Matrix:
     return Matrix.from_rows(out)
 
 
+def _transpose(flat: list, cols: int) -> list:
+    """The row-major `flat` (rows of length cols), column by column."""
+    out = []
+    for c in range(cols):
+        out += flat[c::cols]
+    return out
+
+
 def transpose(a: Matrix) -> Matrix:
-    out = [0.0] * (a.rows * a.cols)
-    for i in range(a.rows):
-        base = i * a.cols
-        for j in range(a.cols):
-            out[j * a.rows + i] = a.data[base + j]
-    return Matrix(a.cols, a.rows, out)
+    return Matrix(a.cols, a.rows, _transpose(a.data, a.cols))
 
 
 def reshape(a: Matrix, r: int, c: int) -> Matrix:

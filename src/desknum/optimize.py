@@ -6,9 +6,11 @@ convex-combination form v = beta*v + (1-beta)*g. Epsilon sits inside
 the square root for adagrad/rmsprop and outside for adam; adamw
 subtracts eta*lambda*theta on top of the adam step.
 
-Newton and quasi-Newton minimizers solve linear systems through
-lindecomp instead of forming explicit inverses. BFGS/L-BFGS use
-backtracking Armijo line search (c = 1e-4, halving).
+newton_minimize is the Newton iteration of roots on grad(x) = 0, with
+the Hessian as Jacobian: each step solves H s = -g by LU instead of
+forming an inverse, and it stops on the same rule as newton_system.
+BFGS/L-BFGS update an inverse-Hessian estimate (dense, or as (s, y)
+pairs) and use backtracking Armijo line search (c = 1e-4, halving).
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from . import lindecomp
+from . import roots
 from .errors import (
     LineSearchFailure,
     MaxIterations,
     NonFinite,
     ShapeMismatch,
-    Singular,
     SingularHessian,
 )
 from .ndcore import Matrix, Vector, _bounded, _dot, _matvec, _norm2, _norm_inf, _vec
@@ -221,21 +222,13 @@ def newton_minimize(
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> MinimizeResult:
-    x = list(_vec(x0, "x0"))
-    g = list(grad(x))
-    if _norm_inf(g) <= 1e-15:
-        return MinimizeResult(Vector(x), 0, _norm_inf(g), True)
-    for k in range(1, max_iter + 1):
-        h = hess(x)
-        try:
-            delta = lindecomp.solve_direct(h, g, "lu")
-        except Singular as exc:
-            raise SingularHessian("Hessian is singular at the current point") from exc
-        x = [p - d for p, d in zip(x, delta.data)]
-        g = list(grad(x))
-        if _norm_inf(delta.data) < tol:
-            return MinimizeResult(Vector(x), k, _norm_inf(g), True)
-    raise MaxIterations(f"no convergence in {max_iter} iterations")
+    """Newton's method on grad(x) = 0 with the Jacobian hess(x): the
+    iteration and stopping rule of roots.newton_system."""
+    model = lambda x, g, s: hess(x)  # noqa: E731
+    rep = roots._newton(
+        grad, model, x0, tol, max_iter, SingularHessian, "no convergence in {} iterations"
+    )
+    return MinimizeResult(rep.root, rep.iterations, rep.residual, True)
 
 
 def _armijo(f, x, fx, g, d):

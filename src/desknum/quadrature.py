@@ -46,13 +46,20 @@ def finite_diff(f: Fn, x: float, h: float = 1e-5, scheme: str = "central") -> fl
     raise ValueError(f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
 
 
+def _width(a: float, b: float) -> float:
+    w = b - a
+    if math.isinf(w):
+        raise NonFinite(f"interval width b - a overflows for a = {a!r}, b = {b!r}")
+    return w
+
+
 def trapezoid_fn(f: Fn, a: float, b: float, n: int) -> float:
     a, b = _checked_float(a, "a"), _checked_float(b, "b")
     if n < 1:
         raise BadPartition("need at least one subinterval")
     if not a < b:
         raise BadPartition("need a < b")
-    h = (b - a) / n
+    h = _width(a, b) / n
     interior = math.fsum(f(a + i * h) for i in range(1, n))
     return (h / 2.0) * (f(a) + 2.0 * interior + f(b))
 
@@ -86,7 +93,7 @@ def simpson(f: Fn, a: float, b: float, n: int) -> float:
         raise BadPartition("need at least two subintervals")
     if not a < b:
         raise BadPartition("need a < b")
-    h = (b - a) / n
+    h = _width(a, b) / n
     acc = [f(a), f(b)]
     acc.extend(4.0 * f(a + i * h) for i in range(1, n, 2))
     acc.extend(2.0 * f(a + i * h) for i in range(2, n, 2))
@@ -135,7 +142,7 @@ def gauss_legendre(f: Fn, a: float, b: float, n: int) -> float:
     a, b = _checked_float(a, "a"), _checked_float(b, "b")
     rule = gauss_rule(n)
     mid = (a + b) / 2.0
-    half = (b - a) / 2.0
+    half = _width(a, b) / 2.0
     return half * math.fsum(
         w * f(mid + half * x) for x, w in zip(rule.nodes, rule.weights)
     )

@@ -4,6 +4,12 @@ Bisection, Newton (analytic or finite-difference derivative), secant, and
 fixed-point iteration for scalars; Newton and Broyden for square nonlinear
 systems. Finders return a RootReport on success and raise MaxIterations when
 the budget runs out.
+
+Newton and Broyden for systems, and optimize.newton_minimize, run one
+iteration, `_newton`, and differ only in their Jacobian model: analytic,
+forward differences, Broyden's rank-one secant update, or the Hessian.
+Each step solves J s = -F by LU; the iteration stops when ||F||_inf <= 1e-15
+(checked at x0 too) or ||s||_2 < tol.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .ndcore import (
     _matvec,
     _norm2,
     _norm_inf,
+    _transpose,
     _vec,
 )
 
@@ -139,8 +146,31 @@ def _fd_jacobian(f_vec: VecFn, x: list[float], fx: list[float]) -> Matrix:
         xp = list(x)
         xp[j] += h
         fp = f_vec(xp)
-        cols.append([(fp[i] - fx[i]) / h for i in range(n)])
-    return Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+        cols += [(fp[i] - fx[i]) / h for i in range(n)]
+    return Matrix(n, n, _transpose(cols, n))
+
+
+def _newton(f_vec, model, x0, tol, max_iter, singular, stalled) -> RootReport:
+    """The Newton iteration of the module docstring. model(x, F(x), s) gives J
+    at x, where s is the step that led to x (None at x0); Singular is raised
+    again as `singular`, and MaxIterations with stalled.format(max_iter)."""
+    # a copy: callbacks receive x, and may not reach a Vector's own list
+    x = list(_vec(x0, "x0"))
+    fx = [float(v) for v in f_vec(x)]
+    if _norm_inf(fx) <= 1e-15:
+        return RootReport(Vector(x), 0, _norm_inf(fx), True)
+    s = None
+    for k in range(1, max_iter + 1):
+        j = model(x, fx, s)
+        try:
+            s = lindecomp.solve_direct(j, [-v for v in fx], "lu").data
+        except Singular as exc:
+            raise singular(str(exc)) from exc
+        x = [xi + si for xi, si in zip(x, s)]
+        fx = [float(v) for v in f_vec(x)]
+        if _norm_inf(fx) <= 1e-15 or _norm2(s) < tol:
+            return RootReport(Vector(x), k, _norm_inf(fx), True)
+    raise MaxIterations(stalled.format(max_iter))
 
 
 def newton_system(
@@ -151,24 +181,12 @@ def newton_system(
     max_iter: int = 100,
 ) -> RootReport:
     """Solve F(x)=0 by J delta = -F steps; stop when ||delta||_2 < tol."""
-    # a copy: callbacks receive x, and may not reach a Vector's own list
-    x = list(_vec(x0, "x0"))
-    fx = [float(v) for v in f_vec(x)]
-    if _norm_inf(fx) <= 1e-15:
-        return RootReport(Vector(x), 0, _norm_inf(fx), True)
-    for k in range(1, max_iter + 1):
-        j = jac(x) if jac is not None else _fd_jacobian(f_vec, x, fx)
-        try:
-            delta = lindecomp.solve_direct(j, [-v for v in fx], "lu")
-        except Singular as exc:
-            raise SingularJacobian(str(exc)) from exc
-        x = [xi + di for xi, di in zip(x, delta)]
-        fx = [float(v) for v in f_vec(x)]
-        if _norm_inf(fx) <= 1e-15:
-            return RootReport(Vector(x), k, _norm_inf(fx), True)
-        if _norm2(delta.data) < tol:
-            return RootReport(Vector(x), k, _norm_inf(fx), True)
-    raise MaxIterations(f"newton system did not converge in {max_iter} iterations")
+    if jac is None:
+        model = lambda x, fx, s: _fd_jacobian(f_vec, x, fx)  # noqa: E731
+    else:
+        model = lambda x, fx, s: jac(x)  # noqa: E731
+    stalled = "newton system did not converge in {} iterations"
+    return _newton(f_vec, model, x0, tol, max_iter, SingularJacobian, stalled)
 
 
 def broyden(
@@ -179,31 +197,18 @@ def broyden(
     max_iter: int = 100,
 ) -> RootReport:
     """Quasi-Newton with the rank-one update B += ((y - B s) s^T)/(s^T s)."""
-    x = list(_vec(x0, "x0"))
-    n = len(x)
-    jac = Matrix.identity(n) if b0 is None else b0
-    fx = [float(v) for v in f_vec(x)]
-    if _norm_inf(fx) <= 1e-15:
-        return RootReport(Vector(x), 0, _norm_inf(fx), True)
-    for k in range(1, max_iter + 1):
-        try:
-            s = lindecomp.solve_direct(jac, [-v for v in fx], "lu").data
-        except Singular as exc:
-            raise SingularApproximation(str(exc)) from exc
-        x_new = [xi + si for xi, si in zip(x, s)]
-        f_new = [float(v) for v in f_vec(x_new)]
-        if _norm_inf(f_new) <= 1e-15:
-            return RootReport(Vector(x_new), k, _norm_inf(f_new), True)
-        if _norm2(s) < tol:
-            return RootReport(Vector(x_new), k, _norm_inf(f_new), True)
-        y = [a - b for a, b in zip(f_new, fx)]
-        brows = jac.to_rows()
-        bs = _matvec(brows, s)
-        sts = _dot(s, s)
-        upd = [
-            [brows[i][j] + (y[i] - bs[i]) * s[j] / sts for j in range(n)]
-            for i in range(n)
-        ]
-        jac = Matrix.from_rows(upd)
-        x, fx = x_new, f_new
-    raise MaxIterations(f"broyden did not converge in {max_iter} iterations")
+    rows = (Matrix.identity(len(_vec(x0, "x0"))) if b0 is None else b0).to_rows()
+    f_old: list[float] = []
+
+    def secant_model(x, fx, s):
+        # s, the step to x, did not stop the iteration: ||s||_2 >= tol
+        if s is not None:
+            bs, sts = _matvec(rows, s), _dot(s, s)
+            for row, fi, fo, bsi in zip(rows, fx, f_old, bs):
+                r = fi - fo - bsi
+                row[:] = [b + r * sj / sts for b, sj in zip(row, s)]
+        f_old[:] = fx
+        return Matrix.from_rows(rows)
+
+    stalled = "broyden did not converge in {} iterations"
+    return _newton(f_vec, secant_model, x0, tol, max_iter, SingularApproximation, stalled)

@@ -51,7 +51,7 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
 )
-from .ndcore import Vector, _checked_floats, _vec
+from .ndcore import Vector, _checked_floats, _transpose, _vec
 
 
 class ComplexVec:
@@ -384,7 +384,7 @@ def _fft2_band(img: Image2D, height: int, width: int) -> list[list[complex]]:
     from the symmetry F[u][v] = conj F[-u][cols - v] of a real image."""
     rows, cols = img.rows, img.cols
     low = min(width, cols // 2 + 1)
-    t = _transpose(_rfft_rows(img.data, rows, cols, low), low, low)
+    t = _transpose(_rfft_rows(img.data, rows, cols, low), low)
     _fft_inplace(t, inverse=False, block=rows)
     band = [t[u::rows] for u in range(height)]
     if width > low:
@@ -406,17 +406,9 @@ def ifft2(field: Sequence[ComplexVec]) -> list[ComplexVec]:
     for row in field:
         grid += map(complex, row.re, row.im)
     _fft_inplace(grid, inverse=True, block=cols)
-    t = _transpose(grid, cols, cols)
+    t = _transpose(grid, cols)
     _fft_inplace(t, inverse=True, block=rows)
     return [_from_complex(t[r::rows]) for r in range(rows)]
-
-
-def _transpose(a: list, cols: int, take: int) -> list:
-    """First `take` columns of the row-major a (row length cols), column by column."""
-    out: list[complex] = []
-    for c in range(take):
-        out += a[c::cols]
-    return out
 
 
 def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vector:
@@ -496,7 +488,7 @@ def _pool_band(band: list[list[complex]], rows: int, cols: int) -> Image2D:
     out = _irfft_rows(half, cols, rows)
     if not all(map(math.isfinite, out)):
         raise NonFinite("complex entries must be finite")
-    return _image(rows, cols, _transpose(out, rows, rows))
+    return _image(rows, cols, _transpose(out, rows))
 
 
 def spectrum(signal: Sequence[float], sample_spacing: float) -> Spectrum:

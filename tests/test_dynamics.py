@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desknum import dynamics as dyn
+from desknum import roots
 from desknum.errors import NewtonFailure, NonFinite, ShapeMismatch, Unstable
 
 
@@ -175,6 +176,29 @@ def test_backward_euler_unconditionally_stable():
 def test_backward_euler_zero_rhs():
     tr = solve(dyn.backward_euler_solve, lambda t, y: [0.0], [4.0], 0.5, 2.0)
     assert all(v == 4.0 for v in tr.component(0))
+
+
+def test_backward_euler_calls_rhs_only_inside_newton(monkeypatch):
+    # each step's Newton solve calls the rhs once at the start and n + 1
+    # times per iteration (n finite-difference columns and the new point);
+    # the step reads its residual from the report and makes no more calls
+    calls, expected = [0], [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return [-50.0 * (y[0] - math.cos(t)), -2.0 * y[1] + 0.1 * y[0] ** 2]
+
+    real = roots.newton_system
+
+    def counted(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        expected[0] += 1 + rep.iterations * 3
+        return rep
+
+    monkeypatch.setattr(roots, "newton_system", counted)
+    tr = solve(dyn.backward_euler_solve, rhs, [1.0, 0.5], 0.1, 1.0)
+    assert len(tr.ts) == 11
+    assert calls[0] == expected[0]
 
 
 def test_backward_euler_newton_failure():

@@ -221,6 +221,16 @@ def test_gauss_high_order_still_accurate():
     assert abs(quadrature.gauss_legendre(math.sin, 0.0, math.pi, 64) - 2.0) <= 1e-12
 
 
+@pytest.mark.parametrize("f", [math.sin, lambda x: x], ids=["sin", "identity"])
+@pytest.mark.parametrize(
+    "rule", [quadrature.trapezoid_fn, quadrature.simpson, quadrature.gauss_legendre]
+)
+def test_overflowing_width_raises_nonfinite(rule, f):
+    # both endpoints are finite, but b - a overflows to inf
+    with pytest.raises(NonFinite, match="width"):
+        rule(f, -1e308, 1e308, 4)
+
+
 def test_gauss_bad_order():
     with pytest.raises(BadOrder):
         quadrature.gauss_rule(0)
