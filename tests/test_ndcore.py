@@ -1,6 +1,8 @@
 """Matrix/vector kernel: goldens, error contracts, algebraic properties."""
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -132,6 +134,53 @@ def test_non_finite_scalar_is_named_at_entry(call, what, bad):
     with pytest.raises(NonFinite) as info:
         call(bad)
     assert str(info.value) == f"{what} is not finite: {bad!r}"
+
+
+# Per-case float.hex digests of the finite-difference derivatives over seeded
+# inputs: finite_diff in each scheme, hessian_fd on seeded tapes and
+# newton_scalar with df=None on seeded scalar equations. Each entry covers the
+# values (and the iteration count, or the error text) of one case.
+
+
+def fd_outputs(name, k):
+    rng = random.Random(f"{name}-{k}")
+    a, b, c = rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(-5.0, 5.0)
+    x = [rng.uniform(-2.0, 2.0) for _ in range(1 + k % 3)]
+    h = (1e-5, 1e-3, 1e-7, 1e-9)[k % 4]
+    if name == "finite_diff":
+        f = lambda t: t**3 + a * math.sin(b * t) - c  # noqa: E731
+        return [quadrature.finite_diff(f, x[0], h, scheme) for scheme in ("forward", "backward", "central")], ""
+    if name == "hessian_fd":
+
+        def g(*v):
+            return sum(a * vi**4 + b * vi * vi for vi in v) + c * autodiff.sin(v[0] * v[-1]) + autodiff.exp(0.3 * v[-1])
+
+        return autodiff.hessian_fd(g, x, h=h).data, ""
+    f = lambda t: t**3 + a * math.sin(b * t) - c  # noqa: E731
+    rep = roots.newton_scalar(f, None, 3.0 * x[0], tol=(1e-5, 1e-10, 1e-14)[k % 3])
+    return [rep.root, rep.residual], f";{rep.iterations}"
+
+
+def fd_case_digest(name, k):
+    try:
+        values, tail = fd_outputs(name, k)
+        out = ",".join(map(float.hex, values)) + tail
+    except Exception as exc:  # the error and its text are part of the recorded outcome
+        out = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+FD_DIGESTS = {
+    "finite_diff": ["4a704818d078f627", "1b632c365cfbf178", "775de5a0bdeb1063", "acb0d94c19190184", "3300958fe6067fb6", "83b4efd08c59de5b", "95822be6d858dd6a", "e40190ea2a21f4fc", "a8dc32f4ffaa23e4", "1cb591bd3dd6696e", "d92cbe5a3f7699f7", "c1c06c4943a8f85d"],
+    "hessian_fd": ["6704c071fb14a58a", "dabe5b7a365f300e", "80b5438a20c6b7fd", "2eb91e678900552b", "ae3cc90fa6b4d02f", "90d01009a9442515", "f4c4aa1c048b3096", "cc91d772b501bc43", "b35bff23e1a8cc79", "4085e2e0d0b3cec5", "427a73950b849886", "fdaa86e2f8159f17"],
+    "newton_scalar": ["15a191c52b15dc5e", "2e924fc61f1ab961", "05a64d6d9b504d09", "ab9dcce240d91b50", "70a47da2d5c45835", "1a9b5d0b715b6d07", "b45434c369d60948", "05d7f9a03fb4cdc1", "ca5301231eb27f23", "5126f5a64a406861", "165bc71ab598f523", "262a292e54ab286a"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FD_DIGESTS))
+def test_finite_difference_bit_level_digest(name):
+    digests = FD_DIGESTS[name]
+    assert [fd_case_digest(name, k) for k in range(len(digests))] == digests
 
 
 def test_bounded_is_the_divergence_test():

@@ -1,5 +1,6 @@
 """Optimizer tests: update-rule goldens, schedules, and minimizer runs."""
 
+import hashlib
 import math
 import random
 
@@ -348,6 +349,64 @@ def test_line_search_failure():
     # can satisfy sufficient decrease
     with pytest.raises(LineSearchFailure):
         opt.bfgs_minimize(lambda v: v[0], lambda v: [-1.0], [0.0])
+
+
+# Per-case float.hex digests of the quasi-Newton minimizers over seeded
+# objectives f(x) = sum w (x - c)^2 + (x - c)^4 / 4 + a sin(sum x), which are
+# not convex where a is large, so some steps fail the curvature guard. Each
+# entry covers x, the residual, fval, the returned inverse-Hessian estimate or
+# (s, y) pairs and the iteration count (or the error text) of one case.
+
+
+def seeded_objective(rng, n):
+    c = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    w = [rng.uniform(0.05, 20.0) for _ in range(n)]
+    a = rng.uniform(0.0, 4.0)
+
+    def f(x):
+        r = [xi - ci for xi, ci in zip(x, c)]
+        return math.fsum(wi * ri * ri + 0.25 * ri**4 for wi, ri in zip(w, r)) + a * math.sin(math.fsum(x))
+
+    def grad(x):
+        t = a * math.cos(math.fsum(x))
+        return [2.0 * wi * (xi - ci) + (xi - ci) ** 3 + t for wi, xi, ci in zip(w, x, c)]
+
+    return f, grad, [rng.uniform(-3.0, 3.0) for _ in range(n)]
+
+
+def quasi_newton_outputs(name, k):
+    rng = random.Random(f"{name}-{k}")
+    f, grad, x0 = seeded_objective(rng, 1 + k % 4)
+    tol, max_iter = (1e-6, 200) if k % 4 else (1e-11, 30)
+    if name == "bfgs":
+        res = opt.bfgs_minimize(f, grad, x0, tol=tol, max_iter=max_iter)
+        model = res.state.h_inv.data
+    else:
+        res = opt.lbfgs_minimize(f, grad, x0, memory=1 + k % 3, tol=tol, max_iter=max_iter)
+        model = [v for s, y in res.state.pairs for v in s + y]
+    tail = f";{res.iterations};{len(model)};{res.state.memory}"
+    return list(res.x.data) + [res.residual, res.fval] + model, tail
+
+
+def quasi_newton_case_digest(name, k):
+    try:
+        values, tail = quasi_newton_outputs(name, k)
+        out = ",".join(map(float.hex, values)) + tail
+    except Exception as exc:  # the error and its text are part of the recorded outcome
+        out = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+QUASI_NEWTON_DIGESTS = {
+    "bfgs": ["2089f52b514f3a1d", "f7e3bad53b0d9440", "a0ec53fa017d716f", "b17e92099122d0df", "a36ba4571e55967a", "774de827b1916e5b", "d1fcc485f89b3d36", "e14903d8491a229c", "77cf1d809e2e46d9", "769634a40cd77005", "de37617e97c2e080", "a46d44f56cf17c91"],
+    "lbfgs": ["cbe4b1cd46c5ee48", "58071a070e63fe4c", "f848162d02138bca", "65697daa6fcb5340", "abd41293ea8c9c5d", "272a50a0cee80b18", "53f374558eb5b866", "b3fac8fa69ed4547", "69961d5d7a603d0e", "4744707854a4e47b", "da087ee056db0b48", "52c9c66fd22ffdbb"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUASI_NEWTON_DIGESTS))
+def test_quasi_newton_bit_level_digest(name):
+    digests = QUASI_NEWTON_DIGESTS[name]
+    assert [quasi_newton_case_digest(name, k) for k in range(len(digests))] == digests
 
 
 # nelder-mead
