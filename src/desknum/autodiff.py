@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, NonFinite
-from .ndcore import Matrix, _checked_floats
+from .ndcore import Matrix, _checked_floats, _fd_columns
 
 
 @dataclass(frozen=True)
@@ -229,14 +229,6 @@ def hessian_fd(f: Callable[..., Expr], x: Sequence[float], h: float = 1e-5) -> M
         raise ValueError("h must be positive")
     xs = _checked_floats(x, "x")
     n = len(xs)
-    cols = []
-    for j in range(n):
-        xp = list(xs)
-        xm = list(xs)
-        xp[j] += h
-        xm[j] -= h
-        gp = gradient(record(f, xp)[1]).partials
-        gm = gradient(record(f, xm)[1]).partials
-        cols.append([(a - b) / (2.0 * h) for a, b in zip(gp, gm)])
+    cols = _fd_columns(lambda v: gradient(record(f, v)[1]).partials, xs, h)
     out = [[(cols[j][i] + cols[i][j]) / 2.0 for j in range(n)] for i in range(n)]
     return Matrix.from_rows(out)

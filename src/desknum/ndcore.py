@@ -6,13 +6,16 @@ reductions, naive (row-by-column dot product) and Strassen multiplication
 transpose/reshape, vector geometry, norms, and absolute/relative error
 metrics. Everything is a pure function over immutable values.
 
-Two decisions are made here and nowhere else. `_checked_floats` is the one
+Three decisions are made here and nowhere else. `_checked_floats` is the one
 gate for floats from outside: every caller input in the package is converted
 by float() and required finite there (through `_vec` where an empty input is
 an error, and through `_checked_float` for a single scalar), and NonFinite
 names the input and its first bad entry.
 `_bounded` is the one divergence test: an iterate is data while every entry
 is within DIVERGE_LIMIT in magnitude.
+`_fd_columns` is the one finite-difference kernel of the solvers: the
+derivative of newton_scalar, the Jacobian of newton_system and the Hessian of
+autodiff.hessian_fd are its columns, each at the step its caller passes.
 """
 
 from __future__ import annotations
@@ -59,6 +62,23 @@ def _checked_float(value: float, what: str) -> float:
 def _bounded(values: Iterable[float]) -> bool:
     # false for NaN too, which fails every comparison
     return all(abs(v) <= DIVERGE_LIMIT for v in values)
+
+
+def _fd_columns(f, x: list[float], h: float, fx=None) -> list[list[float]]:
+    """Column j is the difference quotient of the list-valued f along x_j:
+    forward from fx = f(x) if given, else central, f(x + h e_j) called first."""
+    cols = []
+    for j in range(len(x)):
+        xp = list(x)
+        xp[j] += h
+        fp = f(xp)
+        if fx is None:
+            xm = list(x)
+            xm[j] -= h
+            cols.append([(a - b) / (2.0 * h) for a, b in zip(fp, f(xm))])
+        else:
+            cols.append([(a - b) / h for a, b in zip(fp, fx)])
+    return cols
 
 
 class Matrix:

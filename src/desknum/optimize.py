@@ -9,14 +9,20 @@ subtracts eta*lambda*theta on top of the adam step.
 newton_minimize is the Newton iteration of roots on grad(x) = 0, with
 the Hessian as Jacobian: each step solves H s = -g by LU instead of
 forming an inverse, and it stops on the same rule as newton_system.
-BFGS/L-BFGS update an inverse-Hessian estimate (dense, or as (s, y)
-pairs) and use backtracking Armijo line search (c = 1e-4, halving).
+bfgs_minimize and lbfgs_minimize run one quasi-Newton loop, `_quasi_newton`,
+and differ only in their model of the inverse Hessian H: dense rows (BFGS)
+or the last `memory` (s, y) pairs (L-BFGS). Each step goes along -H g, or
+along -g from H = I when -H g does not descend, by backtracking Armijo line
+search (c = 1e-4, halving). The model then takes in s and y; a pair with
+y's <= _CURVATURE_GUARD leaves H as it is in BFGS and drops the oldest pair
+in L-BFGS. The loop stops when ||g||_inf < tol, checked at x0 too.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -244,6 +250,99 @@ def _armijo(f, x, fx, g, d):
     raise LineSearchFailure("backtracking found no sufficient decrease")
 
 
+def _quasi_newton(f, grad, x0, tol, max_iter, new_model) -> MinimizeResult:
+    """The quasi-Newton loop of the module docstring. new_model(n) is H = I_n,
+    with direction(g) = -H g, update(s, y, rho) for rho = 1/y's, or None for a
+    pair past the curvature guard, and state(), the QuasiNewtonState returned."""
+    x = list(_vec(x0, "x0"))
+    g = list(grad(x))
+    fx = f(x)
+    model = new_model(len(x))
+    k = 0
+    while not _norm_inf(g) < tol:
+        if k >= max_iter:
+            raise MaxIterations(f"no convergence in {max_iter} iterations")
+        k += 1
+        d = model.direction(g)
+        if _dot(d, g) >= 0.0:
+            # stale curvature made the direction non-descending; restart from I
+            model = new_model(len(x))
+            d = [-v for v in g]
+        x_new, f_new = _armijo(f, x, fx, g, d)
+        g_new = list(grad(x_new))
+        s = [a - b for a, b in zip(x_new, x)]
+        y = [a - b for a, b in zip(g_new, g)]
+        ys = _dot(y, s)
+        model.update(s, y, 1.0 / ys if ys > _CURVATURE_GUARD else None)
+        x, g, fx = x_new, g_new, f_new
+    return MinimizeResult(Vector(x), k, _norm_inf(g), True, fx, model.state())
+
+
+class _DenseInverse:
+    """BFGS: H as a dense list of rows."""
+
+    def __init__(self, n):
+        self.h = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+    def direction(self, g):
+        return [-v for v in _matvec(self.h, g)]
+
+    def update(self, s, y, rho):
+        if rho is None:
+            return
+        h, n = self.h, len(s)
+        hy = _matvec(h, y)
+        yhy = _dot(y, hy)
+        # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, expanded
+        for i in range(n):
+            for j in range(n):
+                h[i][j] += (
+                    rho * rho * yhy * s[i] * s[j]
+                    + rho * s[i] * s[j]
+                    - rho * (s[i] * hy[j] + hy[i] * s[j])
+                )
+        for i in range(n):
+            for j in range(i + 1, n):
+                h[i][j] = h[j][i] = 0.5 * (h[i][j] + h[j][i])
+
+    def state(self):
+        return QuasiNewtonState(h_inv=Matrix.from_rows(self.h))
+
+
+class _PairBuffer(deque):
+    """L-BFGS: H from the last maxlen pairs (s, y) by the two-loop recursion."""
+
+    def direction(self, g):
+        q = [-v for v in g]
+        if not self:
+            return q
+        alphas = []
+        for s, y in reversed(self):
+            rho = 1.0 / _dot(y, s)
+            alpha = rho * _dot(s, q)
+            alphas.append((rho, alpha, s, y))
+            q = [a - alpha * b for a, b in zip(q, y)]
+        s_last, y_last = self[-1]
+        gamma = _dot(s_last, y_last) / _dot(y_last, y_last)
+        q = [gamma * v for v in q]
+        for rho, alpha, s, y in reversed(alphas):
+            beta = rho * _dot(y, q)
+            q = [a + (alpha - beta) * b for a, b in zip(q, s)]
+        return q
+
+    def update(self, s, y, rho):
+        if rho is not None:
+            self.append((tuple(s), tuple(y)))  # drops the oldest when full
+        elif self:
+            # Armijo steps can land where y's = s'y <= 0; the pair is
+            # unusable and the remembered model is going stale, so age
+            # out the oldest entry instead of crawling on it forever
+            self.popleft()
+
+    def state(self):
+        return QuasiNewtonState(pairs=tuple(self), memory=self.maxlen)
+
+
 def bfgs_minimize(
     f: Callable[[Sequence[float]], float],
     grad: VecFn,
@@ -251,53 +350,7 @@ def bfgs_minimize(
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> MinimizeResult:
-    x = list(_vec(x0, "x0"))
-    n = len(x)
-    g = list(grad(x))
-    fx = f(x)
-    h = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    if _norm_inf(g) < tol:
-        return MinimizeResult(
-            Vector(x), 0, _norm_inf(g), True, fx, _qn_state_from_dense(h)
-        )
-    for k in range(1, max_iter + 1):
-        d = [-v for v in _matvec(h, g)]
-        if _dot(d, g) >= 0.0:
-            # stale curvature made the direction non-descending; restart from I
-            h = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-            d = [-v for v in g]
-        x_new, f_new = _armijo(f, x, fx, g, d)
-        g_new = list(grad(x_new))
-        s = [a - b for a, b in zip(x_new, x)]
-        y = [a - b for a, b in zip(g_new, g)]
-        ys = _dot(y, s)
-        if ys > _CURVATURE_GUARD:
-            rho = 1.0 / ys
-            hy = _matvec(h, y)
-            yhy = _dot(y, hy)
-            # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, expanded
-            for i in range(n):
-                for j in range(n):
-                    h[i][j] += (
-                        rho * rho * yhy * s[i] * s[j]
-                        + rho * s[i] * s[j]
-                        - rho * (s[i] * hy[j] + hy[i] * s[j])
-                    )
-            for i in range(n):
-                for j in range(i + 1, n):
-                    avg = 0.5 * (h[i][j] + h[j][i])
-                    h[i][j] = avg
-                    h[j][i] = avg
-        x, g, fx = x_new, g_new, f_new
-        if _norm_inf(g) < tol:
-            return MinimizeResult(
-                Vector(x), k, _norm_inf(g), True, fx, _qn_state_from_dense(h)
-            )
-    raise MaxIterations(f"no convergence in {max_iter} iterations")
-
-
-def _qn_state_from_dense(h: list[list[float]]) -> QuasiNewtonState:
-    return QuasiNewtonState(h_inv=Matrix.from_rows(h))
+    return _quasi_newton(f, grad, x0, tol, max_iter, _DenseInverse)
 
 
 def lbfgs_minimize(
@@ -310,56 +363,7 @@ def lbfgs_minimize(
 ) -> MinimizeResult:
     if memory < 1:
         raise ValueError("memory must be >= 1")
-    x = list(_vec(x0, "x0"))
-    g = list(grad(x))
-    fx = f(x)
-    pairs: list[tuple[list[float], list[float]]] = []
-    if _norm_inf(g) < tol:
-        return MinimizeResult(Vector(x), 0, _norm_inf(g), True, fx, QuasiNewtonState(pairs=(), memory=memory))
-    for k in range(1, max_iter + 1):
-        d = _two_loop_direction(g, pairs)
-        if _dot(d, g) >= 0.0:
-            pairs.clear()
-            d = [-v for v in g]
-        x_new, f_new = _armijo(f, x, fx, g, d)
-        g_new = list(grad(x_new))
-        s = [a - b for a, b in zip(x_new, x)]
-        y = [a - b for a, b in zip(g_new, g)]
-        if _dot(y, s) > _CURVATURE_GUARD:
-            pairs.append((s, y))
-            if len(pairs) > memory:
-                pairs.pop(0)
-        elif pairs:
-            # Armijo steps can land where y's = s'y <= 0; the pair is
-            # unusable and the remembered model is going stale, so age
-            # out the oldest entry instead of crawling on it forever
-            pairs.pop(0)
-        x, g, fx = x_new, g_new, f_new
-        if _norm_inf(g) < tol:
-            state = QuasiNewtonState(
-                pairs=tuple((tuple(s), tuple(y)) for s, y in pairs), memory=memory
-            )
-            return MinimizeResult(Vector(x), k, _norm_inf(g), True, fx, state)
-    raise MaxIterations(f"no convergence in {max_iter} iterations")
-
-
-def _two_loop_direction(g, pairs):
-    q = [-v for v in g]
-    if not pairs:
-        return q
-    alphas = []
-    for s, y in reversed(pairs):
-        rho = 1.0 / _dot(y, s)
-        alpha = rho * _dot(s, q)
-        alphas.append((rho, alpha, s, y))
-        q = [a - alpha * b for a, b in zip(q, y)]
-    s_last, y_last = pairs[-1]
-    gamma = _dot(s_last, y_last) / _dot(y_last, y_last)
-    q = [gamma * v for v in q]
-    for rho, alpha, s, y in reversed(alphas):
-        beta = rho * _dot(y, q)
-        q = [a + (alpha - beta) * b for a, b in zip(q, s)]
-    return q
+    return _quasi_newton(f, grad, x0, tol, max_iter, lambda n: _PairBuffer(maxlen=memory))
 
 
 def _initial_simplex(f, x: list[float]):

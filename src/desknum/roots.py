@@ -34,10 +34,10 @@ from .ndcore import (
     _bounded,
     _checked_float,
     _dot,
+    _fd_columns,
     _matvec,
     _norm2,
     _norm_inf,
-    _transpose,
     _vec,
 )
 
@@ -82,10 +82,9 @@ def newton_scalar(
     max_iter: int = 100,
 ) -> RootReport:
     """Newton steps x - f(x)/f'(x); df=None uses a central difference."""
-    h = 1e-6
     x = _checked_float(x0, "x0")
     for k in range(1, max_iter + 1):
-        d = df(x) if df is not None else (f(x + h) - f(x - h)) / (2.0 * h)
+        d = df(x) if df is not None else _fd_columns(lambda v: [f(v[0])], [x], 1e-6)[0][0]
         if abs(d) < 1e-14:
             raise ZeroDerivative(f"derivative vanished at x={x}")
         x_new = x - f(x) / d
@@ -138,18 +137,6 @@ def fixed_point(
 VecFn = Callable[[Sequence[float]], Sequence[float]]
 
 
-def _fd_jacobian(f_vec: VecFn, x: list[float], fx: list[float]) -> Matrix:
-    h = 1e-7
-    n = len(x)
-    cols = []
-    for j in range(n):
-        xp = list(x)
-        xp[j] += h
-        fp = f_vec(xp)
-        cols += [(fp[i] - fx[i]) / h for i in range(n)]
-    return Matrix(n, n, _transpose(cols, n))
-
-
 def _newton(f_vec, model, x0, tol, max_iter, singular, stalled) -> RootReport:
     """The Newton iteration of the module docstring. model(x, F(x), s) gives J
     at x, where s is the step that led to x (None at x0); Singular is raised
@@ -182,7 +169,9 @@ def newton_system(
 ) -> RootReport:
     """Solve F(x)=0 by J delta = -F steps; stop when ||delta||_2 < tol."""
     if jac is None:
-        model = lambda x, fx, s: _fd_jacobian(f_vec, x, fx)  # noqa: E731
+        model = lambda x, fx, s: Matrix.from_rows(  # noqa: E731
+            list(zip(*_fd_columns(f_vec, x, 1e-7, fx)))
+        )
     else:
         model = lambda x, fx, s: jac(x)  # noqa: E731
     stalled = "newton system did not converge in {} iterations"
