@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, NonFinite
-from .ndcore import Matrix, _checked_floats, _fd_columns
+from .ndcore import Matrix, _checked_float, _checked_floats, _fd_columns
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,7 @@ def jacobian(f: Callable[..., Sequence[Expr]], x: Sequence[float]) -> Matrix:
 
 def hessian_fd(f: Callable[..., Expr], x: Sequence[float], h: float = 1e-5) -> Matrix:
     """Central finite differences of the reverse-mode gradient, symmetrized."""
+    h = _checked_float(h, "h")
     if h <= 0.0:
         raise ValueError("h must be positive")
     xs = _checked_floats(x, "x")

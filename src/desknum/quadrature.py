@@ -38,12 +38,14 @@ def finite_diff(f: Fn, x: float, h: float = 1e-5, scheme: str = "central") -> fl
     if h <= 0:
         raise ValueError("step h must be positive")
     if scheme == "forward":
-        return (f(x + h) - f(x)) / h
-    if scheme == "backward":
-        return (f(x) - f(x - h)) / h
-    if scheme == "central":
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    raise ValueError(f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
+        d = (f(x + h) - f(x)) / h
+    elif scheme == "backward":
+        d = (f(x) - f(x - h)) / h
+    elif scheme == "central":
+        d = (f(x + h) - f(x - h)) / (2.0 * h)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
+    return _finite(d, f"{scheme} difference quotient")
 
 
 def _width(a: float, b: float) -> float:
@@ -53,6 +55,21 @@ def _width(a: float, b: float) -> float:
     return w
 
 
+def _fsum(terms: list[float], rule: str) -> float:
+    # fsum raises OverflowError when a finite sum overflows and ValueError on
+    # inf - inf; callers evaluate f into terms first, so f's own errors pass
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise NonFinite(f"{rule} sum overflows") from None
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise NonFinite(f"{what} is not finite: {value!r}")
+    return value
+
+
 def trapezoid_fn(f: Fn, a: float, b: float, n: int) -> float:
     a, b = _checked_float(a, "a"), _checked_float(b, "b")
     if n < 1:
@@ -60,8 +77,8 @@ def trapezoid_fn(f: Fn, a: float, b: float, n: int) -> float:
     if not a < b:
         raise BadPartition("need a < b")
     h = _width(a, b) / n
-    interior = math.fsum(f(a + i * h) for i in range(1, n))
-    return (h / 2.0) * (f(a) + 2.0 * interior + f(b))
+    interior = _fsum([f(a + i * h) for i in range(1, n)], "trapezoid")
+    return _finite((h / 2.0) * (f(a) + 2.0 * interior + f(b)), "trapezoid rule")
 
 
 def trapezoid_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -74,15 +91,8 @@ def trapezoid_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
     for p, q in zip(xs, xs[1:]):
         if q < p:
             raise UnsortedKnots("sample abscissae must be nondecreasing")
-    try:
-        total = math.fsum(
-            (xs[i + 1] - xs[i]) * (ys[i] + ys[i + 1]) / 2.0 for i in range(len(xs) - 1)
-        )
-    except (OverflowError, ValueError):
-        total = math.inf
-    if not math.isfinite(total):
-        raise NonFinite("trapezoid sum overflows")
-    return total
+    terms = [(xs[i + 1] - xs[i]) * (ys[i] + ys[i + 1]) / 2.0 for i in range(len(xs) - 1)]
+    return _finite(_fsum(terms, "trapezoid"), "trapezoid sum")
 
 
 def simpson(f: Fn, a: float, b: float, n: int) -> float:
@@ -97,7 +107,7 @@ def simpson(f: Fn, a: float, b: float, n: int) -> float:
     acc = [f(a), f(b)]
     acc.extend(4.0 * f(a + i * h) for i in range(1, n, 2))
     acc.extend(2.0 * f(a + i * h) for i in range(2, n, 2))
-    return (h / 3.0) * math.fsum(acc)
+    return _finite((h / 3.0) * _fsum(acc, "simpson"), "simpson rule")
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,5 @@ def gauss_legendre(f: Fn, a: float, b: float, n: int) -> float:
     rule = gauss_rule(n)
     mid = (a + b) / 2.0
     half = _width(a, b) / 2.0
-    return half * math.fsum(
-        w * f(mid + half * x) for x, w in zip(rule.nodes, rule.weights)
-    )
+    terms = [w * f(mid + half * x) for x, w in zip(rule.nodes, rule.weights)]
+    return _finite(half * _fsum(terms, "gauss_legendre"), "gauss_legendre rule")

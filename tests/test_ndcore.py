@@ -110,6 +110,7 @@ _NAMED_SCALARS = [
     pytest.param(lambda v: ndcore._checked_float(v, "value"), "value", id="checked_float"),
     pytest.param(lambda v: quadrature.finite_diff(math.sin, v), "x", id="finite_diff-x"),
     pytest.param(lambda v: quadrature.finite_diff(math.sin, 1.0, v), "h", id="finite_diff-h"),
+    pytest.param(lambda v: autodiff.hessian_fd(lambda a: a * a, [1.0], v), "h", id="hessian_fd-h"),
     pytest.param(lambda v: quadrature.trapezoid_fn(math.sin, v, 1.0, 8), "a", id="trapezoid_fn"),
     pytest.param(lambda v: quadrature.simpson(math.sin, 0.0, v, 8), "b", id="simpson"),
     pytest.param(lambda v: quadrature.gauss_legendre(math.sin, v, 1.0, 4), "a", id="gauss_legendre"),
@@ -147,16 +148,17 @@ def fd_outputs(name, k):
     a, b, c = rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(-5.0, 5.0)
     x = [rng.uniform(-2.0, 2.0) for _ in range(1 + k % 3)]
     h = (1e-5, 1e-3, 1e-7, 1e-9)[k % 4]
+
+    def f(t):
+        return t**3 + a * math.sin(b * t) - c
+
+    def g(*v):
+        return sum(a * vi**4 + b * vi * vi for vi in v) + c * autodiff.sin(v[0] * v[-1]) + autodiff.exp(0.3 * v[-1])
+
     if name == "finite_diff":
-        f = lambda t: t**3 + a * math.sin(b * t) - c  # noqa: E731
         return [quadrature.finite_diff(f, x[0], h, scheme) for scheme in ("forward", "backward", "central")], ""
     if name == "hessian_fd":
-
-        def g(*v):
-            return sum(a * vi**4 + b * vi * vi for vi in v) + c * autodiff.sin(v[0] * v[-1]) + autodiff.exp(0.3 * v[-1])
-
         return autodiff.hessian_fd(g, x, h=h).data, ""
-    f = lambda t: t**3 + a * math.sin(b * t) - c  # noqa: E731
     rep = roots.newton_scalar(f, None, 3.0 * x[0], tol=(1e-5, 1e-10, 1e-14)[k % 3])
     return [rep.root, rep.residual], f";{rep.iterations}"
 
@@ -222,6 +224,14 @@ def test_ew_mul_golden():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[5, 6], [7, 8]])
     assert_matrix_close(ndcore.ew_binary(a, b, "mul"), [[5, 12], [21, 32]])
+
+
+def test_ew_sub_against_numpy():
+    rng = np.random.default_rng(16)
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    ma, mb = Matrix.from_rows(a.tolist()), Matrix.from_rows(b.tolist())
+    assert ndcore.ew_binary(ma, mb, "sub").data == (a - b).ravel().tolist()
+    assert ndcore.ew_binary(ma, 2.5, "sub").data == (a - 2.5).ravel().tolist()
 
 
 def test_ew_scalar_broadcast():

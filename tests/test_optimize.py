@@ -344,6 +344,32 @@ def test_quasi_newton_zero_iterations_at_minimum():
     assert res.iterations == 0 and res.converged
 
 
+@pytest.mark.parametrize("name, model", [("bfgs", "_DenseInverse"), ("lbfgs", "_PairBuffer")])
+def test_quasi_newton_restarts_at_exact_minimizer(monkeypatch, name, model):
+    # the first Armijo step (t = 1/2) lands exactly on x = 0, where g = 0 makes
+    # d'g = 0: every later step restarts from H = I (BFGS) or from an empty
+    # pair buffer (L-BFGS), takes the null step and stays at 0 with tol = 0
+    built = []
+
+    class Counted(getattr(opt, model)):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(opt, model, Counted)
+    seen = []
+
+    def f(v):
+        seen.append(v[0])
+        return v[0] * v[0]
+
+    minimize = opt.bfgs_minimize if name == "bfgs" else opt.lbfgs_minimize
+    with pytest.raises(MaxIterations, match="^no convergence in 5 iterations$"):
+        minimize(f, lambda v: [2.0 * v[0]], [1.0], tol=0.0, max_iter=5)
+    assert seen == [1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert len(built) == 5  # the start and four restarts
+
+
 def test_line_search_failure():
     # gradient deliberately points away from descent; no step length
     # can satisfy sufficient decrease

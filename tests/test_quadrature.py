@@ -45,6 +45,13 @@ def test_any_scheme_constant_is_zero():
         assert quadrature.finite_diff(lambda x: 4.25, 1.3, 1e-5, scheme) == 0.0
 
 
+@pytest.mark.parametrize("scheme", ["forward", "backward", "central"])
+def test_finite_diff_overflow_raises_nonfinite(scheme):
+    # x +- h is finite, but f there overflows; central would return inf - inf
+    with pytest.raises(NonFinite, match=f"{scheme} difference quotient"):
+        quadrature.finite_diff(lambda x: x * x, 1.0, 1e308, scheme)
+
+
 def test_finite_diff_argument_errors():
     with pytest.raises(ValueError):
         quadrature.finite_diff(math.sin, 0.0, 0.0, "central")
@@ -229,6 +236,9 @@ def test_overflowing_width_raises_nonfinite(rule, f):
     # both endpoints are finite, but b - a overflows to inf
     with pytest.raises(NonFinite, match="width"):
         rule(f, -1e308, 1e308, 4)
+    # b - a is finite, but the weighted sum of |x| overflows
+    with pytest.raises(NonFinite):
+        rule(abs, -8e307, 8e307, 4)
 
 
 def test_gauss_bad_order():

@@ -12,6 +12,7 @@ from desknum.errors import (
     MaxIterations,
     NonFinite,
     NoSignChange,
+    ShapeMismatch,
     SingularApproximation,
     SingularJacobian,
     ZeroDerivative,
@@ -222,6 +223,14 @@ def test_newton_system_linear_one_iteration():
     rep = roots.newton_system(f, lambda v: Matrix.from_rows(a), [0.0, 0.0])
     assert rep.iterations == 1
     assert rep.root.data == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("f", [lambda v: [v[0] - 1.0], lambda v: [v[0] - 1.0, v[1], v[0] + v[1]]], ids=["1x2", "3x2"])
+def test_newton_system_fd_jacobian_of_non_square_system(f):
+    # the forward-difference Jacobian keeps F's shape, as an analytic one
+    # does; F with fewer outputs than inputs once raised a bare IndexError
+    with pytest.raises(ShapeMismatch, match="square"):
+        roots.newton_system(f, None, [0.5, 0.5])
 
 
 def test_newton_system_singular_jacobian():
