@@ -40,7 +40,19 @@ from .errors import (
     Singular,
     ZeroDiagonal,
 )
-from .ndcore import Matrix, Vector, _checked_floats, _dot, _matvec, _norm2, _norm_inf, _vec
+from .ndcore import (
+    Matrix,
+    Vector,
+    _checked_float,
+    _checked_floats,
+    _dot,
+    _finite,
+    _fsum,
+    _matvec,
+    _norm2,
+    _norm_inf,
+    _vec,
+)
 
 # relative pivot threshold shared by the pivoted factorizations
 _PIVOT_REL = 1e-12
@@ -159,8 +171,7 @@ def _lu_rows(rows: list[list[float]]):
             li.append(x / c[0])
         urows.append([0.0] * k + urow)
     # a non-finite L entry reaches U once its row becomes the pivot row
-    if not all(map(math.isfinite, chain.from_iterable(urows))):
-        raise NonFinite("LU factors contain a non-finite entry")
+    _finite(chain.from_iterable(urows), "U factor")
     lrows = [li + [1.0] + [0.0] * (n - 1 - i) for i, li in enumerate(lrows)]
     return lrows, urows, perm, sign
 
@@ -172,30 +183,19 @@ def lu(a: Matrix) -> LuFactors:
     return LuFactors(Matrix.from_rows(lrows), Matrix.from_rows(urows), perm, sign)
 
 
-# fsum raises OverflowError when a finite sum overflows and ValueError on
-# inf - inf; both mean the solution is not representable
-_SUM_OVERFLOW = "triangular solve overflowed"
-
-
 def _forward_substitute(lo: list[list[float]], b: list[float]) -> list[float]:
     # lower-triangular L y = b; a unit diagonal divides exactly
     y: list[float] = []
-    try:
-        for row, bi in zip(lo, b):
-            y.append((bi - math.fsum(map(mul, row, y))) / row[len(y)])
-    except (OverflowError, ValueError):
-        raise NonFinite(_SUM_OVERFLOW) from None
+    for row, bi in zip(lo, b):
+        y.append((bi - _fsum(map(mul, row, y), "triangular solve")) / row[len(y)])
     return y
 
 
 def _back_substitute(u: list[list[float]], y: list[float]) -> list[float]:
     # upper-triangular U x = y, from the last row up
     x = [0.0] * len(y)
-    try:
-        for i in reversed(range(len(y))):
-            x[i] = (y[i] - math.fsum(map(mul, u[i][i + 1 :], x[i + 1 :]))) / u[i][i]
-    except (OverflowError, ValueError):
-        raise NonFinite(_SUM_OVERFLOW) from None
+    for i in reversed(range(len(y))):
+        x[i] = (y[i] - _fsum(map(mul, u[i][i + 1 :], x[i + 1 :]), "triangular solve")) / u[i][i]
     return x
 
 
@@ -220,16 +220,13 @@ def _reflector(x: list[float]):
 
 
 def _reflect(cols: list[list[float]], top: int, v: list[float], vtv: float) -> None:
-    # H on entries top.. of each list
-    try:
-        for c in cols:
-            seg = c[top:]
-            s = 2.0 * math.fsum(map(mul, v, seg)) / vtv
-            if s != 0.0:
-                c[top:] = map(sub, seg, map(mul, repeat(s), v))
-    except (OverflowError, ValueError):
-        # fsum meets an overflowing sum, or entries that overflowed earlier
-        raise NonFinite("Householder reflection overflowed") from None
+    # H on entries top.. of each list; the sum overflows, or meets entries
+    # that overflowed earlier, where H c is not representable
+    for c in cols:
+        seg = c[top:]
+        s = 2.0 * _fsum(map(mul, v, seg), "Householder reflection") / vtv
+        if s != 0.0:
+            c[top:] = map(sub, seg, map(mul, repeat(s), v))
 
 
 def _triangularize(cols: list[list[float]], n: int) -> list[tuple]:
@@ -303,10 +300,9 @@ def det(a: Matrix) -> float:
         _, urows, _, sign = _lu_rows(a.to_rows())
     except Singular:
         return 0.0
-    d = math.prod((row[i] for i, row in enumerate(urows)), start=float(sign))
-    if not math.isfinite(d):
-        raise NonFinite("determinant overflows")
-    return d
+    return _checked_float(
+        math.prod((row[i] for i, row in enumerate(urows)), start=float(sign)), "determinant"
+    )
 
 
 def inv(a: Matrix) -> Matrix:

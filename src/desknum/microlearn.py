@@ -21,13 +21,13 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import exp, fsum, isfinite
+from math import exp
 from operator import add, mul, sub
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
-from .errors import BadArchitecture, NonFinite, ShapeMismatch, TooSmallBatch
-from .ndcore import Matrix, Vector, _checked_floats, _transpose
+from .errors import BadArchitecture, ShapeMismatch, TooSmallBatch
+from .ndcore import Matrix, Vector, _checked_floats, _finite, _fsum, _fsums, _transpose
 
 
 def sigmoid_derivative(a: float) -> float:
@@ -85,11 +85,6 @@ def affine(w: Matrix, x: Sequence[float], b: Sequence[float]) -> Vector:
     return Vector([sum(map(mul, row, xs)) + bi for row, bi in zip(w.to_rows(), bs)])
 
 
-def _finite(values: Iterable[float], what: str) -> None:
-    if not all(map(isfinite, values)):
-        raise NonFinite(f"{what} contains a non-finite entry")
-
-
 def _groups(flat: Iterable[float], k: int) -> Iterator[tuple]:
     return zip(*[iter(flat)] * k)
 
@@ -97,17 +92,6 @@ def _groups(flat: Iterable[float], k: int) -> Iterator[tuple]:
 def _tiled(flat: List[float], k: int, times: int) -> Iterator[float]:
     # each k-tuple of flat repeated `times` times in a row
     return chain.from_iterable(map(mul, _groups(flat, k), repeat(times)))
-
-
-def _batch_fsums(terms: Iterable[float], k: int, what: str) -> List[float]:
-    # fsum over the batch of each of k sample-major quantities; fsum raises
-    # OverflowError when a finite sum overflows and ValueError on inf - inf
-    try:
-        sums = list(map(fsum, zip(*_groups(terms, k))))
-    except (OverflowError, ValueError):
-        raise NonFinite(f"{what} overflows") from None
-    _finite(sums, what)
-    return sums
 
 
 def _columns(p: MlpParams) -> Tuple[list, list]:
@@ -150,11 +134,8 @@ def _forward(sizes: Sequence[int], cols: list, biases: list, x: List[float]) -> 
 
 
 def _mse(out: List[float], targets: List[float]) -> float:
-    try:
-        total = fsum(map(pow, map(sub, out, targets), repeat(2)))
-    except OverflowError:
-        raise NonFinite("squared error overflows") from None
-    return total / len(out)
+    # float pow raises OverflowError past the float maximum, as fsum does
+    return _fsum(map(pow, map(sub, out, targets), repeat(2)), "squared error") / len(out)
 
 
 def _backward(sizes: Sequence[int], w_rows: list, acts: list, targets: list) -> tuple:
@@ -167,10 +148,11 @@ def _backward(sizes: Sequence[int], w_rows: list, acts: list, targets: list) -> 
         k, m, prev = sizes[l], sizes[l + 1], acts[l]
         # delta[s][j] at every (sample, input, unit) triple
         spread = list(_tiled(delta, m, k))
-        # each gradient is checked as it is formed, before the next sums run
+        # each gradient is an fsum over the batch, checked as it is formed,
+        # before the next sums run
         prods = map(mul, chain.from_iterable(zip(*[prev] * m)), spread)
-        g_w.append(_batch_fsums(prods, k * m, "weight gradient"))
-        g_b.append(_batch_fsums(delta, m, "bias gradient"))
+        g_w.append(_fsums(zip(*_groups(prods, k * m)), "weight gradient"))
+        g_b.append(_fsums(zip(*_groups(delta, m)), "bias gradient"))
         if l:
             back = map(mul, spread, w_rows[l] * (len(prev) // k))
             sums = map(sum, _groups(back, m))

@@ -6,11 +6,15 @@ reductions, naive (row-by-column dot product) and Strassen multiplication
 transpose/reshape, vector geometry, norms, and absolute/relative error
 metrics. Everything is a pure function over immutable values.
 
-Three decisions are made here and nowhere else. `_checked_floats` is the one
+Four decisions are made here and nowhere else. `_checked_floats` is the one
 gate for floats from outside: every caller input in the package is converted
 by float() and required finite there (through `_vec` where an empty input is
 an error, and through `_checked_float` for a single scalar), and NonFinite
 names the input and its first bad entry.
+`_finite` and `_fsums` are the same gate for computed values: `_finite`
+requires values finite, and `_fsums` (`_fsum` for one sum) adds with
+math.fsum and turns its overflow and invalid-operation exceptions
+(IEEE 754-2019 section 7) and a non-finite sum into NonFinite.
 `_bounded` is the one divergence test: an iterate is data while every entry
 is within DIVERGE_LIMIT in magnitude.
 `_fd_columns` is the one finite-difference kernel of the solvers: the
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import filterfalse
 from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
@@ -44,12 +49,35 @@ STRASSEN_CUTOFF = 192
 DIVERGE_LIMIT = 1e12
 
 
+def _finite(values, what: str):
+    """values, unchanged, once each entry is found finite in one pass.
+    The two gates below, which run once per small object or sum on hot
+    paths, test with all() first and call this only to name a failure."""
+    bad = next(filterfalse(math.isfinite, values), None)
+    if bad is not None:
+        raise NonFinite(f"{what} contains a non-finite entry: {bad!r}")
+    return values
+
+
+def _fsums(groups: Iterable[Iterable[float]], what: str) -> list[float]:
+    """math.fsum of each group, each required finite. fsum raises
+    OverflowError when a finite sum overflows and ValueError on inf - inf;
+    a group that calls back into user code is evaluated by the caller
+    first, so the callback's own errors pass."""
+    try:
+        sums = list(map(math.fsum, groups))
+    except (OverflowError, ValueError):
+        raise NonFinite(f"{what} overflows") from None
+    return sums if all(map(math.isfinite, sums)) else _finite(sums, what)
+
+
+def _fsum(terms: Iterable[float], what: str) -> float:
+    return _fsums((terms,), what)[0]
+
+
 def _checked_floats(values: Iterable[float], what: str) -> list[float]:
     out = list(map(float, values))
-    if not all(map(math.isfinite, out)):
-        bad = next(f for f in out if not math.isfinite(f))
-        raise NonFinite(f"{what} contains a non-finite entry: {bad!r}")
-    return out
+    return out if all(map(math.isfinite, out)) else _finite(out, what)
 
 
 def _checked_float(value: float, what: str) -> float:

@@ -22,7 +22,7 @@ from .errors import (
     TooFewPoints,
     UnsortedKnots,
 )
-from .ndcore import _checked_float, _vec
+from .ndcore import _checked_float, _fsum, _vec
 
 Fn = Callable[[float], float]
 
@@ -45,7 +45,7 @@ def finite_diff(f: Fn, x: float, h: float = 1e-5, scheme: str = "central") -> fl
         d = (f(x + h) - f(x - h)) / (2.0 * h)
     else:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
-    return _finite(d, f"{scheme} difference quotient")
+    return _checked_float(d, f"{scheme} difference quotient")
 
 
 def _width(a: float, b: float) -> float:
@@ -55,21 +55,6 @@ def _width(a: float, b: float) -> float:
     return w
 
 
-def _fsum(terms: list[float], rule: str) -> float:
-    # fsum raises OverflowError when a finite sum overflows and ValueError on
-    # inf - inf; callers evaluate f into terms first, so f's own errors pass
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        raise NonFinite(f"{rule} sum overflows") from None
-
-
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise NonFinite(f"{what} is not finite: {value!r}")
-    return value
-
-
 def trapezoid_fn(f: Fn, a: float, b: float, n: int) -> float:
     a, b = _checked_float(a, "a"), _checked_float(b, "b")
     if n < 1:
@@ -77,8 +62,9 @@ def trapezoid_fn(f: Fn, a: float, b: float, n: int) -> float:
     if not a < b:
         raise BadPartition("need a < b")
     h = _width(a, b) / n
-    interior = _fsum([f(a + i * h) for i in range(1, n)], "trapezoid")
-    return _finite((h / 2.0) * (f(a) + 2.0 * interior + f(b)), "trapezoid rule")
+    # f's values are listed first, so f's own errors pass the sum's gate
+    interior = _fsum([f(a + i * h) for i in range(1, n)], "trapezoid sum")
+    return _checked_float((h / 2.0) * (f(a) + 2.0 * interior + f(b)), "trapezoid rule")
 
 
 def trapezoid_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -92,7 +78,7 @@ def trapezoid_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
         if q < p:
             raise UnsortedKnots("sample abscissae must be nondecreasing")
     terms = [(xs[i + 1] - xs[i]) * (ys[i] + ys[i + 1]) / 2.0 for i in range(len(xs) - 1)]
-    return _finite(_fsum(terms, "trapezoid"), "trapezoid sum")
+    return _fsum(terms, "trapezoid sum")
 
 
 def simpson(f: Fn, a: float, b: float, n: int) -> float:
@@ -107,7 +93,7 @@ def simpson(f: Fn, a: float, b: float, n: int) -> float:
     acc = [f(a), f(b)]
     acc.extend(4.0 * f(a + i * h) for i in range(1, n, 2))
     acc.extend(2.0 * f(a + i * h) for i in range(2, n, 2))
-    return _finite((h / 3.0) * _fsum(acc, "simpson"), "simpson rule")
+    return _checked_float((h / 3.0) * _fsum(acc, "simpson sum"), "simpson rule")
 
 
 @dataclass(frozen=True)
@@ -154,4 +140,4 @@ def gauss_legendre(f: Fn, a: float, b: float, n: int) -> float:
     mid = (a + b) / 2.0
     half = _width(a, b) / 2.0
     terms = [w * f(mid + half * x) for x, w in zip(rule.nodes, rule.weights)]
-    return _finite(half * _fsum(terms, "gauss_legendre"), "gauss_legendre rule")
+    return _checked_float(half * _fsum(terms, "gauss_legendre sum"), "gauss_legendre rule")

@@ -51,7 +51,7 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
 )
-from .ndcore import Vector, _checked_floats, _transpose, _vec
+from .ndcore import Vector, _checked_floats, _finite, _transpose, _vec
 
 
 class ComplexVec:
@@ -485,9 +485,7 @@ def _pool_band(band: list[list[complex]], rows: int, cols: int) -> Image2D:
     half = [0j] * (cols * h)
     for j, u in enumerate(built):
         half[u::h] = t[j * cols : (j + 1) * cols]
-    out = _irfft_rows(half, cols, rows)
-    if not all(map(math.isfinite, out)):
-        raise NonFinite("complex entries must be finite")
+    out = _finite(_irfft_rows(half, cols, rows), "pooled image")
     return _image(rows, cols, _transpose(out, rows))
 
 

@@ -920,9 +920,30 @@ def test_overflow_gives_finite_result_or_non_finite():
 
 
 def test_det_overflow_raises_non_finite():
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match="^determinant is not finite: inf$"):
         ld.det(Matrix.from_rows([[1e200, 0.0], [0.0, 1e200]]))
     assert ld.det(Matrix.from_rows([[2.0**500, 0.0], [0.0, -(2.0**523)]])) == -(2.0**1023)
+
+
+def test_lu_factor_overflow_raises_non_finite():
+    # every entry is finite, but U[1][1] = 1e308 + 1e308 overflows
+    a = Matrix.from_rows([[1e308, 1e308], [-1e308, 1e308]])
+    calls = (lambda: ld.lu(a), lambda: ld.det(a), lambda: ld.solve_direct(a, [1.0, 1.0], "lu"))
+    for call in calls:
+        with pytest.raises(NonFinite, match="^U factor contains a non-finite entry: inf$"):
+            call()
+
+
+def test_householder_reflection_overflow_raises_non_finite():
+    # the reflector is scaled, but H applied to a column of 1e308s is not:
+    # its sum v.c overflows
+    calls = (
+        lambda: ld.qr(Matrix.from_rows([[1.0, 1e308, 1e308]] * 3)),
+        lambda: ld.polyfit([1.0, 2.0, 3.0], [1e308] * 3, 1),
+    )
+    for call in calls:
+        with pytest.raises(NonFinite, match="^Householder reflection overflows$"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -936,7 +957,7 @@ def test_triangular_solve_overflow_raises_non_finite(method, scale, seed):
     n = rng.randint(1, 8) if method == "qr" else rng.randint(2, 8)
     a = Matrix.from_rows([[rng.uniform(-1, 1) * scale for _ in range(n)] for _ in range(n)])
     b = [rng.uniform(-1, 1) * scale for _ in range(n)]
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match="^triangular solve "):
         ld.solve_direct(a, b, method)
 
 

@@ -137,6 +137,41 @@ def test_non_finite_scalar_is_named_at_entry(call, what, bad):
     assert str(info.value) == f"{what} is not finite: {bad!r}"
 
 
+# computed values go through ndcore._finite and ndcore._fsums: fsum's
+# OverflowError (a finite sum past the float maximum) and ValueError
+# (inf - inf), and a non-finite sum, all raise NonFinite naming the value
+
+
+def test_computed_value_gate():
+    assert ndcore._fsums([[1e308, -1e308, 1.0], [0.1] * 10], "sums") == [1.0, 1.0]
+    assert ndcore._fsum(iter([2.0**-1074, 3.0]), "sum") == math.fsum([2.0**-1074, 3.0])
+    cases = [
+        ([[1.0], [1e308, 1e308]], "sums overflows"),
+        ([[math.inf, -math.inf]], "sums overflows"),
+        ([[1.0], [math.inf, 1.0]], "sums contains a non-finite entry: inf"),
+        ([[math.nan]], "sums contains a non-finite entry: nan"),
+    ]
+    for groups, text in cases:
+        with pytest.raises(NonFinite) as info:
+            ndcore._fsums(groups, "sums")
+        assert str(info.value) == text
+    values = [1.0, -2.0]
+    assert ndcore._finite(values, "values") is values
+    with pytest.raises(NonFinite, match=r"^values contains a non-finite entry: -inf$"):
+        ndcore._finite(iter([1.0, -math.inf, math.nan]), "values")
+
+
+def test_callback_errors_pass_the_sum_gate():
+    # a quadrature rule lists f's values before summing them, so an error
+    # of f's own (log 0 at the interior node 0.5) is not reported as an overflow
+    def f(x):
+        return math.log(abs(x - 0.5))
+
+    for rule in (quadrature.trapezoid_fn, quadrature.simpson):
+        with pytest.raises(ValueError, match="math domain error"):
+            rule(f, 0.0, 1.0, 4)
+
+
 # Per-case float.hex digests of the finite-difference derivatives over seeded
 # inputs: finite_diff in each scheme, hessian_fd on seeded tapes and
 # newton_scalar with df=None on seeded scalar equations. Each entry covers the

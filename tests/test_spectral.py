@@ -550,7 +550,7 @@ def test_overflow_raises_non_finite():
     with pytest.raises(NonFinite):
         spectral.ifft2([cvec] * 4)
     for keep in (1, 4):
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match="^pooled image contains a non-finite entry"):
             spectral.spectral_pool2d(img, keep)
     with pytest.raises(NonFinite):
         spectral.convolve_fft([big] * 5, [big] * 3)
