@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import filterfalse
-from operator import add, mul, sub
+from operator import add, mul, sub, truediv
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -226,9 +226,13 @@ def _vec(v: Union[Vector, Sequence[float]], what: str = "vector") -> list[float]
     return data
 
 
+_EW_OPS = {"add": add, "sub": sub, "mul": mul, "div": truediv}
+
+
 def ew_binary(a: Matrix, b: Union[Matrix, Scalar], op: str) -> Matrix:
     """Element-wise add/sub/mul/div with scalar broadcasting on b."""
-    if op not in ("add", "sub", "mul", "div"):
+    fn = _EW_OPS.get(op)
+    if fn is None:
         raise ValueError(f"unknown element-wise op {op!r}")
     if isinstance(b, Matrix):
         if (a.rows, a.cols) != (b.rows, b.cols):
@@ -237,21 +241,10 @@ def ew_binary(a: Matrix, b: Union[Matrix, Scalar], op: str) -> Matrix:
             )
         bdata = b.data
     else:
-        f = float(b)
-        if not math.isfinite(f):
-            raise NonFinite("scalar operand must be finite")
-        bdata = [f] * len(a.data)
-    if op == "div" and any(x == 0.0 for x in bdata):
+        bdata = [_checked_float(b, "scalar operand")] * len(a.data)
+    if fn is truediv and 0.0 in bdata:
         raise DivisionByZero("zero divisor entry")
-    if op == "add":
-        out = [x + y for x, y in zip(a.data, bdata)]
-    elif op == "sub":
-        out = [x - y for x, y in zip(a.data, bdata)]
-    elif op == "mul":
-        out = [x * y for x, y in zip(a.data, bdata)]
-    else:
-        out = [x / y for x, y in zip(a.data, bdata)]
-    return Matrix(a.rows, a.cols, out)
+    return Matrix(a.rows, a.cols, list(map(fn, a.data, bdata)))
 
 
 def reduce(v: Union[Vector, Sequence[float]], kind: str) -> float:
@@ -445,7 +438,8 @@ def euclidean_distance(a, b) -> float:
 
 def error_metrics(exact: float, approx: float) -> ErrorPair:
     """Absolute error |exact - approx| and its value relative to |exact|."""
-    absolute = abs(exact - approx)
+    exact, approx = _checked_float(exact, "exact"), _checked_float(approx, "approx")
+    absolute = _checked_float(abs(exact - approx), "absolute error")
     if exact == 0.0:
         raise RelativeUndefined("relative error undefined when exact value is 0")
-    return ErrorPair(absolute=absolute, relative=absolute / abs(exact))
+    return ErrorPair(absolute, _checked_float(absolute / abs(exact), "relative error"))

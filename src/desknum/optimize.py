@@ -34,7 +34,17 @@ from .errors import (
     ShapeMismatch,
     SingularHessian,
 )
-from .ndcore import Matrix, Vector, _bounded, _dot, _matvec, _norm2, _norm_inf, _vec
+from .ndcore import (
+    Matrix,
+    Vector,
+    _bounded,
+    _checked_floats,
+    _dot,
+    _matvec,
+    _norm2,
+    _norm_inf,
+    _vec,
+)
 
 VecFn = Callable[[Sequence[float]], Sequence[float]]
 
@@ -255,7 +265,7 @@ def _quasi_newton(f, grad, x0, tol, max_iter, new_model) -> MinimizeResult:
     with direction(g) = -H g, update(s, y, rho) for rho = 1/y's, or None for a
     pair past the curvature guard, and state(), the QuasiNewtonState returned."""
     x = list(_vec(x0, "x0"))
-    g = list(grad(x))
+    g = _checked_floats(grad(x), "gradient")
     fx = f(x)
     model = new_model(len(x))
     k = 0
@@ -269,7 +279,7 @@ def _quasi_newton(f, grad, x0, tol, max_iter, new_model) -> MinimizeResult:
             model = new_model(len(x))
             d = [-v for v in g]
         x_new, f_new = _armijo(f, x, fx, g, d)
-        g_new = list(grad(x_new))
+        g_new = _checked_floats(grad(x_new), "gradient")
         s = [a - b for a, b in zip(x_new, x)]
         y = [a - b for a, b in zip(g_new, g)]
         ys = _dot(y, s)

@@ -33,6 +33,7 @@ from .ndcore import (
     Vector,
     _bounded,
     _checked_float,
+    _checked_floats,
     _dot,
     _fd_columns,
     _matvec,
@@ -59,12 +60,12 @@ def bisection(
 ) -> RootReport:
     """Halve [a, b] keeping a sign change; return the midpoint at tolerance."""
     a, b = _checked_float(a, "a"), _checked_float(b, "b")
-    fa, fb = f(a), f(b)
+    fa, fb = _checked_float(f(a), "f(a)"), _checked_float(f(b), "f(b)")
     if fa * fb >= 0:
         raise NoSignChange("f(a) and f(b) must have opposite signs")
     for k in range(1, max_iter + 1):
         c = (a + b) / 2.0
-        fc = f(c)
+        fc = _checked_float(f(c), "f(c)")
         if fc == 0.0 or (b - a) / 2.0 <= tol:
             return RootReport(c, k, abs(fc), True)
         if fa * fc < 0:
@@ -85,11 +86,12 @@ def newton_scalar(
     x = _checked_float(x0, "x0")
     for k in range(1, max_iter + 1):
         d = df(x) if df is not None else _fd_columns(lambda v: [f(v[0])], [x], 1e-6)[0][0]
+        d = _checked_float(d, "derivative")
         if abs(d) < 1e-14:
             raise ZeroDerivative(f"derivative vanished at x={x}")
-        x_new = x - f(x) / d
+        x_new = x - _checked_float(f(x), "f(x)") / d
         if abs(x_new - x) < tol:
-            return RootReport(x_new, k, abs(f(x_new)), True)
+            return RootReport(x_new, k, abs(_checked_float(f(x_new), "f(x)")), True)
         x = x_new
     raise MaxIterations(f"newton did not converge in {max_iter} iterations")
 
@@ -102,14 +104,14 @@ def secant(
     max_iter: int = 100,
 ) -> RootReport:
     x0, x1 = _checked_float(x0, "x0"), _checked_float(x1, "x1")
-    f0, f1 = f(x0), f(x1)
+    f0, f1 = _checked_float(f(x0), "f(x0)"), _checked_float(f(x1), "f(x1)")
     for k in range(1, max_iter + 1):
         if abs(f1 - f0) < tol:
             raise FlatSecant("function values too close for a secant step")
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
         if abs(x2 - x1) < tol:
-            return RootReport(x2, k, abs(f(x2)), True)
-        f2 = f(x2)
+            return RootReport(x2, k, abs(_checked_float(f(x2), "f(x2)")), True)
+        f2 = _checked_float(f(x2), "f(x2)")
         if f2 == 0.0:
             return RootReport(x2, k, 0.0, True)
         x0, f0, x1, f1 = x1, f1, x2, f2
@@ -143,7 +145,7 @@ def _newton(f_vec, model, x0, tol, max_iter, singular, stalled) -> RootReport:
     again as `singular`, and MaxIterations with stalled.format(max_iter)."""
     # a copy: callbacks receive x, and may not reach a Vector's own list
     x = list(_vec(x0, "x0"))
-    fx = [float(v) for v in f_vec(x)]
+    fx = _checked_floats(f_vec(x), "F(x)")
     if _norm_inf(fx) <= 1e-15:
         return RootReport(Vector(x), 0, _norm_inf(fx), True)
     s = None
@@ -154,7 +156,7 @@ def _newton(f_vec, model, x0, tol, max_iter, singular, stalled) -> RootReport:
         except Singular as exc:
             raise singular(str(exc)) from exc
         x = [xi + si for xi, si in zip(x, s)]
-        fx = [float(v) for v in f_vec(x)]
+        fx = _checked_floats(f_vec(x), "F(x)")
         if _norm_inf(fx) <= 1e-15 or _norm2(s) < tol:
             return RootReport(Vector(x), k, _norm_inf(fx), True)
     raise MaxIterations(stalled.format(max_iter))

@@ -51,7 +51,7 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
 )
-from .ndcore import Vector, _checked_floats, _finite, _transpose, _vec
+from .ndcore import Vector, _checked_float, _checked_floats, _finite, _transpose, _vec
 
 
 class ComplexVec:
@@ -316,16 +316,25 @@ def ifft(x: ComplexVec) -> ComplexVec:
     return _from_complex(a)
 
 
+def _positive(value: float, what: str) -> float:
+    """A sample spacing or rate: finite (NonFinite) and positive (BadCutoff)."""
+    value = _checked_float(value, what)
+    if value <= 0:
+        raise BadCutoff(f"{what} must be positive")
+    return value
+
+
 def fft_freqs(n: int, d: float = 1.0) -> list[float]:
     if n < 1:
         raise ShapeMismatch("need n >= 1")
-    if d <= 0:
-        raise BadCutoff("sample spacing must be positive")
+    d = _positive(d, "sample spacing")
     split = (n + 1) // 2
     nd = n * d
-    return list(map(truediv, range(split), repeat(nd))) + list(
+    freqs = list(map(truediv, range(split), repeat(nd))) + list(
         map(truediv, range(split - n, 0), repeat(nd))
     )
+    # a subnormal spacing puts 1 / (n d) past the float maximum
+    return _finite(freqs, "frequency axis")
 
 
 def fftshift(v: Sequence[float]) -> list[float]:
@@ -418,6 +427,7 @@ def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vec
     data = _vec(signal, "signal")
     n = len(data)
     _require_pow2(n)
+    sample_rate = _positive(sample_rate, "sample rate")
     if not 0 < cutoff < sample_rate / 2:
         raise BadCutoff("cutoff must lie in (0, sample_rate/2)")
     half = _rfft_rows(data, 1, n, n // 2 + 1)
@@ -492,8 +502,6 @@ def _pool_band(band: list[list[complex]], rows: int, cols: int) -> Image2D:
 def spectrum(signal: Sequence[float], sample_spacing: float) -> Spectrum:
     data = _vec(signal, "signal")
     _require_pow2(len(data))
-    if sample_spacing <= 0:
-        raise BadCutoff("sample spacing must be positive")
     bins = _from_complex(_rfft_rows(data, 1, len(data), len(data)))
     freqs = tuple(fft_freqs(len(data), sample_spacing))
     return Spectrum(bins, freqs, sample_spacing)
@@ -501,11 +509,8 @@ def spectrum(signal: Sequence[float], sample_spacing: float) -> Spectrum:
 
 def peak_frequency(signal: Sequence[float], sample_rate: float) -> float:
     """Frequency of the strongest non-DC bin on the nonnegative half."""
-    data = _vec(signal, "signal")
-    n = len(data)
-    _require_pow2(n)
-    bins = _from_complex(_rfft_rows(data, 1, n, n))
-    freqs = fft_freqs(n, 1.0 / sample_rate)
+    spec = spectrum(signal, 1.0 / _positive(sample_rate, "sample rate"))
+    bins, freqs, n = spec.bins, spec.freqs, len(spec.freqs)
     best_k = -1
     best_mag = 0.0
     # ascending frequency scan, so exact ties keep the lowest frequency

@@ -126,6 +126,13 @@ _NAMED_SCALARS = [
     ),
     pytest.param(lambda v: interp.cubic_spline_eval(_SPLINE, v), "x", id="cubic_spline_eval"),
     pytest.param(lambda v: interp.linear_interp(_KNOTS, [1.0, 3.0, 2.0], v), "x", id="linear_interp"),
+    pytest.param(lambda v: ndcore.ew_binary(_W23, v, "add"), "scalar operand", id="ew_binary"),
+    pytest.param(lambda v: ndcore.error_metrics(v, 1.0), "exact", id="error_metrics-exact"),
+    pytest.param(lambda v: ndcore.error_metrics(1.0, v), "approx", id="error_metrics-approx"),
+    pytest.param(lambda v: spectral.fft_freqs(8, v), "sample spacing", id="fft_freqs"),
+    pytest.param(lambda v: spectral.spectrum([1.0, 0.0, 2.0, 0.0], v), "sample spacing", id="spectrum-spacing"),
+    pytest.param(lambda v: spectral.peak_frequency([0.0, 1.0, 0.0, -1.0], v), "sample rate", id="peak_frequency-rate"),
+    pytest.param(lambda v: spectral.lowpass1d([1.0, 0.0, 2.0, 0.0], v, 1.0), "sample rate", id="lowpass1d-rate"),
 ]
 
 
@@ -553,6 +560,13 @@ def test_error_metrics_golden():
 def test_error_metrics_exact_self():
     pair = ndcore.error_metrics(2.5, 2.5)
     assert pair.absolute == 0.0 and pair.relative == 0.0
+
+
+def test_error_metrics_overflow_raises_non_finite():
+    # the absolute error 2e308 and the relative error 1 / 5e-324 overflow
+    for exact, approx, what in ((1e308, -1e308, "absolute error"), (5e-324, 1.0, "relative error")):
+        with pytest.raises(NonFinite, match=f"^{what} is not finite: inf$"):
+            ndcore.error_metrics(exact, approx)
 
 
 def test_error_metrics_zero_exact():

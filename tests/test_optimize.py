@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
@@ -544,24 +545,47 @@ def test_sgd_linreg_errors():
         opt.sgd_linreg([1.0, 2.0], [1.0, 2.0], 0, 0.1, 5, seed=0)
 
 
-# a NaN in the gradient or residual must fail every convergence test
+# a NaN in the gradient or residual must fail every convergence test: each
+# callback value goes through ndcore's gate, which names it
 
 NAN_SECOND = [0.0, math.nan]
 
 
+def _nan_inside(x):
+    # finite at the bracket ends 0 and 1, NaN everywhere in between
+    return x - 0.5 if x in (0.0, 1.0) else math.nan
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, what",
     [
-        lambda: opt.newton_minimize(lambda x: NAN_SECOND, lambda x: Matrix.identity(2), [1.0, 1.0]),
-        lambda: opt.bfgs_minimize(lambda x: 0.0, lambda x: NAN_SECOND, [1.0, 1.0]),
-        lambda: opt.lbfgs_minimize(lambda x: 0.0, lambda x: NAN_SECOND, [1.0, 1.0]),
-        lambda: roots.newton_system(lambda x: NAN_SECOND, None, [1.0, 1.0]),
-        lambda: roots.broyden(lambda x: NAN_SECOND, [1.0, 1.0]),
+        (lambda: opt.newton_minimize(lambda x: NAN_SECOND, lambda x: Matrix.identity(2), [1.0, 1.0]), "F(x)"),
+        (lambda: opt.bfgs_minimize(lambda x: 0.0, lambda x: NAN_SECOND, [1.0, 1.0]), "gradient"),
+        (lambda: opt.lbfgs_minimize(lambda x: 0.0, lambda x: NAN_SECOND, [1.0, 1.0]), "gradient"),
+        (lambda: roots.newton_system(lambda x: NAN_SECOND, None, [1.0, 1.0]), "F(x)"),
+        (lambda: roots.broyden(lambda x: NAN_SECOND, [1.0, 1.0]), "F(x)"),
+        (lambda: roots.bisection(lambda x: math.nan, 0.0, 1.0), "f(a)"),
+        (lambda: roots.bisection(_nan_inside, 0.0, 1.0), "f(c)"),
+        (lambda: roots.secant(_nan_inside, 0.0, 1.0), "f(x2)"),
+        (lambda: roots.newton_scalar(lambda x: x * x - 2.0, lambda x: math.nan, 1.0), "derivative"),
+        # f(x +- 1e-6) = inf both times, so the central quotient is inf - inf
+        (lambda: roots.newton_scalar(lambda x: x * x, None, 1e308), "derivative"),
     ],
-    ids=["newton_minimize", "bfgs", "lbfgs", "newton_system", "broyden"],
+    ids=[
+        "newton_minimize",
+        "bfgs",
+        "lbfgs",
+        "newton_system",
+        "broyden",
+        "bisection-ends",
+        "bisection-inside",
+        "secant",
+        "newton_scalar",
+        "newton_scalar-fd",
+    ],
 )
-def test_nan_in_second_entry_is_not_convergence(call):
-    with pytest.raises(NumericsError):
+def test_nan_in_second_entry_is_not_convergence(call, what):
+    with pytest.raises(NonFinite, match=f"^{re.escape(what)} (contains a non-finite entry|is not finite): nan$"):
         call()
 
 

@@ -147,6 +147,31 @@ def test_fft_freqs_bit_identical_to_per_bin_formula():
             assert array("d", got).tobytes() == array("d", want).tobytes(), (n, d)
 
 
+def test_spacing_and_rate_must_be_positive():
+    sig = [0.0, 1.0, 0.0, -1.0]
+    calls = [
+        (lambda v: spectral.fft_freqs(4, v), "sample spacing"),
+        (lambda v: spectral.spectrum(sig, v), "sample spacing"),
+        (lambda v: spectral.peak_frequency(sig, v), "sample rate"),
+        (lambda v: spectral.lowpass1d(sig, v, 1.0), "sample rate"),
+    ]
+    for call, what in calls:
+        for bad in (0.0, -0.0, -1.0):
+            with pytest.raises(BadCutoff, match=f"^{what} must be positive$"):
+                call(bad)
+
+
+def test_fft_freqs_overflow_raises_non_finite():
+    # a subnormal spacing puts 1 / (n d) past the float maximum; the spacing
+    # that peak_frequency derives from a rate of 1e-320 is inf itself
+    with pytest.raises(NonFinite, match="^frequency axis contains a non-finite entry: inf$"):
+        spectral.fft_freqs(8, 1e-320)
+    with pytest.raises(NonFinite, match="^frequency axis"):
+        spectral.spectrum([1.0, 0.0, 2.0, 0.0], 1e-320)
+    with pytest.raises(NonFinite, match="^sample spacing is not finite: inf$"):
+        spectral.peak_frequency([0.0, 1.0, 0.0, -1.0], 1e-320)
+
+
 def test_fftshift():
     assert spectral.fftshift([0, 1, 2, 3]) == [2, 3, 0, 1]
     assert spectral.fftshift([0, 1, 2, 3, 4]) == [3, 4, 0, 1, 2]
