@@ -6,13 +6,17 @@ and tabular Q-learning on a five-state ring environment. Everything
 is deterministic given an explicit seed.
 
 The network runs on one private kernel over flat, batch-wide lists:
-activations are sample-major, weights column-major in the forward pass
-and row-major (as in `Matrix`) in the backward pass. Each layer makes one
-map(mul, ...) over its (sample, unit, input) triples; dot products are
-grouped builtin sums, which add left to right from 0 as a per-sample loop
-does, and gradients are grouped fsums over the batch. Every value that
-leaves the kernel (outputs, gradients, updated parameters) is checked
-where it is formed and raises NonFinite.
+activations are sample-major and weights row-major, as in `Matrix`. The
+layout of every layer depends only on the layer sizes and the batch, so
+each public MLP call builds it once, `_plan`: per layer, itemgetter
+gathers that pick the inputs and weights at every (sample, unit, input)
+triple for the forward pass, and the deltas and inputs at every (sample,
+input, unit) triple for the backward pass. An epoch then lays each layer
+out with one C-level call per gather and makes one map(mul, ...) over the
+triples. Dot products are grouped builtin sums, which add left to right
+from 0 as a per-sample loop does, and gradients are grouped fsums over the
+batch. Every value that leaves the kernel (outputs, gradients, updated
+parameters) is checked where it is formed and raises NonFinite.
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ import random
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import exp
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
 from .errors import BadArchitecture, ShapeMismatch, TooSmallBatch
-from .ndcore import Matrix, Vector, _checked_floats, _finite, _fsum, _fsums, _transpose
+from .ndcore import Matrix, Vector, _checked_floats, _finite, _fsum, _fsums
 
 
 def sigmoid_derivative(a: float) -> float:
@@ -89,14 +93,30 @@ def _groups(flat: Iterable[float], k: int) -> Iterator[tuple]:
     return zip(*[iter(flat)] * k)
 
 
-def _tiled(flat: List[float], k: int, times: int) -> Iterator[float]:
-    # each k-tuple of flat repeated `times` times in a row
-    return chain.from_iterable(map(mul, _groups(flat, k), repeat(times)))
+def _gather(indices: Sequence[int]):
+    """seq -> the tuple of seq[i] for every i of indices, in one C-level call."""
+    if len(indices) == 1:
+        # itemgetter of a single index returns the item, not a 1-tuple
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
-def _columns(p: MlpParams) -> Tuple[list, list]:
-    # column-major weights and the biases of every layer, for `_forward`
-    return [_transpose(w.data, w.cols) for w in p.weights], [b.data for b in p.biases]
+def _plan(sizes: Sequence[int], batch: int) -> list:
+    """Per layer (k inputs, m units): k, m, the gathers of inputs and weights
+    at every (sample, unit, input) and of deltas and inputs at every (sample,
+    input, unit). They depend only on the sizes and the batch."""
+    plan = []
+    for k, m in zip(sizes, sizes[1:]):
+        fwd = [(s * k + i, i * m + j) for s in range(batch) for j in range(m) for i in range(k)]
+        bwd = [(s * m + j, s * k + i) for s in range(batch) for i in range(k) for j in range(m)]
+        plan.append((k, m, *map(_gather, zip(*fwd)), *map(_gather, zip(*bwd))))
+    return plan
+
+
+def _params(p: MlpParams) -> Tuple[list, list]:
+    # the row-major weights and the biases of every layer, for the kernel
+    return [w.data for w in p.weights], [b.data for b in p.biases]
 
 
 def _inputs(p: MlpParams, x: Matrix) -> List[float]:
@@ -113,17 +133,17 @@ def _targets(p: MlpParams, x: Matrix, y: Matrix) -> List[float]:
     return y.data
 
 
-def _forward(sizes: Sequence[int], cols: list, biases: list, x: List[float]) -> list:
+def _forward(plan: list, w_rows: list, biases: list, x: List[float]) -> list:
     """Activations of every layer, the inputs first.
 
     A NaN pre-activation reaches every later unit of its sample, so
     checking the output catches a NaN anywhere in the net.
     """
     acts = [x]
-    batch = len(x) // sizes[0]
-    for k, m, w, b in zip(sizes, sizes[1:], cols, biases):
+    batch = len(x) // plan[0][0]
+    for (k, _, inputs_at, weights_at, _, _), w, b in zip(plan, w_rows, biases):
         # one product per (sample, unit, input), one sum per (sample, unit)
-        prods = map(mul, _tiled(acts[-1], k, m), w * batch)
+        prods = map(mul, inputs_at(acts[-1]), weights_at(w))
         pre = map(add, map(sum, _groups(prods, k)), b * batch)
         # both branches of `sigmoid`, inlined
         acts.append(
@@ -138,19 +158,19 @@ def _mse(out: List[float], targets: List[float]) -> float:
     return _fsum(map(pow, map(sub, out, targets), repeat(2)), "squared error") / len(out)
 
 
-def _backward(sizes: Sequence[int], w_rows: list, acts: list, targets: list) -> tuple:
+def _backward(plan: list, w_rows: list, acts: list, targets: list) -> tuple:
     """Per-layer weight gradients, row-major, and bias gradients."""
     out = acts[-1]
     scale = 2.0 / len(out)
     delta = [scale * (a - t) * (a * (1.0 - a)) for a, t in zip(out, targets)]
     g_w, g_b = [], []
     for l in reversed(range(len(w_rows))):
-        k, m, prev = sizes[l], sizes[l + 1], acts[l]
-        # delta[s][j] at every (sample, input, unit) triple
-        spread = list(_tiled(delta, m, k))
+        k, m, _, _, deltas_at, inputs_at = plan[l]
+        prev = acts[l]
+        spread = deltas_at(delta)
         # each gradient is an fsum over the batch, checked as it is formed,
         # before the next sums run
-        prods = map(mul, chain.from_iterable(zip(*[prev] * m)), spread)
+        prods = map(mul, inputs_at(prev), spread)
         g_w.append(_fsums(zip(*_groups(prods, k * m)), "weight gradient"))
         g_b.append(_fsums(zip(*_groups(delta, m)), "bias gradient"))
         if l:
@@ -162,7 +182,7 @@ def _backward(sizes: Sequence[int], w_rows: list, acts: list, targets: list) -> 
 
 def mlp_forward(p: MlpParams, x: Matrix) -> Tuple[Tuple[Matrix, ...], Matrix]:
     """Run the batch through every layer; returns (activations, output)."""
-    acts = _forward(p.sizes, *_columns(p), _inputs(p, x))
+    acts = _forward(_plan(p.sizes, x.rows), *_params(p), _inputs(p, x))
     mats = tuple(Matrix(x.rows, m, a) for m, a in zip(p.sizes[1:], acts[1:]))
     return mats, mats[-1]
 
@@ -170,7 +190,7 @@ def mlp_forward(p: MlpParams, x: Matrix) -> Tuple[Tuple[Matrix, ...], Matrix]:
 def mlp_loss(p: MlpParams, x: Matrix, y: Matrix) -> float:
     """Mean squared error of the network output against targets."""
     rows, targets = _inputs(p, x), _targets(p, x, y)
-    return _mse(_forward(p.sizes, *_columns(p), rows)[-1], targets)
+    return _mse(_forward(_plan(p.sizes, x.rows), *_params(p), rows)[-1], targets)
 
 
 def mlp_gradients(
@@ -185,8 +205,9 @@ def mlp_gradients(
     the list kernel that `mlp_train` runs every epoch.
     """
     rows, targets = _inputs(p, x), _targets(p, x, y)
-    acts = _forward(p.sizes, *_columns(p), rows)
-    g_w, g_b = _backward(p.sizes, [w.data for w in p.weights], acts, targets)
+    plan, (w_rows, biases) = _plan(p.sizes, x.rows), _params(p)
+    acts = _forward(plan, w_rows, biases, rows)
+    g_w, g_b = _backward(plan, w_rows, acts, targets)
     return (
         tuple(Matrix(w.rows, w.cols, g) for w, g in zip(p.weights, g_w)),
         tuple(Vector(g) for g in g_b),
@@ -207,17 +228,15 @@ def mlp_train(
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
     rows, targets = _inputs(p, x), _targets(p, x, y)
-    cols, biases = _columns(p)
-    w_rows = [w.data for w in p.weights]
+    plan, (w_rows, biases) = _plan(p.sizes, x.rows), _params(p)
     history: List[float] = []
     for _ in range(epochs):
-        acts = _forward(p.sizes, cols, biases, rows)
+        acts = _forward(plan, w_rows, biases, rows)
         history.append(_mse(acts[-1], targets))
-        g_w, g_b = _backward(p.sizes, w_rows, acts, targets)
+        g_w, g_b = _backward(plan, w_rows, acts, targets)
         w_rows = [[w - eta * g for w, g in zip(*pair)] for pair in zip(w_rows, g_w)]
         biases = [[b - eta * g for b, g in zip(*pair)] for pair in zip(biases, g_b)]
         _finite(chain(*w_rows, *biases), "updated parameters")
-        cols = [_transpose(w, m) for w, m in zip(w_rows, p.sizes[1:])]
     weights = tuple(Matrix(w.rows, w.cols, r) for w, r in zip(p.weights, w_rows))
     return MlpParams(p.sizes, weights, tuple(Vector(b) for b in biases)), history
 

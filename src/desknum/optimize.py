@@ -16,6 +16,8 @@ along -g from H = I when -H g does not descend, by backtracking Armijo line
 search (c = 1e-4, halving). The model then takes in s and y; a pair with
 y's <= _CURVATURE_GUARD leaves H as it is in BFGS and drops the oldest pair
 in L-BFGS. The loop stops when ||g||_inf < tol, checked at x0 too.
+Every objective value that bfgs_minimize, lbfgs_minimize and nelder_mead
+see, trial points included, must be finite, or NonFinite is raised.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .ndcore import (
     Matrix,
     Vector,
     _bounded,
+    _checked_float,
     _checked_floats,
     _dot,
     _matvec,
@@ -247,6 +250,12 @@ def newton_minimize(
     return MinimizeResult(rep.root, rep.iterations, rep.residual, True)
 
 
+def _finite_objective(f):
+    # f with every value it returns gated: a NaN objective fails no
+    # comparison the line search or the simplex makes, so it must raise
+    return lambda x: _checked_float(f(x), "objective")
+
+
 def _armijo(f, x, fx, g, d):
     # backtracking halving until sufficient decrease
     slope = _dot(g, d)
@@ -265,6 +274,7 @@ def _quasi_newton(f, grad, x0, tol, max_iter, new_model) -> MinimizeResult:
     with direction(g) = -H g, update(s, y, rho) for rho = 1/y's, or None for a
     pair past the curvature guard, and state(), the QuasiNewtonState returned."""
     x = list(_vec(x0, "x0"))
+    f = _finite_objective(f)
     g = _checked_floats(grad(x), "gradient")
     fx = f(x)
     model = new_model(len(x))
@@ -399,6 +409,7 @@ def nelder_mead(
     """
     x = _vec(x0, "x0")
     n = len(x)
+    f = _finite_objective(f)
     simplex, fvals = _initial_simplex(f, x)
     fresh = True
     f_restart = math.inf  # best f when the simplex was last rebuilt

@@ -615,6 +615,24 @@ def test_eig_complex_spectrum_raises():
         ld.eig(Matrix.from_rows([[0, -1], [1, 0]]))
 
 
+# one sweep cannot orthogonalize the columns of this matrix, so with the
+# sweep budget cut to one the Jacobi kernel must raise, not hand back the
+# rotations it has made
+
+
+@pytest.mark.parametrize("call", [ld.svd, ld.eig], ids=["svd", "eig_sym"])
+def test_jacobi_sweep_budget_exhausted_raises(call, monkeypatch):
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((6, 6))
+    a = Matrix.from_rows((b + b.T).tolist())
+    before = list(a.data)
+    call(a)  # converges within the default budget
+    monkeypatch.setattr(ld, "_JACOBI_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match="^Jacobi rotations did not converge$"):
+        call(a)
+    assert a.data == before
+
+
 # Over 12,000 such runs (n = 2-12, the three scales) the worst eigenvalue
 # error was 1.5e-12 |A| and the worst residual 1.3e-12 |A|.
 @settings(deadline=None, max_examples=60)

@@ -273,8 +273,8 @@ def test_mlp_train_exact_value_pin():
 # must agree to the last bit on any CPython
 
 
-def _reference_pass(w, b, xs, ys):
-    """Loss and (weight, bias) gradients of one full-batch pass."""
+def _reference_forward(w, b, xs):
+    """Activations of every layer, the inputs first."""
     acts = [xs]
     for wl, bl in zip(w, b):
         layer = []
@@ -285,6 +285,12 @@ def _reference_pass(w, b, xs, ys):
                 row.append(ml.sigmoid(dot + bl[j]))
             layer.append(row)
         acts.append(layer)
+    return acts
+
+
+def _reference_pass(w, b, xs, ys):
+    """Loss and (weight, bias) gradients of one full-batch pass."""
+    acts = _reference_forward(w, b, xs)
     out, batch, outs = acts[-1], len(xs), len(ys[0])
     loss = math.fsum(
         (out[s][j] - ys[s][j]) ** 2 for s in range(batch) for j in range(outs)
@@ -315,6 +321,17 @@ def _reference_pass(w, b, xs, ys):
     return loss, g_w, g_b
 
 
+def _reference_train(w, b, xs, ys, eta, epochs):
+    """Pre-step losses and the parameters after `epochs` gradient steps."""
+    history = []
+    for _ in range(epochs):
+        loss, g_w, g_b = _reference_pass(w, b, xs, ys)
+        history.append(loss)
+        w = [[[v - eta * g for v, g in zip(r, gr)] for r, gr in zip(wl, gl)] for wl, gl in zip(w, g_w)]
+        b = [[v - eta * g for v, g in zip(bl, gl)] for bl, gl in zip(b, g_b)]
+    return history, w, b
+
+
 def _hexes(value):
     # float.hex of every float in nested lists, in order
     if isinstance(value, float):
@@ -343,16 +360,40 @@ def test_kernel_bits_match_per_sample_formulas(case, epochs):
     w = [m.to_rows() for m in p.weights]
     b = [list(v.data) for v in p.biases]
     _, g_w0, g_b0 = _reference_pass(w, b, xs, ys)
-    history = []
-    for _ in range(epochs):
-        loss, g_w, g_b = _reference_pass(w, b, xs, ys)
-        history.append(loss)
-        w = [[[v - eta * g for v, g in zip(r, gr)] for r, gr in zip(wl, gl)] for wl, gl in zip(w, g_w)]
-        b = [[v - eta * g for v, g in zip(bl, gl)] for bl, gl in zip(b, g_b)]
+    history, w, b = _reference_train(w, b, xs, ys, eta, epochs)
     got_gw, got_gb = ml.mlp_gradients(p, x, y)
     trained, got_history = ml.mlp_train(p, x, y, eta, epochs)
     got_grads = [[m.to_rows() for m in got_gw], [v.data for v in got_gb]]
     assert _hexes(got_grads) == _hexes([g_w0, g_b0])
+    assert _hexes(got_history) == _hexes(history)
+    got_params = [[m.to_rows() for m in trained.weights], [v.data for v in trained.biases]]
+    assert _hexes(got_params) == _hexes([w, b])
+
+
+# layouts the strategy above rarely or never draws: batch 1 through 1 -> 1
+# layers, where a gather of the kernel's plan has a single index, and a net
+# wider than the strategy allows
+
+
+@pytest.mark.parametrize("sizes, batch", [([1, 1], 1), ([1, 1, 1], 1), ([9, 12, 1], 10)])
+def test_plan_edge_layouts_match_per_sample_formulas(sizes, batch):
+    rng = random.Random(f"{sizes}x{batch}")
+    xs = [[rng.uniform(-3.0, 3.0) for _ in range(sizes[0])] for _ in range(batch)]
+    ys = [[rng.random() for _ in range(sizes[-1])] for _ in range(batch)]
+    p = ml.mlp_init(sizes, 17)
+    x, y = Matrix.from_rows(xs), Matrix.from_rows(ys)
+    w = [m.to_rows() for m in p.weights]
+    b = [list(v.data) for v in p.biases]
+    got_acts, got_out = ml.mlp_forward(p, x)
+    want_acts = _reference_forward(w, b, xs)
+    assert _hexes([m.to_rows() for m in got_acts]) == _hexes(want_acts[1:])
+    assert _hexes(got_out.to_rows()) == _hexes(want_acts[-1])
+    loss, g_w, g_b = _reference_pass(w, b, xs, ys)
+    assert ml.mlp_loss(p, x, y).hex() == loss.hex()
+    got_gw, got_gb = ml.mlp_gradients(p, x, y)
+    assert _hexes([[m.to_rows() for m in got_gw], [v.data for v in got_gb]]) == _hexes([g_w, g_b])
+    trained, got_history = ml.mlp_train(p, x, y, 0.5, 3)
+    history, w, b = _reference_train(w, b, xs, ys, 0.5, 3)
     assert _hexes(got_history) == _hexes(history)
     got_params = [[m.to_rows() for m in trained.weights], [v.data for v in trained.biases]]
     assert _hexes(got_params) == _hexes([w, b])

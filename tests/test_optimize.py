@@ -545,8 +545,8 @@ def test_sgd_linreg_errors():
         opt.sgd_linreg([1.0, 2.0], [1.0, 2.0], 0, 0.1, 5, seed=0)
 
 
-# a NaN in the gradient or residual must fail every convergence test: each
-# callback value goes through ndcore's gate, which names it
+# a NaN in the objective, gradient or residual must fail every convergence
+# test: each callback value goes through ndcore's gate, which names it
 
 NAN_SECOND = [0.0, math.nan]
 
@@ -562,6 +562,9 @@ def _nan_inside(x):
         (lambda: opt.newton_minimize(lambda x: NAN_SECOND, lambda x: Matrix.identity(2), [1.0, 1.0]), "F(x)"),
         (lambda: opt.bfgs_minimize(lambda x: 0.0, lambda x: NAN_SECOND, [1.0, 1.0]), "gradient"),
         (lambda: opt.lbfgs_minimize(lambda x: 0.0, lambda x: NAN_SECOND, [1.0, 1.0]), "gradient"),
+        (lambda: opt.bfgs_minimize(lambda x: math.nan, lambda x: [1.0, 1.0], [1.0, 1.0]), "objective"),
+        (lambda: opt.lbfgs_minimize(lambda x: math.nan, lambda x: [1.0, 1.0], [1.0, 1.0]), "objective"),
+        (lambda: opt.nelder_mead(lambda x: math.nan, [1.0, 1.0]), "objective"),
         (lambda: roots.newton_system(lambda x: NAN_SECOND, None, [1.0, 1.0]), "F(x)"),
         (lambda: roots.broyden(lambda x: NAN_SECOND, [1.0, 1.0]), "F(x)"),
         (lambda: roots.bisection(lambda x: math.nan, 0.0, 1.0), "f(a)"),
@@ -575,6 +578,9 @@ def _nan_inside(x):
         "newton_minimize",
         "bfgs",
         "lbfgs",
+        "bfgs-objective",
+        "lbfgs-objective",
+        "nelder_mead-objective",
         "newton_system",
         "broyden",
         "bisection-ends",
