@@ -57,6 +57,8 @@ class IvpProblem:
             raise ValueError("t_end must exceed t0")
         if self.h > self.t_end - self.t0 + 1e-12:
             raise ValueError("h must not exceed the integration span")
+        if not math.isfinite((self.t_end - self.t0) / self.h):
+            raise ValueError("(t_end - t0) / h must be finite")
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,10 @@ class HeatProblem:
 
     @property
     def stability_factor(self) -> float:
-        return self.alpha * self.dt / (self.dx * self.dx)
+        dx2 = self.dx * self.dx
+        if dx2 == 0.0:
+            raise Unstable("dx^2 underflows to 0, so alpha*dt/dx^2 is unbounded")
+        return self.alpha * self.dt / dx2
 
 
 @dataclass(frozen=True)

@@ -251,9 +251,9 @@ def reduce(v: Union[Vector, Sequence[float]], kind: str) -> float:
     """Fold a vector down to one value: sum, mean, max, or min."""
     data = _vec(v)
     if kind == "sum":
-        return math.fsum(data)
+        return _fsum(data, "sum")
     if kind == "mean":
-        return math.fsum(data) / len(data)
+        return _fsum(data, "sum") / len(data)
     if kind == "max":
         return max(data)
     if kind == "min":
@@ -387,7 +387,7 @@ def dot(a: Union[Vector, Sequence[float]], b: Union[Vector, Sequence[float]]) ->
     va, vb = _vec(a), _vec(b)
     if len(va) != len(vb):
         raise ShapeMismatch(f"lengths differ: {len(va)} vs {len(vb)}")
-    return _dot(va, vb)
+    return _fsum(map(mul, va, vb), "dot product")
 
 
 def cross3(a: Union[Vector, Sequence[float]], b: Union[Vector, Sequence[float]]) -> Vector:
@@ -409,13 +409,18 @@ def _flat(x: Union[Matrix, Vector, Sequence[float]]) -> list[float]:
     return _vec(x)
 
 
+def _l2_norm(data: Sequence[float], what: str) -> float:
+    # _norm2 with its sum behind the gate: fsum of finite squares can overflow
+    return math.sqrt(_fsum((x * x for x in data), what))
+
+
 def norm(x: Union[Matrix, Vector, Sequence[float]], kind: str = "l2") -> float:
     """L1 or L2 norm of a vector; Frobenius norm of a matrix (= L2 of its data)."""
     data = _flat(x)
     if kind == "l1":
-        return math.fsum(abs(v) for v in data)
+        return _fsum(map(abs, data), "l1 norm")
     if kind in ("l2", "frobenius"):
-        return _norm2(data)
+        return _l2_norm(data, f"{kind} norm")
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -423,17 +428,20 @@ def cosine_similarity(a, b) -> float:
     va, vb = _vec(a), _vec(b)
     if len(va) != len(vb):
         raise ShapeMismatch(f"lengths differ: {len(va)} vs {len(vb)}")
-    na, nb = _norm2(va), _norm2(vb)
+    na, nb = _l2_norm(va, "l2 norm"), _l2_norm(vb, "l2 norm")
     if na == 0.0 or nb == 0.0:
         raise ZeroNorm("cosine similarity undefined for zero-norm input")
-    return _dot(va, vb) / (na * nb)
+    return _fsum(map(mul, va, vb), "dot product") / (na * nb)
 
 
 def euclidean_distance(a, b) -> float:
     va, vb = _vec(a), _vec(b)
     if len(va) != len(vb):
         raise ShapeMismatch(f"lengths differ: {len(va)} vs {len(vb)}")
-    return math.sqrt(math.fsum((x - y) ** 2 for x, y in zip(va, vb)))
+    # ** 2, not x * x, whose last bit differs for some subnormal squares; the
+    # generator raises the OverflowError of ** inside the gate
+    squares = ((x - y) ** 2 for x, y in zip(va, vb))
+    return math.sqrt(_fsum(squares, "squared distance"))
 
 
 def error_metrics(exact: float, approx: float) -> ErrorPair:

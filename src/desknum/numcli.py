@@ -18,6 +18,7 @@ import math
 import sys
 from itertools import accumulate, repeat
 from operator import add, mul, sub, truediv
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import (
@@ -31,7 +32,7 @@ from . import (
     spectral,
 )
 from .errors import MalformedCsv, MalformedPgm, NonFinite, NumericsError
-from .ndcore import Matrix
+from .ndcore import Matrix, matmul
 from .spectral import Image2D
 
 
@@ -73,17 +74,22 @@ def write_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def read_csv(data: bytes) -> Tuple[List[str], List[List[float]]]:
-    """Inverse of write_csv; all data cells parse as floats."""
+def _ascii_lines(data: bytes, what: str, first: str) -> List[str]:
+    """The lines of an ASCII file, without the empty one after a final newline."""
     try:
-        text = data.decode("ascii")
+        lines = data.decode("ascii").split("\n")
     except UnicodeDecodeError as exc:
-        raise MalformedCsv("CSV must be ASCII") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+        raise MalformedCsv(f"{what} must be ASCII") from exc
+    if lines[-1] == "":
         lines.pop()
     if not lines:
-        raise MalformedCsv("missing header row")
+        raise MalformedCsv(f"missing {first}")
+    return lines
+
+
+def read_csv(data: bytes) -> Tuple[List[str], List[List[float]]]:
+    """Inverse of write_csv; all data cells parse as floats."""
+    lines = _ascii_lines(data, "CSV", "header row")
     headers = lines[0].split(",")
     rows = []
     for ln in lines[1:]:
@@ -106,14 +112,7 @@ def write_matrix_csv(m: Matrix) -> bytes:
 
 
 def read_matrix_csv(data: bytes) -> Matrix:
-    try:
-        lines = data.decode("ascii").split("\n")
-    except UnicodeDecodeError as exc:
-        raise MalformedCsv("matrix CSV must be ASCII") from exc
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise MalformedCsv("missing dimensions line")
+    lines = _ascii_lines(data, "matrix CSV", "dimensions line")
     try:
         r, c = (int(v) for v in lines[0].split(","))
         rows = [[float(cell) for cell in ln.split(",")] for ln in lines[1:]]
@@ -253,53 +252,50 @@ _OBJECTIVES = {
 # subcommand handlers, each returning the bytes for --out
 
 
-def _read_file(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+# the 2x2 matrix that linalg, solve and eig use when no --in file is given
+_FIXTURE = ((1.0, 2.0), (3.0, 4.0))
+# the symmetric positive definite system of solve's Cholesky and iterative runs
+_SPD = ((4.0, 1.0), (1.0, 3.0))
+
+
+def _matrix_in(ns) -> Matrix:
+    """The matrix of --in, or the fixture without one."""
+    if ns.infile:
+        return read_matrix_csv(Path(ns.infile).read_bytes())
+    return Matrix.from_rows(_FIXTURE)
+
+
+def _report(headers: List[str], values: List[float], rep) -> bytes:
+    """One row: the solution, then the iteration report of the solver."""
+    return write_csv(
+        headers + ["iterations", "residual", "converged"],
+        [values + [rep.iterations, rep.residual, int(rep.converged)]],
+    )
 
 
 def _cmd_linalg(ns) -> bytes:
     if ns.op == "matmul":
-        a = Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
         b = Matrix.from_rows([[5.0, 6.0], [7.0, 8.0]])
-        from .ndcore import matmul
-
-        return write_matrix_csv(matmul(a, b))
-    target = (
-        read_matrix_csv(_read_file(ns.infile))
-        if ns.infile
-        else Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
-    )
+        return write_matrix_csv(matmul(Matrix.from_rows(_FIXTURE), b))
+    target = _matrix_in(ns)
     if ns.op == "det":
         return write_csv(["det"], [[lindecomp.det(target)]])
     return write_matrix_csv(lindecomp.inv(target))
 
 
 def _cmd_solve(ns) -> bytes:
-    if ns.method in ("gauss", "lu", "qr", "inverse"):
-        a = Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
-        b = [5.0, 6.0]
-        x = lindecomp.solve_direct(a, b, ns.method)
+    if ns.method in ("gauss", "lu", "qr", "inverse", "cholesky"):
+        a, b = (_SPD, [1.0, 2.0]) if ns.method == "cholesky" else (_FIXTURE, [5.0, 6.0])
+        x = lindecomp.solve_direct(Matrix.from_rows(a), b, ns.method)
         return write_csv(["x0", "x1"], [list(x.data)])
-    a = Matrix.from_rows([[4.0, 1.0], [1.0, 3.0]])
-    b = [1.0, 2.0]
-    if ns.method == "cholesky":
-        x = lindecomp.solve_direct(a, b, "cholesky")
-        return write_csv(["x0", "x1"], [list(x.data)])
-    x, rep = lindecomp.solve_iterative(a, b, [0.0, 0.0], ns.method)
-    return write_csv(
-        ["x0", "x1", "iterations", "residual", "converged"],
-        [list(x.data) + [rep.iterations, rep.residual, int(rep.converged)]],
+    x, rep = lindecomp.solve_iterative(
+        Matrix.from_rows(_SPD), [1.0, 2.0], [0.0, 0.0], ns.method
     )
+    return _report(["x0", "x1"], list(x.data), rep)
 
 
 def _cmd_eig(ns) -> bytes:
-    target = (
-        read_matrix_csv(_read_file(ns.infile))
-        if ns.infile
-        else Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
-    )
-    res = lindecomp.eig(target)
+    res = lindecomp.eig(_matrix_in(ns))
     return write_csv(["lambda"], [[v] for v in res.values])
 
 
@@ -311,13 +307,7 @@ def _cmd_roots(ns) -> bytes:
             rep = roots.newton_system(_circlepara, None, [1.0, 1.0], tol=ns.tol)
         else:
             rep = roots.broyden(_circlepara, [1.0, 1.0], tol=ns.tol)
-        return write_csv(
-            ["x0", "x1", "iterations", "residual", "converged"],
-            [
-                list(rep.root.data)
-                + [rep.iterations, rep.residual, int(rep.converged)]
-            ],
-        )
+        return _report(["x0", "x1"], list(rep.root.data), rep)
     if ns.func not in _SCALAR_FUNCS:
         raise _UsageError(f"method {ns.method} requires a scalar function")
     f, df, g, _, bracket, x0, x1 = _SCALAR_FUNCS[ns.func]
@@ -331,17 +321,16 @@ def _cmd_roots(ns) -> bytes:
         if g is None:
             raise _UsageError(f"no fixed-point form registered for {ns.func}")
         rep = roots.fixed_point(g, x0, tol=ns.tol)
-    return write_csv(
-        ["root", "iterations", "residual", "converged"],
-        [[rep.root, rep.iterations, rep.residual, int(rep.converged)]],
-    )
+    return _report(["root"], [rep.root], rep)
 
 
 def _cmd_interp(ns) -> bytes:
     if ns.knots:
-        headers, rows = read_csv(_read_file(ns.knots))
+        headers, rows = read_csv(Path(ns.knots).read_bytes())
         if len(headers) != 2:
             raise MalformedCsv("knot CSV needs exactly two columns (x, y)")
+        if not rows:
+            raise MalformedCsv("knot CSV has no data rows")
         xs = [r[0] for r in rows]
         ys = [r[1] for r in rows]
     else:
@@ -381,7 +370,7 @@ def _cmd_integrate(ns) -> bytes:
 
 def _cmd_fft(ns) -> bytes:
     if ns.infile:
-        headers, rows = read_csv(_read_file(ns.infile))
+        headers, rows = read_csv(Path(ns.infile).read_bytes())
         if len(headers) != 1:
             raise MalformedCsv("signal CSV must have exactly one column")
         signal = [r[0] for r in rows]
@@ -398,7 +387,7 @@ def _cmd_fft(ns) -> bytes:
 
 
 def _cmd_image_lowpass(ns) -> bytes:
-    img = read_pgm(_read_file(ns.infile))
+    img = read_pgm(Path(ns.infile).read_bytes())
     if ns.spectrum:
         field = spectral.fft2(img)
         mags: List[float] = []
@@ -652,29 +641,24 @@ _parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 def run(argv: Sequence[str]) -> int:
+    # ValueError is the library's argument check, so a flag value out of its
+    # range is a usage error; ArithmeticError (ZeroDivisionError, the
+    # OverflowError of float **) is a numeric failure named by its class
     try:
         ns = _parser().parse_args(list(argv))
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        payload = ns.handler(ns)
+        if ns.out:
+            Path(ns.out).write_bytes(payload)
+        else:
+            sys.stdout.write(payload.decode("ascii"))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        payload = ns.handler(ns)
-    except _UsageError as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except NumericsError as exc:
+    except (NumericsError, ArithmeticError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if ns.out:
-        with open(ns.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload.decode("ascii"))
     return 0
 
 

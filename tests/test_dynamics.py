@@ -87,6 +87,13 @@ def test_problem_rejects_non_finite_times(t0, h, t_end):
         dyn.IvpProblem(decay_rhs, t0, (1.0,), h, t_end)
 
 
+@pytest.mark.parametrize("t0, h, t_end", [(0.0, 5e-324, 1.0), (-1e308, 1.0, 1e308)])
+def test_problem_rejects_a_span_of_too_many_steps(t0, h, t_end):
+    # (t_end - t0) / h overflows; the grid's int() then raised OverflowError
+    with pytest.raises(ValueError, match=r"^\(t_end - t0\) / h must be finite$"):
+        dyn.IvpProblem(decay_rhs, t0, (1.0,), h, t_end)
+
+
 def test_rhs_shape_checked():
     bad = lambda t, y: [1.0, 2.0]
     with pytest.raises(ShapeMismatch):
@@ -316,6 +323,12 @@ def test_heat_unstable_configuration():
             alpha=0.6, length=2.0, nx=3, nt=1, t_total=1.0, u0=lambda x: 0.0
         )
     assert "unstable" in str(exc.value)
+
+
+def test_heat_underflowing_dx_is_unstable():
+    # dx = 5e-202, so dx^2 underflows to 0; the factor used to divide by it
+    with pytest.raises(Unstable, match="dx\\^2 underflows to 0"):
+        dyn.HeatProblem(0.01, 1e-200, 21, 100, 1.0, sine_bump)
 
 
 def test_heat_validation():

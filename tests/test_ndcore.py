@@ -569,6 +569,55 @@ def test_error_metrics_overflow_raises_non_finite():
             ndcore.error_metrics(exact, approx)
 
 
+# the public sums go through the same gate: a finite input whose sum, product
+# or square overflows raises NonFinite, not a bare OverflowError or ValueError,
+# and no inf comes back
+
+_BIG = 1e308
+
+
+def test_reduce_overflow_raises_non_finite():
+    # the mean of [B, B] is representable, but its sum is not
+    for kind in ("sum", "mean"):
+        with pytest.raises(NonFinite, match="^sum overflows$"):
+            ndcore.reduce([_BIG, _BIG], kind)
+
+
+def test_norm_overflow_raises_non_finite():
+    with pytest.raises(NonFinite, match="^l1 norm overflows$"):
+        ndcore.norm([_BIG, _BIG], "l1")
+    with pytest.raises(NonFinite, match="^l2 norm contains a non-finite entry: inf$"):
+        ndcore.norm([_BIG, _BIG])
+    # each square is finite, their sum is not
+    with pytest.raises(NonFinite, match="^frobenius norm overflows$"):
+        ndcore.norm(Matrix.from_rows([[1e154, 1e154]]), "frobenius")
+
+
+def test_dot_overflow_raises_non_finite():
+    # the products are inf and -inf, whose sum fsum reports as a ValueError
+    with pytest.raises(NonFinite, match="^dot product overflows$"):
+        ndcore.dot([_BIG, _BIG], [_BIG, -_BIG])
+    with pytest.raises(NonFinite, match="^dot product contains a non-finite entry: inf$"):
+        ndcore.dot([_BIG, _BIG], [_BIG, _BIG])
+
+
+def test_cosine_similarity_overflow_raises_non_finite():
+    # the norms overflow; inf / inf came back as nan, and a finite dot
+    # product over an infinite norm as 0.0
+    with pytest.raises(NonFinite, match="^l2 norm contains a non-finite entry: inf$"):
+        ndcore.cosine_similarity([_BIG, _BIG], [_BIG, _BIG])
+    with pytest.raises(NonFinite, match="^l2 norm contains a non-finite entry: inf$"):
+        ndcore.cosine_similarity([_BIG, 0.0], [1.0, 1.0])
+
+
+def test_euclidean_distance_overflow_raises_non_finite():
+    # B - (-B) is inf; 1e200 ** 2 raises OverflowError while the sum runs
+    with pytest.raises(NonFinite, match="^squared distance contains a non-finite entry: inf$"):
+        ndcore.euclidean_distance([_BIG, _BIG], [-_BIG, -_BIG])
+    with pytest.raises(NonFinite, match="^squared distance overflows$"):
+        ndcore.euclidean_distance([1e200], [0.0])
+
+
 def test_error_metrics_zero_exact():
     with pytest.raises(RelativeUndefined):
         ndcore.error_metrics(0.0, 1.0)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -228,6 +229,150 @@ def test_out_flag_matches_stdout(tmp_path, capsys):
     rc2, out2, _ = run(["eig", "--out", str(path)], capsys)
     assert rc2 == 0 and out2 == ""
     assert path.read_bytes() == out.encode()
+
+
+# run() has one exit path: ValueError, the library's argument check, is a
+# usage error (exit 1), as is an --out that cannot be written; a Python
+# ArithmeticError is a numeric failure named by its class (exit 2)
+
+_OUT_OF_RANGE = [
+    ["heat", "--alpha", "0.01", "--L", "10", "--nx", "2", "--nt", "100", "--t", "1"],
+    ["ode", "--problem", "decay", "--method", "rk4", "--h", "-0.1"],
+    ["ode", "--problem", "decay", "--method", "rk4", "--h", "5e-324"],
+    ["xor", "--eta", "0"],
+    ["qlearn", "--alpha", "2"],
+    ["optimize", "--objective", "bowl2d", "--method", "adam", "--eta", "-1"],
+    ["fft", "--freq", "inf"],
+]
+
+
+@pytest.mark.parametrize("args", _OUT_OF_RANGE, ids=" ".join)
+def test_flag_value_out_of_range_is_usage_error(args, capsys):
+    rc, out, err = run(args, capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing/eig.csv", "."])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, where):
+    rc, out, err = run(["eig", "--out", str(tmp_path / where)], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+_ARITHMETIC = [
+    (["optimize", "--objective", "rosenbrock", "--method", "gd", "--eta", "1e10"],
+     "OverflowError"),
+    (["fft", "--fs", "0"], "ZeroDivisionError"),
+]
+
+
+@pytest.mark.parametrize("args, name", _ARITHMETIC, ids=[n for _, n in _ARITHMETIC])
+def test_arithmetic_error_exits_two_with_its_class(args, name, capsys):
+    rc, out, err = run(args, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"{name}: ") and err.count("\n") == 1
+
+
+def test_interp_knots_without_data_rows_exit_two(tmp_path, capsys):
+    path = tmp_path / "knots.csv"
+    path.write_bytes(b"x,y\n")
+    rc, out, err = run(["interp", "--method", "linear", "--knots", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "MalformedCsv: knot CSV has no data rows\n"
+
+
+# The exit contract over a table: each subcommand with one flag at a time
+# moved off its default. Whatever the value, run() returns 0, 1 or 2 and
+# does not raise.
+
+_FLOAT_VALUES = [
+    "0", "-0.0", "-1", "1", "3", "nan", "inf", "-inf",
+    "1e308", "1e200", "1e10", "5e-324", "1e-200",
+]
+# ode builds its whole time grid before the first step, so its --h and
+# --t-end take only values that leave fewer than 1e4 steps or a span / h
+# that is not finite
+_ODE_VALUES = ["0", "-0.0", "-1", "1", "3", "nan", "inf", "-inf", "1e308", "5e-324"]
+_COUNT_VALUES = ["-1", "0", "1", "3", "x"]
+_INPUT_FILES = {
+    "header-only.csv": b"x,y\n",
+    "one-row.csv": b"x,y\n0,1\n",
+    "duplicate-x.csv": b"x,y\n0,1\n0,2\n1,3\n",
+    "wrong-columns.csv": b"x,y\n0,1,2\n",
+    "empty-body.csv": b"2,2\n",
+}
+_OPTIMIZERS = ("gd", "momentum", "adagrad", "rmsprop", "adam", "adamw")
+
+# (base arguments, float flags, count flags, input-file flags)
+_EXIT_TABLE = [
+    *((["roots", "--f", "x2m4", "--method", m], ["--tol"], [], [])
+      for m in ("bisection", "newton", "secant", "fixed_point")),
+    *((["roots", "--f", "circlepara", "--method", m], ["--tol"], [], [])
+      for m in ("system", "broyden")),
+    *((["interp", "--method", m], ["--lo", "--hi"], ["--num"], ["--knots"])
+      for m in ("lagrange", "newton", "spline", "linear")),
+    *((["integrate", "--method", m, "--f", "sin", "--a", "0", "--b", "3", "--n", "8"],
+       ["--a", "--b"], ["--n"], [])
+      for m in ("trapezoid", "simpson", "gauss")),
+    (["fft"], ["--freq", "--fs"], ["--n"], ["--in"]),
+    (["image-lowpass", "--in", "{pgm}", "--keep", "3"], [], ["--keep"], []),
+    *((["optimize", "--objective", "rosenbrock", "--method", m, "--iters", "20"],
+       ["--eta"], ["--iters"], [])
+      for m in _OPTIMIZERS),
+    *((["ode", "--problem", "decay", "--method", m], ["--h", "--t-end"], [], [])
+      for m in ("euler", "rk4", "backward_euler")),
+    (["heat", "--alpha", "0.01", "--L", "10", "--nx", "21", "--nt", "100", "--t", "1"],
+     ["--alpha", "--L", "--t"], ["--nx", "--nt"], []),
+    (["xor", "--epochs", "20"], ["--eta"], ["--epochs", "--seed"], []),
+    (["qlearn", "--episodes", "20"], ["--alpha", "--gamma", "--epsilon"],
+     ["--episodes", "--seed"], []),
+    *((["linalg", "--op", op], [], [], ["--in"]) for op in ("det", "inv")),
+    (["eig"], [], [], ["--in"]),
+]
+
+
+def _with_flag(argv, flag, value):
+    if flag in argv:
+        i = argv.index(flag) + 1
+        return argv[:i] + [value] + argv[i + 1:]
+    return argv + [flag, value]
+
+
+def _exit_table(tmp_path):
+    """Every argument list of the table, with its input files written."""
+    pgm, _ = _checker_pgm(tmp_path)
+    for name, data in _INPUT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    files = [str(tmp_path / name) for name in _INPUT_FILES]
+    for base, floats, counts, inputs in _EXIT_TABLE:
+        base = [str(pgm) if a == "{pgm}" else a for a in base]
+        values = _ODE_VALUES if base[0] == "ode" else _FLOAT_VALUES
+        for flags, vals in ((floats, values), (counts, _COUNT_VALUES), (inputs, files)):
+            for flag in flags:
+                for v in vals:
+                    yield _with_flag(base, flag, v)
+
+
+@pytest.mark.parametrize("command", sorted({base[0] for base, *_ in _EXIT_TABLE}))
+def test_no_flag_value_escapes_the_exit_contract(command, tmp_path, capsys):
+    broken = []
+    for argv in _exit_table(tmp_path):
+        if argv[0] != command:
+            continue
+        try:
+            rc = numcli.run(argv)
+        except Exception as exc:  # the contract under test: nothing escapes
+            broken.append((argv, repr(exc)))
+            continue
+        err = capsys.readouterr().err
+        if not (
+            (rc == 0 and err == "")
+            or (rc == 1 and err.startswith("usage error: "))
+            or (rc == 2 and re.match(r"[A-Z]\w*: ", err))
+        ):
+            broken.append((argv, rc, err))
+    assert broken == []
 
 
 # run() parses with one parser per process; one session of calls, usage
