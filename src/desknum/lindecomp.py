@@ -668,7 +668,7 @@ def _svd(rows: list[list[float]], k: int):
     cols = [list(c) for c in zip(*rows)]
     reflectors = _triangularize(cols, n)
     wcols, vcols = _jacobi([c[:n] for c in cols])
-    norms = list(map(_norm2, wcols))
+    norms = [_norm2(c, "singular value") for c in wcols]
     order = sorted(range(n), key=norms.__getitem__, reverse=True)
     smax = norms[order[0]]
     sigma = [norms[j] if norms[j] > 1e-12 * smax else 0.0 for j in order]

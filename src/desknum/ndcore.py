@@ -270,15 +270,17 @@ def _naive_ll(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
     return [[sum(map(mul, arow, bcol)) for bcol in bt] for arow in a]
 
 
-# unchecked vector helpers for internal kernels; callers validate first
+# vector helpers for internal kernels; callers validate first. _dot runs in
+# the iterative solvers' inner loops and is not gated.
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return math.fsum(map(mul, a, b))
 
 
-def _norm2(v: Sequence[float]) -> float:
-    return math.sqrt(math.fsum(x * x for x in v))
+def _norm2(v: Sequence[float], what: str = "l2 norm") -> float:
+    # gated: fsum of finite squares can overflow
+    return math.sqrt(_fsum((x * x for x in v), what))
 
 
 def _norm_inf(v: Sequence[float]) -> float:
@@ -409,18 +411,13 @@ def _flat(x: Union[Matrix, Vector, Sequence[float]]) -> list[float]:
     return _vec(x)
 
 
-def _l2_norm(data: Sequence[float], what: str) -> float:
-    # _norm2 with its sum behind the gate: fsum of finite squares can overflow
-    return math.sqrt(_fsum((x * x for x in data), what))
-
-
 def norm(x: Union[Matrix, Vector, Sequence[float]], kind: str = "l2") -> float:
     """L1 or L2 norm of a vector; Frobenius norm of a matrix (= L2 of its data)."""
     data = _flat(x)
     if kind == "l1":
         return _fsum(map(abs, data), "l1 norm")
     if kind in ("l2", "frobenius"):
-        return _l2_norm(data, f"{kind} norm")
+        return _norm2(data, f"{kind} norm")
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -428,10 +425,10 @@ def cosine_similarity(a, b) -> float:
     va, vb = _vec(a), _vec(b)
     if len(va) != len(vb):
         raise ShapeMismatch(f"lengths differ: {len(va)} vs {len(vb)}")
-    na, nb = _l2_norm(va, "l2 norm"), _l2_norm(vb, "l2 norm")
+    na, nb = _norm2(va), _norm2(vb)
     if na == 0.0 or nb == 0.0:
         raise ZeroNorm("cosine similarity undefined for zero-norm input")
-    return _fsum(map(mul, va, vb), "dot product") / (na * nb)
+    return dot(va, vb) / (na * nb)
 
 
 def euclidean_distance(a, b) -> float:

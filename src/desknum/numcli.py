@@ -402,8 +402,7 @@ def _cmd_image_lowpass(ns) -> bytes:
             shot = list(map(round, map(truediv, scaled, repeat(span))))
         else:
             shot = [0] * len(mags)
-        with open(ns.spectrum, "wb") as fh:
-            fh.write(_pgm_bytes(img.rows, img.cols, shot))
+        Path(ns.spectrum).write_bytes(_pgm_bytes(img.rows, img.cols, shot))
         pooled = spectral._pool_field(field, ns.keep)
     else:
         pooled = spectral.spectral_pool2d(img, ns.keep)

@@ -227,7 +227,7 @@ def clip_by_norm(g: Sequence[float], threshold: float) -> Vector:
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     gr = _vec(g, "g")
-    norm = _norm2(gr)
+    norm = _norm2(gr, "gradient norm")
     if norm <= threshold:
         return Vector(gr)
     scale = threshold / norm

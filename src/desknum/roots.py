@@ -157,7 +157,7 @@ def _newton(f_vec, model, x0, tol, max_iter, singular, stalled) -> RootReport:
             raise singular(str(exc)) from exc
         x = [xi + si for xi, si in zip(x, s)]
         fx = _checked_floats(f_vec(x), "F(x)")
-        if _norm_inf(fx) <= 1e-15 or _norm2(s) < tol:
+        if _norm_inf(fx) <= 1e-15 or _norm2(s, "Newton step") < tol:
             return RootReport(Vector(x), k, _norm_inf(fx), True)
     raise MaxIterations(stalled.format(max_iter))
 

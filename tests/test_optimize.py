@@ -234,6 +234,12 @@ def test_clip_idempotent():
     assert once.data == twice.data
 
 
+def test_clip_overflowing_norm_raises_non_finite():
+    # finite squares whose sum passes the float maximum
+    with pytest.raises(NonFinite, match="^gradient norm overflows$"):
+        opt.clip_by_norm([1e154, 1e154], 1.0)
+
+
 # newton
 
 
