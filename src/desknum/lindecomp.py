@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Sequence, Union
 
 from .errors import (
@@ -187,7 +187,7 @@ def _forward_substitute(lo: list[list[float]], b: list[float]) -> list[float]:
     # lower-triangular L y = b; a unit diagonal divides exactly
     y: list[float] = []
     for row, bi in zip(lo, b):
-        y.append((bi - _fsum(map(mul, row, y), "triangular solve")) / row[len(y)])
+        y.append((bi - _dot(row, y, "triangular solve")) / row[len(y)])
     return y
 
 
@@ -195,7 +195,7 @@ def _back_substitute(u: list[list[float]], y: list[float]) -> list[float]:
     # upper-triangular U x = y, from the last row up
     x = [0.0] * len(y)
     for i in reversed(range(len(y))):
-        x[i] = (y[i] - _fsum(map(mul, u[i][i + 1 :], x[i + 1 :]), "triangular solve")) / u[i][i]
+        x[i] = (y[i] - _dot(u[i][i + 1 :], x[i + 1 :], "triangular solve")) / u[i][i]
     return x
 
 
@@ -211,12 +211,12 @@ def _reflector(x: list[float]):
     or None for x = 0. v is x scaled by a power of two, so |x|^2, v^T v and v.c
     cannot overflow or underflow; elsewhere every rounding is the unscaled one."""
     (v,), f = _scaled([x])
-    nx = math.sqrt(math.fsum(map(mul, v, v)))
+    nx = _norm2(v, "Householder vector")
     if nx == 0.0:
         return None
     alpha = -nx if v[0] >= 0 else nx
     v[0] -= alpha
-    return v, alpha * f, math.fsum(map(mul, v, v))
+    return v, alpha * f, _dot(v, v, "Householder vector")
 
 
 def _reflect(cols: list[list[float]], top: int, v: list[float], vtv: float) -> None:
@@ -224,7 +224,7 @@ def _reflect(cols: list[list[float]], top: int, v: list[float], vtv: float) -> N
     # that overflowed earlier, where H c is not representable
     for c in cols:
         seg = c[top:]
-        s = 2.0 * _fsum(map(mul, v, seg), "Householder reflection") / vtv
+        s = 2.0 * _dot(v, seg, "Householder reflection") / vtv
         if s != 0.0:
             c[top:] = map(sub, seg, map(mul, repeat(s), v))
 
@@ -281,11 +281,13 @@ def cholesky(a: Matrix) -> Matrix:
         raise NotSpd("matrix is not symmetric")
     lo: list[list[float]] = []
     for i, arow in enumerate(rows):
-        # row i of L grows entry by entry; map stops at its length j
-        li: list[float] = []
-        for lj, x in zip(lo, arow):
-            li.append((x - math.fsum(map(mul, li, lj))) / lj[-1])
-        s = arow[i] - math.fsum(map(mul, li, li))
+        # the first i entries of row i of L; for SPD A each is at most
+        # sqrt(a_ii) in magnitude, so one that overflows marks A as not SPD
+        try:
+            li = _forward_substitute(lo, arow)
+            s = arow[i] - _dot(li, li, "Cholesky pivot")
+        except NonFinite:
+            s = -math.inf
         if s <= 0.0:
             raise NotSpd("matrix is not positive definite")
         li.append(math.sqrt(s))
@@ -379,12 +381,12 @@ def solve_iterative(
             # Jacobi reads the previous iterate, Gauss-Seidel the one it updates
             old = list(x)
             src = old if method == "jacobi" else x
+            what = f"{method} sweep {k}"
             for i, (row, bi) in enumerate(zip(arows, bv)):
-                # the terms j != i, from the slices on either side of i
+                # the terms j != i, from the slices on either side of i; an
+                # entry that overflows fails this sum or the residual below
                 off = chain(map(mul, row[:i], src), map(mul, row[i + 1 :], src[i + 1 :]))
-                x[i] = (bi - math.fsum(off)) / row[i]
-                if not math.isfinite(x[i]):
-                    raise NonFinite(f"{method} iterate overflowed at sweep {k}")
+                x[i] = (bi - _fsum(off, what)) / row[i]
             step = max(map(abs, map(sub, x, old)))
             res = _residual_inf(arows, x, bv)
             if step < cfg.tol or res < cfg.tol:
@@ -397,24 +399,30 @@ def solve_iterative(
         res = _norm_inf(r)
         if res < cfg.tol:
             return Vector(x), IterReport(0, res, True)
+        # r and p carry the factor 2^-e that puts |r0|_inf in [1/2, 1), so
+        # r^T r and p^T A p do not overflow or underflow with the scale of b;
+        # a power of two scales exactly, so the steps keep their rounding.
+        # tol <= |r0|_inf, so tol 2^-e < 1
+        e = math.frexp(res)[1]
+        r = [math.ldexp(v, -e) for v in r]
         p = list(r)
-        rs = _dot(r, r)
+        tol_r = math.ldexp(cfg.tol, -e)
+        rs = _dot(r, r, "CG residual norm")
         for k in range(1, cfg.max_iter + 1):
             ap = _matvec(arows, p)
-            curv = _dot(p, ap)
+            curv = _dot(p, ap, "CG curvature")
             if curv <= 0.0:
                 raise NotSpd("nonpositive curvature direction: matrix is not SPD")
             alpha = rs / curv
-            step = 0.0
-            for i in range(n):
-                dx = alpha * p[i]
-                x[i] += dx
-                step = max(step, abs(dx))
-                r[i] -= alpha * ap[i]
-            res = _norm_inf(r)
-            if step < cfg.tol or res < cfg.tol:
+            r = [ri - alpha * api for ri, api in zip(r, ap)]
+            try:
+                dx = [math.ldexp(alpha * v, e) for v in p]
+            except OverflowError:
+                raise NonFinite(f"CG step overflows at iteration {k}") from None
+            x = list(map(add, x, dx))
+            if max(map(abs, dx)) < cfg.tol or _norm_inf(r) < tol_r:
                 return Vector(x), IterReport(k, _residual_inf(arows, x, bv), True)
-            rs_new = _dot(r, r)
+            rs_new = _dot(r, r, "CG residual norm")
             beta = rs_new / rs
             p = [r[i] + beta * p[i] for i in range(n)]
             rs = rs_new
@@ -571,7 +579,7 @@ def _schur_vectors(t: list[list[float]], zcols: list[list[float]]) -> list[list[
             ui[i] = d if abs(d) >= smin else math.copysign(smin, d)
         y = _back_substitute(u, [-row[k] for row in t[:k]]) + [1.0]
         (v,), _ = _scaled([_matvec(zrows, y)])
-        nv = math.sqrt(math.fsum(map(mul, v, v)))
+        nv = _norm2(v, "eigenvector")
         vecs.append(_sign_fix([x / nv for x in v]))
     return vecs
 
@@ -638,7 +646,7 @@ def eig(a: Matrix) -> EigResult:
         # positive semidefinite, so its right singular vectors are
         # eigenvectors of S, with Rayleigh quotients for eigenvalues
         srows = [[0.5 * (x + y) for x, y in zip(*rc)] for rc in zip(srows, zip(*srows))]
-        tau = max(math.fsum(map(abs, row)) for row in srows)
+        tau = max(_fsum(map(abs, row), "row sum") for row in srows)
         b = [row[:] for row in srows]
         for j in range(n):
             b[j][j] += tau
@@ -700,7 +708,7 @@ def pca(x: Matrix, k: int) -> Matrix:
     if not 1 <= k <= min(n - 1, d):
         raise BadRank(f"component count {k} outside [1, {min(n - 1, d)}]")
     rows, f = _scaled(x.to_rows())
-    means = [math.fsum(c) / n for c in zip(*rows)]
+    means = [_fsum(c, "column sum") / n for c in zip(*rows)]
     xc = [list(map(sub, row, means)) for row in rows]
     urows, sigma, _ = _svd(xc, k)
     scores = [[u * s * f for u, s in zip(row, sigma[:k])] for row in urows]

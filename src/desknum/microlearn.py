@@ -272,8 +272,9 @@ def batchnorm_forward(x: Matrix, p: BatchNormParams) -> Matrix:
     out = [[0.0] * x.cols for _ in range(x.rows)]
     for j in range(x.cols):
         col = [rows[i][j] for i in range(x.rows)]
-        mu = math.fsum(col) / len(col)
-        var = math.fsum((v - mu) ** 2 for v in col) / len(col)
+        mu = _fsum(col, "batch mean") / len(col)
+        # the OverflowError of ** 2 is raised inside the gate
+        var = _fsum(((v - mu) ** 2 for v in col), "batch variance") / len(col)
         denom = math.sqrt(var + p.eps)
         for i in range(x.rows):
             out[i][j] = p.gamma[j] * (col[i] - mu) / denom + p.beta[j]

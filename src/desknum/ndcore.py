@@ -11,10 +11,12 @@ gate for floats from outside: every caller input in the package is converted
 by float() and required finite there (through `_vec` where an empty input is
 an error, and through `_checked_float` for a single scalar), and NonFinite
 names the input and its first bad entry.
-`_finite` and `_fsums` are the same gate for computed values: `_finite`
-requires values finite, and `_fsums` (`_fsum` for one sum) adds with
-math.fsum and turns its overflow and invalid-operation exceptions
-(IEEE 754-2019 section 7) and a non-finite sum into NonFinite.
+`_finite`, `_fsum` and `_fsums` are the same gate for computed values:
+`_finite` requires values finite, and `_fsum` (one sum) and `_fsums` (a batch
+of sums) add with math.fsum and turn its overflow and invalid-operation
+exceptions (IEEE 754-2019 section 7) and a non-finite sum into NonFinite.
+Every compensated sum in the package goes through one of the two, so the
+internal helpers `_dot`, `_norm2` and `_matvec` are gated too.
 `_bounded` is the one divergence test: an iterate is data while every entry
 is within DIVERGE_LIMIT in magnitude.
 `_fd_columns` is the one finite-difference kernel of the solvers: the
@@ -51,8 +53,8 @@ DIVERGE_LIMIT = 1e12
 
 def _finite(values, what: str):
     """values, unchanged, once each entry is found finite in one pass.
-    The two gates below, which run once per small object or sum on hot
-    paths, test with all() first and call this only to name a failure."""
+    The gates below, which run once per small object or sum on hot paths,
+    test first and call this only to name a failure."""
     bad = next(filterfalse(math.isfinite, values), None)
     if bad is not None:
         raise NonFinite(f"{what} contains a non-finite entry: {bad!r}")
@@ -72,7 +74,12 @@ def _fsums(groups: Iterable[Iterable[float]], what: str) -> list[float]:
 
 
 def _fsum(terms: Iterable[float], what: str) -> float:
-    return _fsums((terms,), what)[0]
+    """math.fsum of terms, required finite, as one group of _fsums."""
+    try:
+        s = math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise NonFinite(f"{what} overflows") from None
+    return s if math.isfinite(s) else _finite((s,), what)[0]
 
 
 def _checked_floats(values: Iterable[float], what: str) -> list[float]:
@@ -270,29 +277,24 @@ def _naive_ll(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
     return [[sum(map(mul, arow, bcol)) for bcol in bt] for arow in a]
 
 
-# vector helpers for internal kernels; callers validate first. _dot runs in
-# the iterative solvers' inner loops and is not gated.
+# vector helpers for internal kernels; callers validate first
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return math.fsum(map(mul, a, b))
+def _dot(a: Sequence[float], b: Sequence[float], what: str = "dot product") -> float:
+    return _fsum(map(mul, a, b), what)
 
 
 def _norm2(v: Sequence[float], what: str = "l2 norm") -> float:
-    # gated: fsum of finite squares can overflow
     return math.sqrt(_fsum((x * x for x in v), what))
 
 
 def _norm_inf(v: Sequence[float]) -> float:
-    # max() skips a NaN unless it comes first; a NaN must fail every
-    # convergence test, so it propagates here
-    if any(map(math.isnan, v)):
-        return math.nan
+    # callers pass gated values: max() would skip a NaN that does not come first
     return max(map(abs, v))
 
 
 def _matvec(rows: Sequence[Sequence[float]], x: Sequence[float]) -> list[float]:
-    return [math.fsum(map(mul, r, x)) for r in rows]
+    return _fsums((map(mul, r, x) for r in rows), "matrix-vector product")
 
 
 def _ll_add(a, b):
@@ -389,7 +391,7 @@ def dot(a: Union[Vector, Sequence[float]], b: Union[Vector, Sequence[float]]) ->
     va, vb = _vec(a), _vec(b)
     if len(va) != len(vb):
         raise ShapeMismatch(f"lengths differ: {len(va)} vs {len(vb)}")
-    return _fsum(map(mul, va, vb), "dot product")
+    return _dot(va, vb)
 
 
 def cross3(a: Union[Vector, Sequence[float]], b: Union[Vector, Sequence[float]]) -> Vector:
@@ -428,7 +430,7 @@ def cosine_similarity(a, b) -> float:
     na, nb = _norm2(va), _norm2(vb)
     if na == 0.0 or nb == 0.0:
         raise ZeroNorm("cosine similarity undefined for zero-norm input")
-    return dot(va, vb) / (na * nb)
+    return _dot(va, vb) / (na * nb)
 
 
 def euclidean_distance(a, b) -> float:

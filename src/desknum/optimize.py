@@ -43,6 +43,7 @@ from .ndcore import (
     _checked_float,
     _checked_floats,
     _dot,
+    _fsums,
     _matvec,
     _norm2,
     _norm_inf,
@@ -428,9 +429,7 @@ def nelder_mead(
         if k == max_iter:
             break
         fresh = False
-        centroid = [
-            math.fsum(simplex[i][j] for i in range(n)) / n for j in range(n)
-        ]
+        centroid = [c / n for c in _fsums(zip(*simplex[:n]), "simplex centroid")]
         worst = simplex[-1]
         reflected = [c + (c - w) for c, w in zip(centroid, worst)]
         fr = f(reflected)

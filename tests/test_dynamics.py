@@ -66,6 +66,9 @@ def test_problem_validation():
         dyn.IvpProblem(f, 0.0, (1.0,), 0.1, 0.0)
     with pytest.raises(ValueError):
         dyn.IvpProblem(f, 0.0, (1.0,), 2.0, 1.0)
+    with pytest.raises(ValueError):
+        # h within the old absolute 1e-12 slack of the span
+        dyn.IvpProblem(f, 0.0, (1.0,), 5e-13, 1e-15)
     with pytest.raises(ShapeMismatch):
         dyn.IvpProblem(f, 0.0, (), 0.1, 1.0)
 
@@ -87,11 +90,20 @@ def test_problem_rejects_non_finite_times(t0, h, t_end):
         dyn.IvpProblem(decay_rhs, t0, (1.0,), h, t_end)
 
 
-@pytest.mark.parametrize("t0, h, t_end", [(0.0, 5e-324, 1.0), (-1e308, 1.0, 1e308)])
+@pytest.mark.parametrize(
+    "t0, h, t_end",
+    [(0.0, 5e-324, 1.0), (-1e308, 1.0, 1e308), (0.0, 1e-200, 1.0), (0.0, 0.1, 1e10)],
+)
 def test_problem_rejects_a_span_of_too_many_steps(t0, h, t_end):
-    # (t_end - t0) / h overflows; the grid's int() then raised OverflowError
-    with pytest.raises(ValueError, match=r"^\(t_end - t0\) / h must be finite$"):
+    # (t_end - t0) / h overflows, or is finite but would need a grid of up
+    # to 1e200 points, built whole before the first step
+    with pytest.raises(ValueError, match=r"^\(t_end - t0\) / h must be between 1 and 1000000$"):
         dyn.IvpProblem(decay_rhs, t0, (1.0,), h, t_end)
+
+
+def test_problem_accepts_one_step_and_the_step_bound():
+    for h, t_end in ((1.0, 1.0), (1.0, 1e6)):
+        dyn.IvpProblem(decay_rhs, 0.0, (1.0,), h, t_end)
 
 
 def test_rhs_shape_checked():

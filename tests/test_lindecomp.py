@@ -411,6 +411,15 @@ def test_cholesky_rejects_non_spd():
     # alone would be positive definite
     with pytest.raises(NotSpd):
         ld.cholesky(Matrix.from_rows([[4e-10, 1e-10], [2e-10, 4e-10]]))
+    # |l_ij| <= sqrt(a_ii) for SPD A, so an entry of L that overflows marks
+    # A as not SPD; the 4x4 raised NonFinite, from L's nan entries
+    tiny, big = 1e-300, 1e300
+    for a in (
+        [[tiny, big], [big, big]],
+        [[tiny, 0, 1e-150, big], [0, tiny, -1e-150, big], [1e-150, -1e-150, 3, 0], [big, big, 0, 1]],
+    ):
+        with pytest.raises(NotSpd):
+            ld.cholesky(Matrix.from_rows(a))
 
 
 # determinant and inverse
@@ -483,6 +492,13 @@ ITER_PIN = {
         36,
         1.1620704398751514e-12,
     ),
+    # recorded before CG carried r and p scaled by the initial residual's
+    # power of two
+    "cg": (
+        [0.6555323590814196, -0.7025052192066805, 0.7797494780793319, -0.3977035490605428],
+        4,
+        8.881784197001252e-16,
+    ),
 }
 
 
@@ -503,11 +519,16 @@ def test_jacobi_divergence_reported_not_raised():
 def test_iterative_overflow_raises_nonfinite_for_both_methods():
     # |a_ij| > |a_ii| off the diagonal: the iterates grow until they overflow
     a = Matrix.from_rows([[1, 3], [3, 1]])
+    # the residual of x0 sums +inf and -inf here; a bare ValueError escaped
+    big = 1e308
+    cancelling = Matrix.from_rows([[1, big, big], [big, 1, 0], [big, 0, 1]])
     for method in ("jacobi", "gauss_seidel"):
         x, rep = ld.solve_iterative(a, [1, 1], [0, 0], method, ld.IterConfig(1e-10, 50))
         assert not rep.converged and all(map(math.isfinite, x))
         with pytest.raises(NonFinite):
             ld.solve_iterative(a, [1, 1], [0, 0], method, ld.IterConfig(1e-10, 2000))
+        with pytest.raises(NonFinite):
+            ld.solve_iterative(cancelling, [0, 0, 0], [0, 2, -2], method)
 
 
 def test_non_finite_vector_input_is_named_at_entry():
@@ -539,6 +560,26 @@ def test_cg_random_spd_eight_iterations():
         assert rep.converged
         assert rep.iterations <= 8
         assert rep.residual < 1e-8
+
+
+def test_cg_solves_systems_far_from_unit_scale():
+    # r^T r and p^T A p overflowed or underflowed here: at 1e150 CG returned
+    # x0 as converged, at 1e-150 it raised NotSpd, and at 1e308 NonFinite
+    def close(x, want, ulps):
+        return all(abs(a - w) <= ulps * math.ulp(w) for a, w in zip(x, want))
+
+    for s, tol in ((1e150, 1e-10), (1e-150, 1e-160)):
+        a = Matrix.from_rows([[2 * s, s], [s, 3 * s]])
+        x, rep = ld.solve_iterative(a, [s, 2 * s], [0, 0], "cg", ld.IterConfig(tol, 100))
+        assert rep.converged and close(x, [0.2, 0.6], 4)
+    b = [1e308, 1e308]
+    x, rep = ld.solve_iterative(Matrix.identity(2), b, [0, 0], "cg")
+    assert rep.converged and x.data == b
+    x, rep = ld.solve_iterative(Matrix.from_rows([[1e308, 0], [0, 1e308]]), b, [0, 0], "cg")
+    assert rep.converged and close(x, [1.0, 1.0], 1)
+    # x = [1e318, 0] is not representable
+    with pytest.raises(NonFinite, match="^CG step overflows at iteration 1$"):
+        ld.solve_iterative(Matrix.from_rows([[1e-10, 0], [0, 1]]), [1e308, 0], [0, 0], "cg")
 
 
 # eigenproblems

@@ -553,6 +553,14 @@ def test_batchnorm_zero_gamma_gives_beta():
     assert out.col(1) == [-1.5, -1.5]
 
 
+def test_batchnorm_overflowing_variance_raises_nonfinite():
+    # a bare OverflowError escaped; the outputs, about +-1, are representable,
+    # so this stays open for a scaled mean and variance
+    x = Matrix.from_rows([[1e308], [-1e308]])
+    with pytest.raises(NonFinite, match="^batch variance overflows$"):
+        ml.batchnorm_forward(x, ml.BatchNormParams.identity(1))
+
+
 def test_batchnorm_constant_column():
     x = Matrix.from_rows([[7.0], [7.0], [7.0]])
     p = ml.BatchNormParams(Vector([1.0]), Vector([0.5]))

@@ -290,10 +290,6 @@ _FLOAT_VALUES = [
     "0", "-0.0", "-1", "1", "3", "nan", "inf", "-inf",
     "1e308", "1e200", "1e10", "5e-324", "1e-200",
 ]
-# ode builds its whole time grid before the first step, so its --h and
-# --t-end take only values that leave fewer than 1e4 steps or a span / h
-# that is not finite
-_ODE_VALUES = ["0", "-0.0", "-1", "1", "3", "nan", "inf", "-inf", "1e308", "5e-324"]
 _COUNT_VALUES = ["-1", "0", "1", "3", "x"]
 _INPUT_FILES = {
     "header-only.csv": b"x,y\n",
@@ -347,8 +343,7 @@ def _exit_table(tmp_path):
     files = [str(tmp_path / name) for name in _INPUT_FILES]
     for base, floats, counts, inputs in _EXIT_TABLE:
         base = [str(pgm) if a == "{pgm}" else a for a in base]
-        values = _ODE_VALUES if base[0] == "ode" else _FLOAT_VALUES
-        for flags, vals in ((floats, values), (counts, _COUNT_VALUES), (inputs, files)):
+        for flags, vals in ((floats, _FLOAT_VALUES), (counts, _COUNT_VALUES), (inputs, files)):
             for flag in flags:
                 for v in vals:
                     yield _with_flag(base, flag, v)

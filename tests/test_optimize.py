@@ -493,6 +493,12 @@ def test_nelder_mead_constant():
     assert res.converged and res.iterations == 0
 
 
+def test_nelder_mead_overflowing_centroid_raises_nonfinite():
+    # a bare OverflowError escaped the centroid's fsum
+    with pytest.raises(NonFinite, match="^simplex centroid overflows$"):
+        opt.nelder_mead(lambda v: 1e-10 * v[0], [1e308, 1e308])
+
+
 def test_nelder_mead_max_iterations():
     with pytest.raises(MaxIterations):
         opt.nelder_mead(lambda v: quad1d(v[0]), [50.0], tol=1e-12, max_iter=2)

@@ -32,3 +32,32 @@ def test_only_stdlib_imports(path):
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == [], f"{path.name} imports {outside}"
+
+
+def fsum_sites(path):
+    """(enclosing function, line) of every name, attribute or import `fsum`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name == "fsum" and isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+            sites.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fsum_is_called_only_inside_the_gate(path):
+    # every compensated sum goes through ndcore._fsum or ndcore._fsums,
+    # which turn its overflow into NonFinite
+    allowed = {"_fsum", "_fsums"} if path.name == "ndcore.py" else set()
+    outside = [(func, line) for func, line in fsum_sites(path) if func not in allowed]
+    assert outside == [], f"{path.name} names fsum outside the gate at {outside}"
+    if path.name == "ndcore.py":
+        assert {func for func, _ in fsum_sites(path)} == allowed
