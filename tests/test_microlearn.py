@@ -1,9 +1,7 @@
 """Neural-net, batchnorm, and Q-learning tests with FD oracles."""
 
-import hashlib
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -208,63 +206,6 @@ def test_features_checked_by_loss_gradients_and_train():
         ml.mlp_gradients(p, x, XOR_Y)
     with pytest.raises(ShapeMismatch):
         ml.mlp_train(p, x, XOR_Y, 0.5, 0)
-
-
-# exact-value pin: sha256 of float.hex over the loss history, the trained
-# weights and biases, and the gradients and loss of the initial net, so
-# any changed bit fails. Cases cover two hidden layers, a batch of one and
-# inputs with signed zeros. The dot products use builtin sum, which adds
-# floats left to right up to CPython 3.11 and with compensation from 3.12,
-# so there is one set of digests for each: recorded on 3.11 and on 3.12
-# (3.13 gives the same bits as 3.12).
-
-
-def _pin_case(sizes, seed, batch, eta, epochs):
-    rng = random.Random(seed)
-    p = ml.mlp_init(sizes, seed)
-    pick = (0.0, -0.0, 1.0, -1.0)
-
-    def feature(k):
-        return rng.choice(pick) if k % 3 == 0 else rng.uniform(-2, 2)
-
-    x = Matrix.from_rows([[feature(k) for k in range(sizes[0])] for _ in range(batch)])
-    targets = [[rng.random() for _ in range(sizes[-1])] for _ in range(batch)]
-    y = Matrix.from_rows(targets)
-    d_w, d_b = ml.mlp_gradients(p, x, y)
-    trained, history = ml.mlp_train(p, x, y, eta, epochs)
-    _, out = ml.mlp_forward(trained, x)
-    values = list(history) + [ml.mlp_loss(p, x, y), ml.mlp_loss(trained, x, y)]
-    for group in (trained.weights, trained.biases, d_w, d_b, (out,)):
-        for m in group:
-            values.extend(m.data)
-    return hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest()
-
-
-MLP_PIN_CASES = {
-    "xor_3-4-1": ([3, 4, 1], 0, 4, 0.5, 300),
-    "deep_2-5-3-2": ([2, 5, 3, 2], 11, 6, 2.0, 200),
-    "batch1_4-1": ([4, 1], 5, 1, 0.1, 200),
-    "wide_1-7-7-1": ([1, 7, 7, 1], 23, 8, 0.5, 150),
-}
-
-MLP_PIN_DIGESTS = {
-    "xor_3-4-1": "25643fa1391e71b39fb2fddf42c5fa40f535a6f0c5e863057ac61c819125f1f2",
-    "deep_2-5-3-2": "81c636ec3391c4232bd64a1411d66d559246ad4244b5d9676be534c285d791b8",
-    "batch1_4-1": "5aea4488572e417ca37679000e06abb6693f21ce99f0d75d1b3e841d146ccb20",
-    "wide_1-7-7-1": "80d10e703466b385f73a42fbf03bc4f6cbc0c09ef6b36d530026780acdd4a708",
-}
-if sys.version_info >= (3, 12):
-    MLP_PIN_DIGESTS = {
-        "xor_3-4-1": "28df0e47c4c71a82b70f77cfade2f2fdcd35d56bcfb69acfea8362628d35ff9a",
-        "deep_2-5-3-2": "f5272f863d08e5d9daa45206868d8076ea63f470bf965a073846ada371c307ec",
-        "batch1_4-1": "72434e198d87956881ef6953c3e342c62656a11099b80e0072ef1a89ced32606",
-        "wide_1-7-7-1": "9693158dc5529ee833b4e4ffd61587bf54755b17f774a0bd8d0b34827cf5ebb0",
-    }
-
-
-def test_mlp_train_exact_value_pin():
-    got = {name: _pin_case(*args) for name, args in MLP_PIN_CASES.items()}
-    assert got == MLP_PIN_DIGESTS
 
 
 # the batch-wide kernel against the per-sample, per-unit formulas written

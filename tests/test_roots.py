@@ -1,12 +1,10 @@
 """Root finders: goldens, bracket invariants, empirical convergence orders."""
 
-import hashlib
 import math
-import random
 
 import pytest
 
-from desknum import dynamics, roots
+from desknum import roots
 from desknum.errors import (
     FlatSecant,
     MaxIterations,
@@ -286,68 +284,3 @@ def test_reports_residual_bound():
         assert rep.converged
         r = abs(rep.root) if isinstance(rep.root, float) else max(map(abs, rep.root))
         assert rep.residual <= 10 * 1e-5 * (1 + r) * 10
-
-
-# Per-case float.hex digests of the Newton-type solvers over seeded systems
-# F(x) = Q x + a sin(x) + 0.3 x^3 - c, Q diagonally dominant. Each entry
-# covers the root, the residual and the iteration count (or the error class)
-# of one case, so a change anywhere in the iteration shows in its entry.
-
-
-def seeded_system(rng, n):
-    q = [[rng.uniform(-1.0, 1.0) + (3.0 * n if i == j else 0.0) for j in range(n)] for i in range(n)]
-    c = [rng.uniform(-2.0, 2.0) for _ in range(n)]
-    a = rng.uniform(0.1, 2.0)
-
-    def f(x):
-        return [
-            math.fsum(q[i][j] * x[j] for j in range(n)) + a * math.sin(x[i]) + 0.3 * x[i] ** 3 - c[i]
-            for i in range(n)
-        ]
-
-    def jac(x):
-        return Matrix.from_rows(
-            [[q[i][j] + (a * math.cos(x[i]) + 0.9 * x[i] ** 2 if i == j else 0.0) for j in range(n)] for i in range(n)]
-        )
-
-    return f, jac, [rng.uniform(-1.5, 1.5) for _ in range(n)]
-
-
-def newton_outputs(name, k):
-    rng = random.Random(f"{name}-{k}")
-    n = 1 + k % 4
-    if name == "backward_euler":
-        lam = rng.uniform(1.0, 3000.0)
-
-        def rhs(t, y):
-            return [-lam * (yi - math.cos(t + i)) - math.sin(t) - 0.1 * yi**3 for i, yi in enumerate(y)]
-
-        y0 = tuple(rng.uniform(-2.0, 2.0) for _ in range(n))
-        return dynamics.backward_euler_solve(dynamics.IvpProblem(rhs, 0.0, y0, 0.01, 0.1)).ys.data, ""
-    f, jac, x0 = seeded_system(rng, n)
-    if name == "newton_system":
-        rep = roots.newton_system(f, jac if k % 2 else None, x0, tol=1e-12)
-    else:
-        rep = roots.broyden(f, x0, b0=jac(x0) if k % 2 else None, tol=1e-10, max_iter=30)
-    return rep.root.data + [rep.residual], f";{rep.iterations}"
-
-
-def newton_case_digest(name, k):
-    try:
-        values, tail = newton_outputs(name, k)
-        out = ",".join(map(float.hex, values)) + tail
-    except Exception as exc:  # the class is part of the recorded outcome
-        out = type(exc).__name__
-    return hashlib.sha256(out.encode()).hexdigest()[:16]
-
-
-NEWTON_DIGESTS = {
-    "backward_euler": ["27234d71c0f637b6", "4ddd451493cb0fca", "769ef7da05f1db05", "0b0ac243d1cef4fe", "270fe18afda7e308", "20e4be45f90d42c6", "4f66c7a8cb5c6498", "bdaa5e71002b879a"],
-    "broyden": ["5e1d982deaa1b0f9", "44192647fb4dc78d", "74f1342052ae4761", "aa4f80162060f367", "dc4766af259998a9", "c306b9d1dd05592e", "8ca77c78d3d4f572", "937f8c6f7c272dc7"],
-    "newton_system": ["4d81737444e62f3e", "f502cd79f6f32792", "c4c8829cc42d0ca6", "1b0ff431c91e4de3", "e4edce8198f63503", "5fdbd5b35ecf6fdd", "636510c98267a5e1", "923d68f30c0d39cf"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(NEWTON_DIGESTS))
-def test_newton_bit_level_digest(name):
-    assert [newton_case_digest(name, k) for k in range(len(NEWTON_DIGESTS[name]))] == NEWTON_DIGESTS[name]

@@ -1,7 +1,6 @@
 """Transform and convolution tests; numpy.fft is the independent oracle."""
 
 import cmath
-import hashlib
 import math
 import random
 from array import array
@@ -22,16 +21,11 @@ from desknum.errors import (
 )
 from desknum.spectral import ComplexVec, Image2D
 
+from pins import random_cvec
+
 
 def as_np(x: ComplexVec) -> np.ndarray:
     return np.asarray(x.re) + 1j * np.asarray(x.im)
-
-
-def random_cvec(rng, n) -> ComplexVec:
-    return ComplexVec(
-        [rng.uniform(-1, 1) for _ in range(n)],
-        [rng.uniform(-1, 1) for _ in range(n)],
-    )
 
 
 # dft
@@ -674,120 +668,3 @@ def test_pool_near_float_max_finite_where_complex_inverse_is(scale):
                     bound = 4e-16 * n.bit_length() * math.fsum(map(abs, unit.data)) / n
                     diff = np.array(got) / scale - pooled_oracle(unit, keep).ravel()
                     assert np.max(np.abs(diff)) <= bound
-
-
-# exact-value pin: sha256 of the outputs' float.hex strings, so any change
-# of a bit, a signed zero included, fails. The complex transforms (fft*,
-# ifft*, ifft2*) were recorded before the batched kernel replaced the
-# per-butterfly loop; the real-input entries whose last bits the packed
-# real FFT changed were re-recorded with it, and the pool entries with
-# keep > 1 when the pool began to invert the band's Hermitian part through
-# _irfft_rows (keep = 1 inverts a lone DC bin and kept its bits). The
-# twiddles come from cmath.exp, so the pin assumes a correctly rounded
-# libm (as glibc's).
-
-
-def _pin_outputs() -> dict[str, list[float]]:
-    rng = random.Random(20241)
-    out: dict[str, list[float]] = {}
-
-    def cvec_floats(v: ComplexVec) -> list[float]:
-        return v.re + v.im
-
-    def field_floats(field) -> list[float]:
-        return [f for row in field for f in cvec_floats(row)]
-
-    def zero_heavy(n: int) -> ComplexVec:
-        # exact cancellations, so signed zeros reach the outputs
-        pick = (0.0, -0.0, 1.0, -1.0, 0.5)
-        return ComplexVec([rng.choice(pick) for _ in range(n)], [rng.choice(pick) for _ in range(n)])
-
-    for n in (1, 2, 8, 1024):
-        x = random_cvec(rng, n)
-        out[f"fft{n}"] = cvec_floats(spectral.fft(x))
-        out[f"ifft{n}"] = cvec_floats(spectral.ifft(x))
-        x = zero_heavy(n)
-        out[f"fft{n}_zeros"] = cvec_floats(spectral.fft(x))
-        out[f"ifft{n}_zeros"] = cvec_floats(spectral.ifft(x))
-        sig = [rng.uniform(-1, 1) for _ in range(n)]
-        spec = spectral.spectrum(sig, 0.125)
-        out[f"spectrum{n}"] = cvec_floats(spec.bins) + list(spec.freqs)
-        out[f"lowpass{n}"] = spectral.lowpass1d(sig, 8.0, 1.5).data
-        g = [rng.uniform(-1, 1) for _ in range(3)]
-        out[f"convolve{n}"] = spectral.convolve_fft(sig, g).data
-    for rows, cols in ((1, 8), (8, 1), (4, 16), (16, 4), (32, 32)):
-        img = Image2D(rows, cols, [float(rng.randrange(256)) for _ in range(rows * cols)])
-        out[f"fft2_{rows}x{cols}"] = field_floats(spectral.fft2(img))
-        field = [random_cvec(rng, cols) for _ in range(rows)]
-        out[f"ifft2_{rows}x{cols}"] = field_floats(spectral.ifft2(field))
-        field = [zero_heavy(cols) for _ in range(rows)]
-        out[f"ifft2_{rows}x{cols}_zeros"] = field_floats(spectral.ifft2(field))
-        for keep in sorted({1, min(rows, cols)}):
-            out[f"pool_{rows}x{cols}_{keep}"] = spectral.spectral_pool2d(img, keep).data
-    return out
-
-
-def _hex_digest(values: list[float]) -> str:
-    return hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest()
-
-
-PIN_DIGESTS = {
-    "fft1": "19687882625737e04b059a1b53ba5bb1b0b8df5d8ea3bee2b5ef447cb055af63",
-    "ifft1": "19687882625737e04b059a1b53ba5bb1b0b8df5d8ea3bee2b5ef447cb055af63",
-    "fft1_zeros": "cc3537c52927d42d1f3f70ca5a078b35f171aee2264d2959d82023d486534adb",
-    "ifft1_zeros": "10d402f72f781531b1d506ce5d6f1244c4d6e6f660b54884eb63f5f14888bee2",
-    "spectrum1": "2edc0058bc37a67fb8a5a495f37aefd0bc01506f112e836a42a2944ed977ac1c",
-    "lowpass1": "19986b5ffcd7bb3ba416761f31687a5e58204a58438124f412e99665b21aaed7",
-    "convolve1": "415ec0a8c51afa895e24feb3b69d8be8f087b2f7362e2ce05cdb6df11b5501b2",
-    "fft2": "bd75d5616548e3dc6ad3ae1d0d59bfe5acc8c1ccd9e22bcca833aef14cb1f388",
-    "ifft2": "88b47c7540b5844c0dc8ed7b34f17c59224f36162220fb68544e39ee6276ccb1",
-    "fft2_zeros": "a48ac552fad0d0b867f697f7af3efc7fe1f1d72a45b7671a0bc3a8c864340edd",
-    "ifft2_zeros": "3b70f52ff061961786f4f2e37a6449e866ca719be6878b5914f05d17f8ba5fa6",
-    "spectrum2": "019bdd76c3045c05af93d8066f436f353ff7daea4f6ba8d8e1390042071ca03f",
-    "lowpass2": "4cadcf4eb26ab6af9cb1c7068358c604e23385336f9627866c088195f3edd780",
-    "convolve2": "b050eaaff43faf2677af04db4c517b7b696c7c574bb19b01d5e556c7475b36d3",
-    "fft8": "97792f05fb1bb5df636e03bc990eae74766e2a5b505b32a0fc0fb37ecb948d2b",
-    "ifft8": "e2536564512768bb496b448a3f7ff4d3c7878dc4f437d12b3571fe01040b077a",
-    "fft8_zeros": "0c90b0d607c7f44816383cf7de3daaea3ecc21cf7130d17440c1f88763f5de24",
-    "ifft8_zeros": "1e08926f02027b9c89132fd764c296179abadecb596d8d39b83083efd50d53b6",
-    "spectrum8": "d96246eac98e34e45919de237eaf2710869e05fd9d6eb4734bc74113537a767a",
-    "lowpass8": "26a23d52a45fff5604ea315368c73f18bf78effdac803c2d09208b3c3bf0ef68",
-    "convolve8": "275247f0a885c9a36e250db1d51d64c1412dfb4823f88455ff491ac48890d847",
-    "fft1024": "b809449fc8c3ab04a083050952da4f1c62d270d209830c6d638b81c9814dbe9d",
-    "ifft1024": "a26883093e0cdb9fd93fa1d252043f6d74019c58dcb9fda064a523629ee3aa21",
-    "fft1024_zeros": "aa7c087a07a8933abc8d1d345684508115d58d3be1d71d261fd7ae70c0d226f9",
-    "ifft1024_zeros": "1d4c588419e2053f32900697ae9d66066b2b2e406d27d771606fa86745035f04",
-    "spectrum1024": "a1447b36e7341c3987fac52964142979d2b4e9c1f64d19564d8583f26d4f24d5",
-    "lowpass1024": "c1c749bea11cb9ca05ff98b24f117f5497c106b7d64714f4a4f56c511dd7a40a",
-    "convolve1024": "18143b35fd0385f51f74489d3bf0f7e736d42f23f5c0518cb8b5ea387e8c92c8",
-    "fft2_1x8": "4230f4c0c2e606e3b25d20769e12235f4d084bec7da78e8a89df6f3aa1d11e76",
-    "ifft2_1x8": "3f51bb96ef188d9c7436c2bafae455edac77d9baa6ea7106fac403c2b018579d",
-    "ifft2_1x8_zeros": "3403ed0d28072fb5884e73c3c0b20e5d7f6bd8b6724865ca61ff1cb78334eb4a",
-    "pool_1x8_1": "58bc4ea00dca3383981382ac9163143ffad9a91b50ab22481e45c3b4cb6e4553",
-    "fft2_8x1": "d3988a969b801004916e746a121b45233e175b90920eb307b8f43795712270a8",
-    "ifft2_8x1": "59c8154c6a0695208bf41498b03745efa996ef07c039d4803df640283d0264fa",
-    "ifft2_8x1_zeros": "53bc372227b1487e14a187f296a93cfc4e8b1ff206147b45744c89e54f68f98c",
-    "pool_8x1_1": "ddf84e96725b6828be32686fb34f98906a0facc511c746bc7299b7fa5662fb1f",
-    "fft2_4x16": "54310a971563f6cba4312198f47b6344cb30807efd129b1f9e0da335941c6575",
-    "ifft2_4x16": "15ad66fbf54b6d018756256bf2a0a6705288fadb5944213b48fe0915b78cc592",
-    "ifft2_4x16_zeros": "30e4e87a4bf0cf2cf20953a73c27ccc707ba022154162910ce6af95e9fc19e67",
-    "pool_4x16_1": "01e0c79527fd2c8d8114f113633df9291b07e4a297367a3a8901fbdfcbd2a178",
-    "pool_4x16_4": "7632e6c19e1303ef88e298ae40d5395faa389220bb4fdd8a5a7073f4ea5bbda0",
-    "fft2_16x4": "6c192f2a724deecd5f044053932d7b4cd4d550a03fea6241548868f69829e82f",
-    "ifft2_16x4": "397a56eada92480a992ab6e8dce590536cb8a4d421aac91c0077f1a7cdd9db85",
-    "ifft2_16x4_zeros": "f585cab66209a7f694322aaf9dc24f044688553c4e31c28ae88b8231d55216c0",
-    "pool_16x4_1": "a966eeb50e2f6eb1814d0abe9fce10222c0657be1f11759134d9463407912f76",
-    "pool_16x4_4": "185082cbab17a176896290d5719d3444f5feead53382cf40f148f917d3ad34ed",
-    "fft2_32x32": "217938830c89a4b10ad0a18db661461c81e2765bbf1cb38eee9ad8d422f920bd",
-    "ifft2_32x32": "fe015df96eb123c81cda97c70bc37265fe96f92c1db02c829b495454e18137a2",
-    "ifft2_32x32_zeros": "dac4189525725ad852cb1280c0b55cebf56b4423163a599a5356e5438beebc1b",
-    "pool_32x32_1": "7546db7b852b399967b24a4501483e6d107b158fca33cd1ffb7354c458d448a8",
-    "pool_32x32_32": "1709540d6623be13c96c86e24995f5829d139e2d0229b04164ee73d2434dae24",
-}
-
-
-def test_exact_value_pin():
-    got = {name: _hex_digest(vals) for name, vals in _pin_outputs().items()}
-    assert got.keys() == PIN_DIGESTS.keys()
-    for name, digest in PIN_DIGESTS.items():
-        assert got[name] == digest, name
