@@ -36,6 +36,7 @@ if __name__ == "__main__":
 from desknum import autodiff, dynamics, interp, numcli, quadrature, roots, spectral
 from desknum import lindecomp as ld
 from desknum import microlearn as ml
+from desknum import ndcore as nd
 from desknum import optimize as opt
 from desknum.ndcore import Matrix
 from desknum.spectral import ComplexVec, Image2D
@@ -284,6 +285,12 @@ def _iterate(rows, b, x0, method, cfg):
 
 for _m in ("cg", "gauss_seidel", "jacobi"):
     case(f"iterative.{_m}", _iterate, lambda m=_m: (ITER_A, ITER_B, [0, 0, 0, 0], m, ld.IterConfig(1e-12, 200)))
+# the budget runs out: CG reports converged=False rather than raising
+case(
+    "lindecomp.cg_budget",
+    _iterate,
+    lambda: ([[4, 1, 0, 0], [1, 4, 1, 0], [0, 1, 4, 1], [0, 0, 1, 4]], [1, 2, 3, 4], [0] * 4, "cg", ld.IterConfig(1e-12, 1)),
+)
 
 
 # finite differences: finite_diff in each scheme, hessian_fd on seeded tapes
@@ -486,10 +493,56 @@ for _argv in CLI_RUNS:
     case("cli." + "_".join(a for a in _argv if not a.startswith("--")), _cli, lambda a=_argv: (a,))
 
 
+# a seeded sweep over routines no case above reaches: n = 1..6 at three scales
+
+
+def _sweep(routine, seed, s):
+    rng = random.Random(f"sweep-{seed}")
+    n = 1 + seed % 6
+    a, spd, b = uniform_rows(rng, n, n), spd_rows(rng, n), uniform_rows(rng, 1, n)[0]
+    a, spd, b = Matrix.from_rows(scaled_rows(a, s)), Matrix.from_rows(scaled_rows(spd, s)), [x * s for x in b]
+    if routine.startswith("solve_"):
+        method = routine[len("solve_"):]
+        return ld.solve_direct(spd if method == "cholesky" else a, b, method).data
+    if routine == "inv":
+        return ld.inv(a).data
+    if routine == "det":
+        return [ld.det(a)]
+    if routine in ("jacobi", "gauss_seidel", "cg"):
+        x, rep = ld.solve_iterative(spd, b, [0.0] * n, routine)
+        return x.data + [rep.residual, rep.iterations, rep.converged]
+    if routine == "matmul":
+        return nd.matmul(a, spd).data
+    if routine == "dot":
+        return [nd.dot(a.row(0), b)]
+    if routine == "cosine_similarity":
+        return [nd.cosine_similarity(a.row(0), b)]
+    if routine == "batchnorm_forward":
+        return ml.batchnorm_forward(a, ml.BatchNormParams.identity(n)).data
+    w = [rng.uniform(0.5, 2.0) for _ in range(n)]
+    res = opt.nelder_mead(lambda v: math.fsum(wi * (vi - bi) ** 2 for wi, vi, bi in zip(w, v, b)), a.row(0))
+    return res.x.data + [res.fval, res.residual, res.iterations, res.converged]
+
+
+SWEEP_ROUTINES = (
+    "solve_gauss", "solve_lu", "solve_inverse", "solve_cholesky", "inv", "det", "jacobi", "gauss_seidel", "cg",
+    "matmul", "dot", "cosine_similarity", "batchnorm_forward", "nelder_mead",
+)
+for _routine in SWEEP_ROUTINES:
+    for _seed in range(12):
+        for _s in (1e-20, 1.0, 1e20):
+            case(f"sweep.{_routine}.{_seed}.x{_s:g}", _sweep, lambda r=_routine, k=_seed, s=_s: (r, k, s))
+
+
 # autodiff operators and exits no other case reaches
 
 
 for _name, _f, _xs in (
+    ("rsub", lambda x: 1 - x, [0.75]),
+    ("rtruediv", lambda x: 1 / x, [0.75]),
+    ("neg", lambda x: -x, [0.75]),
+    # the value 1e200 is finite, its partial -1e400 is not
+    ("div_partial_overflow", lambda x, y: x / y, [1.0, 1e-200]),
     ("pow_overflow", lambda x: x**2, [1e200]),
     # each partial is finite, their product along the path is not
     ("gradient_overflow", lambda x: (x * 1e200) * 1e200, [1e-300]),

@@ -6,8 +6,12 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "desknum"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "desknum"
 MODULES = sorted(SRC.glob("*.py"))
+# the pin corpus records and runs where numpy is missing (CPython 3.12 and
+# 3.13 in CI): the recorder needs only desknum, its test also the runner
+CORPUS = {"pins.py": {"desknum"}, "test_pins.py": {"desknum", "pins", "pytest"}}
 
 
 def absolute_imports(path):
@@ -24,14 +28,20 @@ def test_modules_found():
     assert len(MODULES) >= 12
 
 
+def outside_stdlib(path, allowed=frozenset()):
+    return [name for name in absolute_imports(path) if name.split(".")[0] not in sys.stdlib_module_names | allowed]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_stdlib_imports(path):
-    outside = [
-        name
-        for name in absolute_imports(path)
-        if name.split(".")[0] not in sys.stdlib_module_names
-    ]
+    outside = outside_stdlib(path)
     assert outside == [], f"{path.name} imports {outside}"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_pin_corpus_imports_only_stdlib_desknum_and_pytest(name):
+    outside = outside_stdlib(TESTS / name, CORPUS[name])
+    assert outside == [], f"{name} imports {outside}"
 
 
 def fsum_sites(path):
