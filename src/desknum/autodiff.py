@@ -128,6 +128,8 @@ class Expr:
                 d = c * math.pow(self.value, c - 1.0)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"pow_const outside the real domain: {exc}") from exc
+        except OverflowError as exc:
+            raise NonFinite("pow_const overflow") from exc
         return self.tape._emit("pow_const", (self.index,), (d,), val)
 
     def __neg__(self):
