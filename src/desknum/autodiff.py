@@ -208,7 +208,8 @@ def _backward(tape: Tape, seed: int) -> list[float]:
 def gradient(tape: Tape) -> Grad:
     """One reverse sweep: partials of the output w.r.t. every input."""
     adj = _backward(tape, tape.output_index)
-    return Grad([adj[j] for j in tape.input_indices])
+    # each partial on the tape is finite, their products along a path need not be
+    return Grad(_checked_floats([adj[j] for j in tape.input_indices], "gradient"))
 
 
 def jacobian(f: Callable[..., Sequence[Expr]], x: Sequence[float]) -> Matrix:

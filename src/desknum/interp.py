@@ -76,7 +76,7 @@ def lagrange_eval(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
             if j != i:
                 basis *= (x - xj) / (xi - xj)
         total += yi * basis
-    return total
+    return _checked_float(total, "interpolated value")
 
 
 def newton_dd_build(xs: Sequence[float], ys: Sequence[float]) -> DividedDiffPoly:
