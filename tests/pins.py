@@ -42,8 +42,6 @@ from desknum.ndcore import Matrix
 from desknum.spectral import ComplexVec, Image2D
 
 PINS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins")
-# most moved values listed per case
-SHOWN = 10
 
 CASES = {}  # name -> (callable, argument builder)
 
@@ -113,8 +111,6 @@ def moved(name, old, new):
         if a != b:
             d = ulps(a, b)
             lines.append(f"{name} [{k}]: {a} -> {b}" + ("" if d is None else f" ({d} ulp)"))
-    if len(lines) > SHOWN:
-        lines[SHOWN:] = [f"{name}: {len(lines) - SHOWN} more moved values"]
     return lines
 
 

@@ -7,14 +7,17 @@ import pytest
 
 import pins
 
-RECORD = pins.load()
+
+@pytest.fixture(scope="module")
+def record():
+    return pins.load()
 
 
-def test_record_holds_exactly_the_cases():
-    assert sorted(RECORD) == sorted(pins.CASES), pins.record_path()
+def test_record_holds_exactly_the_cases(record):
+    assert sorted(record) == sorted(pins.CASES), pins.record_path()
 
 
 @pytest.mark.parametrize("name", sorted(pins.CASES))
-def test_pin(name):
-    moved = pins.moved(name, RECORD.get(name), pins.render(name))
+def test_pin(record, name):
+    moved = pins.moved(name, record.get(name), pins.render(name))
     assert moved == [], "\n".join(moved)
