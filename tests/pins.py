@@ -38,7 +38,7 @@ from desknum import lindecomp as ld
 from desknum import microlearn as ml
 from desknum import ndcore as nd
 from desknum import optimize as opt
-from desknum.ndcore import Matrix
+from desknum.ndcore import Matrix, Vector
 from desknum.spectral import ComplexVec, Image2D
 
 PINS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins")
@@ -360,6 +360,12 @@ def _newton(name, k):
 
 
 seeded("newton", _newton, ("backward_euler", "broyden", "newton_system"), 8)
+# Newton converges on every step, but its residual stays above the
+# acceptance bound: the stall raise
+case(
+    "newton.backward_euler.stall",
+    lambda: dynamics.backward_euler_solve(dynamics.IvpProblem(lambda t, y: [-1e6 * y[0]], 0.0, (1e6,), 0.1, 0.3)).ys.data,
+)
 
 
 # spectral: transforms, filters and pooling, with zero-heavy inputs whose
@@ -451,6 +457,54 @@ case("mlp.xor_3-4-1", _mlp, lambda: ([3, 4, 1], 0, 4, 0.5, 300))
 case("mlp.deep_2-5-3-2", _mlp, lambda: ([2, 5, 3, 2], 11, 6, 2.0, 200))
 case("mlp.batch1_4-1", _mlp, lambda: ([4, 1], 5, 1, 0.1, 200))
 case("mlp.wide_1-7-7-1", _mlp, lambda: ([1, 7, 7, 1], 23, 8, 0.5, 150))
+
+
+# the MLP's gates and their order: nets and batches that trip the output,
+# squared-error, gradient and update gates, each through every public call
+
+
+def _net(*layers):
+    """MlpParams from (weight rows, bias) per layer."""
+    weights = tuple(Matrix.from_rows(w) for w, _ in layers)
+    sizes = (weights[0].rows,) + tuple(w.cols for w in weights)
+    return ml.MlpParams(sizes, weights, tuple(Vector(b) for _, b in layers))
+
+
+XOR_ROWS = [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
+MLP_GATES = {
+    # inf - inf in the one pre-activation
+    "nan_output": (lambda: _net(([[2.0], [-2.0]], [0.0])), [[1e308, 1e308]], [[0.5]], 0.5),
+    # one square overflows, or two finite squares overflow their fsum
+    "squared_error.0": (lambda: ml.mlp_init([3, 4, 1], 0), XOR_ROWS, [[2e154], [0.0], [0.0], [0.0]], 0.5),
+    "squared_error.1": (lambda: ml.mlp_init([3, 4, 1], 0), XOR_ROWS, [[1e154], [1e154], [0.0], [0.0]], 0.5),
+    # weight-gradient products inf and -inf, or finite with an overflowing fsum
+    "gradient_sum.0": (lambda: _net(([[0.0]], [0.0])), [[1e308], [-1e308]], [[1e150], [1e150]], 0.5),
+    "gradient_sum.1": (lambda: _net(([[0.0]], [0.0])), [[1e308], [1e308]], [[-4.0], [-4.0]], 0.5),
+    # an infinite output delta: every gradient is infinite, and the gate that
+    # fires first (last layer, weights before biases) names -inf, not inf
+    "gradient_order": (lambda: _net(([[1.0, 1.0]], [0.0, 0.0]), ([[-1.0], [-1.0]], [0.0])), [[1.0]], [[1.7e308]], 0.5),
+    # finite gradients, an overflowing first step
+    "update.0": (lambda: _net(([[0.0]], [0.0])), [[1e308], [1e307]], [[1.0], [1.0]], 1e3),
+    "update.1": (lambda: _net(([[0.0, 0.0]], [0.0, 0.0]), ([[1.0], [1.0]], [0.0])), [[1e308]], [[1.0]], 100.0),
+}
+
+
+def _mlp_gate(gate, call):
+    net, xs, ys, eta = MLP_GATES[gate]
+    p, x, y = net(), Matrix.from_rows(xs), Matrix.from_rows(ys)
+    if call == "forward":
+        return ml.mlp_forward(p, x)[1].data
+    if call == "loss":
+        return [ml.mlp_loss(p, x, y)]
+    if call == "gradients":
+        return [v for group in ml.mlp_gradients(p, x, y) for m in group for v in m.data]
+    trained, history = ml.mlp_train(p, x, y, eta, 1)
+    return history + [v for group in (trained.weights, trained.biases) for m in group for v in m.data]
+
+
+for _gate in MLP_GATES:
+    for _call in ("forward", "loss", "gradients", "train"):
+        case(f"mlp.err.{_gate}.{_call}", _mlp_gate, lambda g=_gate, c=_call: (g, c))
 
 
 # numcli: the exit code and stdout of each fixed-flag run of the small-ops
