@@ -5,29 +5,31 @@ descent on mean-squared error, a batch-normalization forward pass,
 and tabular Q-learning on a five-state ring environment. Everything
 is deterministic given an explicit seed.
 
-The network runs on one private kernel over flat, batch-wide lists:
-activations are sample-major and weights row-major, as in `Matrix`. The
-layout of every layer depends only on the layer sizes and the batch, so
-each public MLP call builds it once, `_plan`: per layer, itemgetter
-gathers that pick the inputs and weights at every (sample, unit, input)
-triple for the forward pass, and the deltas and inputs at every (sample,
-input, unit) triple for the backward pass. An epoch then lays each layer
-out with one C-level call per gather and makes one map(mul, ...) over the
-triples. Dot products are grouped builtin sums, which add left to right
-from 0 as a per-sample loop does, and gradients are grouped fsums over the
-batch. Every value that leaves the kernel (outputs, gradients, updated
-parameters) is checked where it is formed and raises NonFinite.
+The network runs on one private kernel per tuple of layer sizes: Python
+source generated for those sizes, compiled once and cached, `_kernel`
+(the standard library's dataclasses builds `__init__` the same way). It
+is unrolled over units inside a loop over samples, so its text grows with
+the weights, not with the batch, and every weight, activation and delta
+is a local variable. Activations are sample-major and weights row-major,
+as in `Matrix`. Dot products are builtin sums of a tuple in input order,
+as a per-sample loop does, and gradients are fsums over the batch in
+sample order. Every value that leaves the kernel (outputs, loss,
+gradients, updated parameters) is checked where it is formed and raises
+NonFinite; a traceback through the kernel names its file `<mlp 3-4-1>`
+and shows the generated line.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from math import exp
-from operator import add, itemgetter, mul, sub
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from operator import mul, sub
+from typing import Iterable, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
 from .errors import BadArchitecture, ShapeMismatch, TooSmallBatch
@@ -49,10 +51,11 @@ class MlpParams:
 
     def __post_init__(self) -> None:
         n_layers = len(self.sizes) - 1
+        if n_layers < 1:
+            raise BadArchitecture("need at least two layers, all sizes >= 1")
         if len(self.weights) != n_layers or len(self.biases) != n_layers:
             raise ShapeMismatch("one weight matrix and bias per layer required")
-        for l in range(n_layers):
-            w, b = self.weights[l], self.biases[l]
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if (w.rows, w.cols) != (self.sizes[l], self.sizes[l + 1]):
                 raise ShapeMismatch(
                     f"layer {l} weights are {w.rows}x{w.cols}, "
@@ -60,6 +63,9 @@ class MlpParams:
                 )
             if len(b) != self.sizes[l + 1]:
                 raise ShapeMismatch(f"layer {l} bias has length {len(b)}")
+        # the compiled kernel is built from the sizes: keep the ints of the
+        # weight shapes, not a 1.0 or True that compared equal to them
+        object.__setattr__(self, "sizes", (self.weights[0].rows, *(w.cols for w in self.weights)))
 
 
 def mlp_init(sizes: Sequence[int], seed: int) -> MlpParams:
@@ -89,68 +95,96 @@ def affine(w: Matrix, x: Sequence[float], b: Sequence[float]) -> Vector:
     return Vector([sum(map(mul, row, xs)) + bi for row, bi in zip(w.to_rows(), bs)])
 
 
-def _groups(flat: Iterable[float], k: int) -> Iterator[tuple]:
-    return zip(*[iter(flat)] * k)
+# both branches of `sigmoid`, inlined
+_SIGMOID = "1.0 / (1.0 + exp(-v)) if v >= 0.0 else (z := exp(v)) / (1.0 + z)"
 
 
-def _gather(indices: Sequence[int]):
-    """seq -> the tuple of seq[i] for every i of indices, in one C-level call."""
-    if len(indices) == 1:
-        # itemgetter of a single index returns the item, not a 1-tuple
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
+def _tuple(terms: Iterable[str]) -> str:
+    # with a trailing comma, so that a single term still forms a tuple
+    return ", ".join(terms) + ","
 
 
-def _plan(sizes: Sequence[int], batch: int) -> list:
-    """Per layer (k inputs, m units): k, m, the gathers of inputs and weights
-    at every (sample, unit, input) and of deltas and inputs at every (sample,
-    input, unit). They depend only on the sizes and the batch."""
-    plan = []
-    for k, m in zip(sizes, sizes[1:]):
-        fwd = [(s * k + i, i * m + j) for s in range(batch) for j in range(m) for i in range(k)]
-        bwd = [(s * m + j, s * k + i) for s in range(batch) for i in range(k) for j in range(m)]
-        plan.append((k, m, *map(_gather, zip(*fwd)), *map(_gather, zip(*bwd))))
-    return plan
+def _source(sizes: Tuple[int, ...]) -> str:
+    """Python source of one pass of the net with these layer sizes.
+
+    Unrolled over units inside a loop over samples. Layer l has activations
+    a{l}_{i} (the inputs are layer 0) and, going back, deltas d{l}_{i};
+    w{l}_{i}_{j} weighs unit i of layer l into unit j of layer l + 1, whose
+    bias is b{l}_{j}. A{l} holds the activations of layer l for the batch,
+    S every activation of each sample, and G{l} and D{l} the products and
+    deltas that the gradients of the weights and biases of layer l sum.
+    Only ints from range() enter the text.
+    """
+    a = [[f"a{l}_{i}" for i in range(n)] for l, n in enumerate(sizes)]
+    d = [[f"d{l}_{i}" for i in range(n)] for l, n in enumerate(sizes)]
+    w = [[[f"w{l}_{i}_{j}" for j in range(m)] for i in range(k)] for l, (k, m) in enumerate(zip(sizes, sizes[1:]))]
+    out, layers, every = len(w), range(len(w)), _tuple(chain(*a))
+    targets = [f"t_{j}" for j in range(sizes[-1])]
+    src = ["def mlp(W, B, X, T=None, history=None):", "    S = []"]
+    for l, wl in enumerate(w):
+        src.append(f"    {_tuple(chain(*wl))} = W[{l}]")
+        src.append(f"    {_tuple(f'b{l}_{j}' for j in range(len(wl[0])))} = B[{l}]")
+        src.append(f"    A{l + 1}, G{l}, D{l} = [], [], []")
+    src.append(f"    for {_tuple(a[0])} in zip(*[iter(X)] * {len(a[0])}):")
+    for l, wl in enumerate(w):
+        for j, unit in enumerate(a[l + 1]):
+            src.append(f"        v = sum(({_tuple(f'{x} * {wi[j]}' for x, wi in zip(a[l], wl))})) + b{l}_{j}")
+            src.append(f"        {unit} = {_SIGMOID}")
+        src.append(f"        A{l + 1} += {_tuple(a[l + 1])}")
+    src += [
+        f"        S.append(({every}))",
+        # a NaN pre-activation reaches every later unit of its sample
+        f'    _finite(A{out}, "network output")',
+        "    if T is None:",
+        f"        return [{_tuple(f'A{l + 1}' for l in layers)}]",
+        "    if history is not None:",
+        f"        history.append(_mse(A{out}, T))",
+        f"    scale = 2.0 / len(A{out})",
+        f"    for ({every}), ({_tuple(targets)}) in zip(S, zip(*[iter(T)] * {len(targets)})):",
+    ]
+    for delta, y, t in zip(d[out], a[out], targets):
+        src.append(f"        {delta} = scale * ({y} - {t}) * ({y} * (1.0 - {y}))")
+    for l in reversed(layers):
+        src.append(f"        G{l}.append(({_tuple(f'{x} * {dj}' for x in a[l] for dj in d[l + 1])}))")
+        src.append(f"        D{l}.append(({_tuple(d[l + 1])}))")
+        for i, x in enumerate(a[l] if l else ()):
+            dot = _tuple(f"{dj} * {wij}" for dj, wij in zip(d[l + 1], w[l][i]))
+            src.append(f"        d{l}_{i} = sum(({dot})) * ({x} * (1.0 - {x}))")
+    for l in reversed(layers):
+        # each gradient an fsum over the batch, checked before the next runs
+        src.append(f'    gw{l} = _fsums(zip(*G{l}), "weight gradient")')
+        src.append(f'    gb{l} = _fsums(zip(*D{l}), "bias gradient")')
+    src.append(f"    return [{_tuple(f'gw{l}' for l in layers)}], [{_tuple(f'gb{l}' for l in layers)}]")
+    return "\n".join(src) + "\n"
 
 
-def _params(p: MlpParams) -> Tuple[list, list]:
-    # the row-major weights and the biases of every layer, for the kernel
-    return [w.data for w in p.weights], [b.data for b in p.biases]
+@functools.lru_cache(maxsize=None)
+def _kernel(sizes: Tuple[int, ...]):
+    """The compiled pass for these layer sizes, built once per process.
+
+    mlp(W, B, X) returns the activations of every layer after the inputs,
+    mlp(W, B, X, T) the weight and bias gradients, and mlp(W, B, X, T,
+    history) first appends the loss to history. W and B are lists of the
+    row-major weights and of the biases, X and T the sample-major inputs
+    and targets. The source is kept in linecache under its file name, so
+    that a traceback shows the line.
+    """
+    source = _source(sizes)
+    name = f"<mlp {'-'.join(map(str, sizes))}>"
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    namespace: dict = {}
+    exec(compile(source, name, "exec"), globals(), namespace)
+    return namespace["mlp"]
 
 
-def _inputs(p: MlpParams, x: Matrix) -> List[float]:
+def _args(p: MlpParams, x: Matrix, y: Matrix | None = None) -> list:
+    """The kernel's weights, biases, inputs and, given y, targets."""
     if x.cols != p.sizes[0]:
         raise ShapeMismatch(f"{x.cols} features fed to a {p.sizes[0]}-input net")
-    return x.data
-
-
-def _targets(p: MlpParams, x: Matrix, y: Matrix) -> List[float]:
-    if y.cols != p.sizes[-1] or y.rows != x.rows:
-        raise ShapeMismatch(
-            f"targets are {y.rows}x{y.cols}, expected {x.rows}x{p.sizes[-1]}"
-        )
-    return y.data
-
-
-def _forward(plan: list, w_rows: list, biases: list, x: List[float]) -> list:
-    """Activations of every layer, the inputs first.
-
-    A NaN pre-activation reaches every later unit of its sample, so
-    checking the output catches a NaN anywhere in the net.
-    """
-    acts = [x]
-    batch = len(x) // plan[0][0]
-    for (k, _, inputs_at, weights_at, _, _), w, b in zip(plan, w_rows, biases):
-        # one product per (sample, unit, input), one sum per (sample, unit)
-        prods = map(mul, inputs_at(acts[-1]), weights_at(w))
-        pre = map(add, map(sum, _groups(prods, k)), b * batch)
-        # both branches of `sigmoid`, inlined
-        acts.append(
-            [1.0 / (1.0 + exp(-v)) if v >= 0.0 else (z := exp(v)) / (1.0 + z) for v in pre]
-        )
-    _finite(acts[-1], "network output")
-    return acts
+    if y is not None and (y.cols != p.sizes[-1] or y.rows != x.rows):
+        raise ShapeMismatch(f"targets are {y.rows}x{y.cols}, expected {x.rows}x{p.sizes[-1]}")
+    args = [[w.data for w in p.weights], [b.data for b in p.biases], x.data]
+    return args if y is None else args + [y.data]
 
 
 def _mse(out: List[float], targets: List[float]) -> float:
@@ -158,39 +192,17 @@ def _mse(out: List[float], targets: List[float]) -> float:
     return _fsum(map(pow, map(sub, out, targets), repeat(2)), "squared error") / len(out)
 
 
-def _backward(plan: list, w_rows: list, acts: list, targets: list) -> tuple:
-    """Per-layer weight gradients, row-major, and bias gradients."""
-    out = acts[-1]
-    scale = 2.0 / len(out)
-    delta = [scale * (a - t) * (a * (1.0 - a)) for a, t in zip(out, targets)]
-    g_w, g_b = [], []
-    for l in reversed(range(len(w_rows))):
-        k, m, _, _, deltas_at, inputs_at = plan[l]
-        prev = acts[l]
-        spread = deltas_at(delta)
-        # each gradient is an fsum over the batch, checked as it is formed,
-        # before the next sums run
-        prods = map(mul, inputs_at(prev), spread)
-        g_w.append(_fsums(zip(*_groups(prods, k * m)), "weight gradient"))
-        g_b.append(_fsums(zip(*_groups(delta, m)), "bias gradient"))
-        if l:
-            back = map(mul, spread, w_rows[l] * (len(prev) // k))
-            sums = map(sum, _groups(back, m))
-            delta = [v * (a * (1.0 - a)) for v, a in zip(sums, prev)]
-    return g_w[::-1], g_b[::-1]
-
-
 def mlp_forward(p: MlpParams, x: Matrix) -> Tuple[Tuple[Matrix, ...], Matrix]:
     """Run the batch through every layer; returns (activations, output)."""
-    acts = _forward(_plan(p.sizes, x.rows), *_params(p), _inputs(p, x))
-    mats = tuple(Matrix(x.rows, m, a) for m, a in zip(p.sizes[1:], acts[1:]))
+    acts = _kernel(p.sizes)(*_args(p, x))
+    mats = tuple(Matrix(x.rows, m, a) for m, a in zip(p.sizes[1:], acts))
     return mats, mats[-1]
 
 
 def mlp_loss(p: MlpParams, x: Matrix, y: Matrix) -> float:
     """Mean squared error of the network output against targets."""
-    rows, targets = _inputs(p, x), _targets(p, x, y)
-    return _mse(_forward(_plan(p.sizes, x.rows), *_params(p), rows)[-1], targets)
+    *args, targets = _args(p, x, y)
+    return _mse(_kernel(p.sizes)(*args)[-1], targets)
 
 
 def mlp_gradients(
@@ -202,16 +214,11 @@ def mlp_gradients(
     times sigma', hidden deltas are (delta W^T) * sigma', and each
     layer's gradient is (previous activation)^T delta with bias
     gradients the column sums. One forward and one backward pass of
-    the list kernel that `mlp_train` runs every epoch.
+    the compiled kernel that `mlp_train` runs every epoch.
     """
-    rows, targets = _inputs(p, x), _targets(p, x, y)
-    plan, (w_rows, biases) = _plan(p.sizes, x.rows), _params(p)
-    acts = _forward(plan, w_rows, biases, rows)
-    g_w, g_b = _backward(plan, w_rows, acts, targets)
-    return (
-        tuple(Matrix(w.rows, w.cols, g) for w, g in zip(p.weights, g_w)),
-        tuple(Vector(g) for g in g_b),
-    )
+    g_w, g_b = _kernel(p.sizes)(*_args(p, x, y))
+    weights = tuple(Matrix(w.rows, w.cols, g) for w, g in zip(p.weights, g_w))
+    return weights, tuple(map(Vector, g_b))
 
 
 def mlp_train(
@@ -219,23 +226,20 @@ def mlp_train(
 ) -> Tuple[MlpParams, List[float]]:
     """Full-batch gradient descent; history holds the pre-step loss.
 
-    Checks its arguments once, then each epoch makes one forward pass,
-    which also gives the loss, one backward pass and a list update. An
-    update that overflows raises NonFinite at its epoch.
+    Checks its arguments once, then each epoch is one call of the compiled
+    kernel, a forward pass that also gives the loss and a backward pass,
+    and the update. An update that overflows raises NonFinite at its epoch.
     """
     if not 0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
-    rows, targets = _inputs(p, x), _targets(p, x, y)
-    plan, (w_rows, biases) = _plan(p.sizes, x.rows), _params(p)
-    history: List[float] = []
+    w_rows, biases, rows, targets = _args(p, x, y)
+    step, history = _kernel(p.sizes), []
     for _ in range(epochs):
-        acts = _forward(plan, w_rows, biases, rows)
-        history.append(_mse(acts[-1], targets))
-        g_w, g_b = _backward(plan, w_rows, acts, targets)
-        w_rows = [[w - eta * g for w, g in zip(*pair)] for pair in zip(w_rows, g_w)]
-        biases = [[b - eta * g for b, g in zip(*pair)] for pair in zip(biases, g_b)]
+        g_w, g_b = step(w_rows, biases, rows, targets, history)
+        w_rows = [list(map(sub, w, map(mul, repeat(eta), g))) for w, g in zip(w_rows, g_w)]
+        biases = [list(map(sub, b, map(mul, repeat(eta), g))) for b, g in zip(biases, g_b)]
         _finite(chain(*w_rows, *biases), "updated parameters")
     weights = tuple(Matrix(w.rows, w.cols, r) for w, r in zip(p.weights, w_rows))
     return MlpParams(p.sizes, weights, tuple(Vector(b) for b in biases)), history

@@ -2,6 +2,7 @@
 
 import math
 import random
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,28 @@ def test_mlp_params_shape_chain_checked():
         ml.MlpParams(
             (2, 3), (Matrix.zeros(3, 2),), (Vector([0.0, 0.0, 0.0]),)
         )
+
+
+def test_mlp_params_needs_two_sizes():
+    with pytest.raises(BadArchitecture):
+        ml.MlpParams((3,), (), ())
+
+
+def test_mlp_params_sizes_are_the_ints_of_the_weight_shapes():
+    # 1.0 == 1 and True == 1 passed the shape checks, and every MLP call on
+    # such a net then raised a bare TypeError; they now run as (1, 1) does
+    x, y = Matrix.from_rows([[0.5], [-2.0]]), Matrix.from_rows([[1.0], [0.0]])
+    runs = []
+    for sizes in ((1, 1), (1.0, 1.0), (True, True)):
+        p = ml.MlpParams(sizes, (Matrix.from_rows([[0.5]]),), (Vector([0.0]),))
+        assert p.sizes == (1, 1) and all(type(n) is int for n in p.sizes)
+        (g_w,), (g_b,) = ml.mlp_gradients(p, x, y)
+        trained, history = ml.mlp_train(p, x, y, 0.5, 3)
+        values = ml.mlp_forward(p, x)[1].data + [ml.mlp_loss(p, x, y)] + g_w.data + g_b.data
+        values += history + trained.weights[0].data + trained.biases[0].data
+        runs.append([v.hex() for v in values])
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 # forward pass
@@ -208,7 +231,7 @@ def test_features_checked_by_loss_gradients_and_train():
         ml.mlp_train(p, x, XOR_Y, 0.5, 0)
 
 
-# the batch-wide kernel against the per-sample, per-unit formulas written
+# the compiled kernel against the per-sample, per-unit formulas written
 # out: every dot product is a builtin sum of its products in input order
 # and every gradient an fsum over the batch in sample order, so the two
 # must agree to the last bit on any CPython
@@ -312,12 +335,12 @@ def test_kernel_bits_match_per_sample_formulas(case, epochs):
 
 
 # layouts the strategy above rarely or never draws: batch 1 through 1 -> 1
-# layers, where a gather of the kernel's plan has a single index, and a net
-# wider than the strategy allows
+# layers, where every sum and gradient of the kernel has a single term, and
+# nets wider than the strategy allows
 
 
-@pytest.mark.parametrize("sizes, batch", [([1, 1], 1), ([1, 1, 1], 1), ([9, 12, 1], 10)])
-def test_plan_edge_layouts_match_per_sample_formulas(sizes, batch):
+@pytest.mark.parametrize("sizes, batch", [([1, 1], 1), ([1, 1, 1], 1), ([9, 12, 1], 10), ([30, 40, 1], 12)])
+def test_kernel_edge_layouts_match_per_sample_formulas(sizes, batch):
     rng = random.Random(f"{sizes}x{batch}")
     xs = [[rng.uniform(-3.0, 3.0) for _ in range(sizes[0])] for _ in range(batch)]
     ys = [[rng.random() for _ in range(sizes[-1])] for _ in range(batch)]
@@ -338,6 +361,26 @@ def test_plan_edge_layouts_match_per_sample_formulas(sizes, batch):
     assert _hexes(got_history) == _hexes(history)
     got_params = [[m.to_rows() for m in trained.weights], [v.data for v in trained.biases]]
     assert _hexes(got_params) == _hexes([w, b])
+
+
+def test_nonfinite_traceback_shows_the_compiled_line():
+    # inf - inf in the one pre-activation: the output gate of the kernel
+    # compiled for sizes (2, 1) raises, and the frame names its source
+    p = ml.MlpParams((2, 1), (Matrix.from_rows([[2.0], [-2.0]]),), (Vector([0.0]),))
+    with pytest.raises(NonFinite, match="network output") as info:
+        ml.mlp_forward(p, Matrix.from_rows([[1e308, 1e308]]))
+    frames = [f for f in traceback.extract_tb(info.value.__traceback__) if f.filename == "<mlp 2-1>"]
+    assert [f.line for f in frames] == ['_finite(A1, "network output")']
+
+
+def test_second_train_on_the_same_sizes_reuses_the_kernel():
+    x = Matrix.from_rows([[0.5, -1.0], [2.0, 0.0]])
+    y = Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
+    ml.mlp_train(ml.mlp_init([2, 3, 2], 0), x, y, 0.5, 2)
+    before = ml._kernel.cache_info()
+    ml.mlp_train(ml.mlp_init([2, 3, 2], 1), x, y, 0.5, 2)
+    after = ml._kernel.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 # training
