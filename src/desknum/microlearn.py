@@ -115,9 +115,9 @@ def _source(sizes: Tuple[int, ...]) -> str:
     deltas that the gradients of the weights and biases of layer l sum.
     Only ints from range() enter the text.
     """
-    a = [[f"a{l}_{i}" for i in range(n)] for l, n in enumerate(sizes)]
-    d = [[f"d{l}_{i}" for i in range(n)] for l, n in enumerate(sizes)]
-    w = [[[f"w{l}_{i}_{j}" for j in range(m)] for i in range(k)] for l, (k, m) in enumerate(zip(sizes, sizes[1:]))]
+    a, d = ([[f"{c}{l}_{i}" for i in range(n)] for l, n in enumerate(sizes)] for c in "ad")
+    w = [[[f"w{l}_{i}_{j}" for j in range(m)] for i in range(k)]
+         for l, (k, m) in enumerate(zip(sizes, sizes[1:]))]
     out, layers, every = len(w), range(len(w)), _tuple(chain(*a))
     targets = [f"t_{j}" for j in range(sizes[-1])]
     src = ["def mlp(W, B, X, T=None, history=None):", "    S = []"]
@@ -167,7 +167,8 @@ def _kernel(sizes: Tuple[int, ...]):
     history) first appends the loss to history. W and B are lists of the
     row-major weights and of the biases, X and T the sample-major inputs
     and targets. The source is kept in linecache under its file name, so
-    that a traceback shows the line.
+    that a traceback shows the line. The cache holds one function and its
+    source for each shape a process uses.
     """
     source = _source(sizes)
     name = f"<mlp {'-'.join(map(str, sizes))}>"
