@@ -267,6 +267,21 @@ for _name in ("cholesky", "eig", "pca", "polyfit", "qr", "solve_qr", "svd"):
             case(f"lindecomp.{_name}.{_k}.x{_s:g}", _decomp, lambda n=_name, k=_k, s=_s: (n, k, s))
 
 
+def _budget_draw():
+    # draws of n from [3, 4, 5, 6] and n x n uniform(-1, 1) entries from
+    # random.Random(1): about 7 in 3,000 exhaust the real-Schur sweep budget,
+    # and draw 1143, a 5x5, is the first
+    rng = random.Random(1)
+    for _ in range(1143):
+        n = rng.choice([3, 4, 5, 6])
+        uniform_rows(rng, n, n)
+    n = rng.choice([3, 4, 5, 6])
+    return uniform_rows(rng, n, n)
+
+
+case("lindecomp.eig.budget", lambda: ld.eig(Matrix.from_rows(_budget_draw())).values)
+
+
 # the iterative solvers on one 4x4 system: iterates, residual, count, flag
 
 
@@ -366,6 +381,32 @@ case(
     "newton.backward_euler.stall",
     lambda: dynamics.backward_euler_solve(dynamics.IvpProblem(lambda t, y: [-1e6 * y[0]], 0.0, (1e6,), 0.1, 0.3)).ys.data,
 )
+
+
+# the exits of the Newton step: a Jacobian that is not finite or not square
+# (from differences, from jac, from b0 or from hess) and a step that overflows
+
+
+def _line(v):
+    return [v[0] - 1.0, v[1] + 0.5]
+
+
+for _name, _call in (
+    ("fd_nan", lambda: roots.newton_system(lambda v: [math.nan if v[0] > 0.5 else v[0] - 1.0], None, [0.5])),
+    ("fd_1x2", lambda: roots.newton_system(lambda v: [v[0] - 1.0], None, [0.5, 0.5])),
+    ("fd_3x2", lambda: roots.newton_system(lambda v: [v[0] - 1.0, v[1], v[0] + v[1]], None, [0.5, 0.5])),
+    ("jac_2x3", lambda: roots.newton_system(_line, lambda v: Matrix(2, 3, range(1, 7)), [0.5, 0.5])),
+    ("jac_3x3", lambda: roots.newton_system(_line, lambda v: Matrix.identity(3), [0.5, 0.5])),
+    ("broyden_b0_3x3", lambda: roots.broyden(_line, [0.5, 0.5], b0=Matrix.identity(3))),
+    ("hess_1x2", lambda: opt.newton_minimize(_line, lambda v: Matrix(1, 2, [1.0, 0.0]), [0.5, 0.5])),
+    (
+        "step_overflow",
+        lambda: roots.newton_system(
+            lambda v: [1e300, v[1]], lambda v: Matrix.from_rows([[1.01e-12, 0.0], [0.0, 1.0]]), [0.0, 0.0]
+        ),
+    ),
+):
+    case(f"newton.err.{_name}", lambda c=_call: [c()])
 
 
 # spectral: transforms, filters and pooling, with zero-heavy inputs whose
