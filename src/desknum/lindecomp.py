@@ -203,6 +203,11 @@ def _solve_lu_factors(lrows, urows, perm: list[int], b: list[float]) -> list[flo
     return _back_substitute(urows, _forward_substitute(lrows, [b[p] for p in perm]))
 
 
+def _lu_solve(rows: list[list[float]], b: list[float]) -> list[float]:
+    # A x = b for the rows of a square A, by its L, U and perm
+    return _solve_lu_factors(*_lu_rows(rows)[:3], b)
+
+
 # Householder reflector kernel, on column lists
 
 
@@ -327,8 +332,7 @@ def solve_direct(a: Matrix, b: VecLike, method: str = "gauss") -> Vector:
     n = a.rows
     if method in ("gauss", "lu"):
         # Gaussian elimination with partial pivoting is the LU factorization
-        lrows, urows, perm, _ = _lu_rows(a.to_rows())
-        return Vector(_solve_lu_factors(lrows, urows, perm, bv))
+        return Vector(_lu_solve(a.to_rows(), bv))
     if method == "qr":
         cols = [a.col(j) for j in range(n)]
         singular = Singular("R has a negligible diagonal entry")
@@ -452,11 +456,14 @@ def _hessenberg(rows: list[list[float]], n: int):
     return h, z
 
 
+def _rotate(x: list[float], y: list[float], c: float, s: float):
+    """The plane rotation (x, y) -> (c x + s y, c y - s x) of two lists."""
+    return [c * a + s * b for a, b in zip(x, y)], [c * b - s * a for a, b in zip(x, y)]
+
+
 def _rotate_rows(t: list[list[float]], k: int, c: float, s: float) -> None:
     # rows k and k+1 of T, from column k on, by the transposed rotation
-    x, y = t[k][k:], t[k + 1][k:]
-    t[k][k:] = [c * a + s * b for a, b in zip(x, y)]
-    t[k + 1][k:] = [c * b - s * a for a, b in zip(x, y)]
+    t[k][k:], t[k + 1][k:] = _rotate(t[k][k:], t[k + 1][k:], c, s)
 
 
 def _rotate_cols(t, zcols, k: int, c: float, s: float, top: int) -> None:
@@ -464,9 +471,7 @@ def _rotate_cols(t, zcols, k: int, c: float, s: float, top: int) -> None:
     for row in t[: top + 1]:
         a, b = row[k], row[k + 1]
         row[k], row[k + 1] = c * a + s * b, c * b - s * a
-    x, y = zcols[k], zcols[k + 1]
-    zcols[k] = [c * a + s * b for a, b in zip(x, y)]
-    zcols[k + 1] = [c * b - s * a for a, b in zip(x, y)]
+    zcols[k], zcols[k + 1] = _rotate(zcols[k], zcols[k + 1], c, s)
 
 
 def _qr_sweep(t, zcols, m: int, mu: float) -> None:
@@ -618,8 +623,9 @@ def _jacobi(cols: list[list[float]]) -> tuple[list[list[float]], list[list[float
                 t = math.copysign(1.0 / (abs(zeta) + math.hypot(1.0, zeta)), zeta)
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = c * t
-                cols[p] = [c * u - s * v for u, v in zip(x, y)]
-                cols[q] = [s * u + c * v for u, v in zip(x, y)]
+                # (x, y) -> (c x - s y, s x + c y) is the rotation by -s, to
+                # the bit: negation is exact and addition commutes
+                cols[p], cols[q] = _rotate(x, y, c, -s)
                 # the shorter column loses t*g; recompute a norm that cancels
                 a -= t * g
                 b += t * g

@@ -122,8 +122,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[float]):
-        if rows < 1 or cols < 1:
-            raise ShapeMismatch(f"matrix dims must be positive, got {rows}x{cols}")
+        # ints, or to_rows() and the slices of row() and col() raise TypeError
+        if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+            raise ShapeMismatch(f"matrix dims must be positive integers, got {rows!r}x{cols!r}")
         checked = _checked_floats(data, "matrix data")
         if len(checked) != rows * cols:
             raise SizeMismatch(

@@ -244,7 +244,7 @@ def newton_minimize(
 ) -> MinimizeResult:
     """Newton's method on grad(x) = 0 with the Jacobian hess(x): the
     iteration and stopping rule of roots.newton_system."""
-    model = lambda x, g, s: hess(x)  # noqa: E731
+    model = lambda x, g, s: hess(x).to_rows()  # noqa: E731
     rep = roots._newton(
         grad, model, x0, tol, max_iter, SingularHessian, "no convergence in {} iterations"
     )

@@ -8,8 +8,11 @@ the budget runs out.
 Newton and Broyden for systems, and optimize.newton_minimize, run one
 iteration, `_newton`, and differ only in their Jacobian model: analytic,
 forward differences, Broyden's rank-one secant update, or the Hessian.
-Each step solves J s = -F by LU; the iteration stops when ||F||_inf <= 1e-15
-(checked at x0 too) or ||s||_2 < tol.
+Each model gives J as row lists (a caller's jac or hess through to_rows()),
+which the loop requires finite and square, n x n for n unknowns and n
+equations. Each step solves J s = -F by the LU of lindecomp on those rows;
+the iteration stops when ||F||_inf <= 1e-15 (checked at x0 too) or
+||s||_2 < tol.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import (
     MaxIterations,
     NonFinite,
     NoSignChange,
+    ShapeMismatch,
     Singular,
     SingularApproximation,
     SingularJacobian,
@@ -140,19 +144,24 @@ VecFn = Callable[[Sequence[float]], Sequence[float]]
 
 
 def _newton(f_vec, model, x0, tol, max_iter, singular, stalled) -> RootReport:
-    """The Newton iteration of the module docstring. model(x, F(x), s) gives J
-    at x, where s is the step that led to x (None at x0); Singular is raised
-    again as `singular`, and MaxIterations with stalled.format(max_iter)."""
+    """The Newton iteration of the module docstring. model(x, F(x), s) gives
+    the rows of J at x, where s is the step that led to x (None at x0);
+    Singular is raised again as `singular`, and MaxIterations with
+    stalled.format(max_iter)."""
     # a copy: callbacks receive x, and may not reach a Vector's own list
     x = list(_vec(x0, "x0"))
     fx = _checked_floats(f_vec(x), "F(x)")
     if _norm_inf(fx) <= 1e-15:
         return RootReport(Vector(x), 0, _norm_inf(fx), True)
-    s = None
+    n, s = len(x), None
     for k in range(1, max_iter + 1):
-        j = model(x, fx, s)
+        # J and the step pass the gates of a Matrix and a Vector
+        j = [_checked_floats(row, "matrix data") for row in model(x, fx, s)]
+        if {len(fx), len(j), *map(len, j)} != {n}:
+            shape = f"{len(j)}x{len(j[0]) if j else 0} for F of length {len(fx)}"
+            raise ShapeMismatch(f"Newton step needs a square Jacobian, got {shape} and x of length {n}")
         try:
-            s = lindecomp.solve_direct(j, [-v for v in fx], "lu").data
+            s = _checked_floats(lindecomp._lu_solve(j, [-v for v in fx]), "vector data")
         except Singular as exc:
             raise singular(str(exc)) from exc
         x = [xi + si for xi, si in zip(x, s)]
@@ -171,11 +180,9 @@ def newton_system(
 ) -> RootReport:
     """Solve F(x)=0 by J delta = -F steps; stop when ||delta||_2 < tol."""
     if jac is None:
-        model = lambda x, fx, s: Matrix.from_rows(  # noqa: E731
-            list(zip(*_fd_columns(f_vec, x, 1e-7, fx)))
-        )
+        model = lambda x, fx, s: zip(*_fd_columns(f_vec, x, 1e-7, fx))  # noqa: E731
     else:
-        model = lambda x, fx, s: jac(x)  # noqa: E731
+        model = lambda x, fx, s: jac(x).to_rows()  # noqa: E731
     stalled = "newton system did not converge in {} iterations"
     return _newton(f_vec, model, x0, tol, max_iter, SingularJacobian, stalled)
 
@@ -199,7 +206,7 @@ def broyden(
                 r = fi - fo - bsi
                 row[:] = [b + r * sj / sts for b, sj in zip(row, s)]
         f_old[:] = fx
-        return Matrix.from_rows(rows)
+        return rows
 
     stalled = "broyden did not converge in {} iterations"
     return _newton(f_vec, secant_model, x0, tol, max_iter, SingularApproximation, stalled)

@@ -195,6 +195,16 @@ def test_matrix_rejects_bad_shape():
         Vector([])
 
 
+def test_matrix_dims_must_be_integers():
+    # float dimensions whose product matched the data length once built a
+    # Matrix, and its to_rows() then raised a bare TypeError
+    for rows, cols, data in ((2.0, 1, [1.0, 2.0]), (1, 2.0, [1.0, 2.0]), (2.0, 1.5, [1.0, 2.0, 3.0])):
+        with pytest.raises(ShapeMismatch, match="integers"):
+            Matrix(rows, cols, data)
+    with pytest.raises(ShapeMismatch, match="integers"):
+        ndcore.reshape(Matrix(1, 2, [1.0, 2.0]), 2.0, 1.0)
+
+
 def test_matrix_accessors():
     m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.get(1, 2) == 6.0

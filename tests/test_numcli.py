@@ -24,14 +24,16 @@ def run(args, capsys):
     return rc, cap.out, cap.err
 
 
-def test_module_entry_point_runs_without_warnings(capsys):
+@pytest.mark.parametrize("argv", [["eig"], ["xor", "--epochs", "50"]], ids=["eig", "xor"])
+def test_module_entry_point_runs_without_warnings(capsys, argv):
     # numcli used to be imported with the package, so runpy warned that
-    # it was already in sys.modules before running it as __main__
-    rc = numcli.run(["eig"])
+    # it was already in sys.modules before running it as __main__; xor
+    # compiles its MLP kernel at run time, where a SyntaxWarning would show
+    rc = numcli.run(argv)
     want = capsys.readouterr().out
     src = os.path.dirname(os.path.dirname(os.path.abspath(numcli.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "desknum.numcli", "eig"],
+        [sys.executable, "-W", "error", "-m", "desknum.numcli", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from desknum import roots
+from desknum import lindecomp, optimize, roots
 from desknum.errors import (
     FlatSecant,
     MaxIterations,
@@ -223,12 +223,39 @@ def test_newton_system_linear_one_iteration():
     assert rep.root.data == [1.0, 2.0]
 
 
-@pytest.mark.parametrize("f", [lambda v: [v[0] - 1.0], lambda v: [v[0] - 1.0, v[1], v[0] + v[1]]], ids=["1x2", "3x2"])
-def test_newton_system_fd_jacobian_of_non_square_system(f):
+def line2(v):
+    return [v[0] - 1.0, v[1] + 0.5]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: roots.newton_system(lambda v: [v[0] - 1.0], None, [0.5, 0.5]),
+        lambda: roots.newton_system(lambda v: [v[0] - 1.0, v[1], v[0] + v[1]], None, [0.5, 0.5]),
+        lambda: roots.newton_system(line2, lambda v: Matrix(2, 3, range(1, 7)), [0.5, 0.5]),
+        lambda: roots.newton_system(line2, lambda v: Matrix.identity(3), [0.5, 0.5]),
+        lambda: roots.broyden(line2, [0.5, 0.5], b0=Matrix.identity(3)),
+        lambda: optimize.newton_minimize(line2, lambda v: Matrix(1, 2, [1.0, 0.0]), [0.5, 0.5]),
+    ],
+    ids=["1x2", "3x2", "jac_2x3", "jac_3x3", "broyden_b0_3x3", "hess_1x2"],
+)
+def test_newton_system_fd_jacobian_of_non_square_system(solve):
     # the forward-difference Jacobian keeps F's shape, as an analytic one
-    # does; F with fewer outputs than inputs once raised a bare IndexError
+    # does; F with fewer outputs than inputs once raised a bare IndexError.
+    # A jac, b0 or hess whose shape does not match x fails the same check
     with pytest.raises(ShapeMismatch, match="square"):
-        roots.newton_system(f, None, [0.5, 0.5])
+        solve()
+
+
+def test_newton_loop_solves_on_rows(monkeypatch):
+    # each step is one LU solve on row lists, with no Matrix built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Matrix round trip in the Newton loop")
+
+    monkeypatch.setattr(lindecomp, "solve_direct", forbidden)
+    monkeypatch.setattr(Matrix, "from_rows", forbidden)
+    for rep in (roots.newton_system(circle_para, None, [0.5, 0.5]), roots.broyden(circle_para, [0.5, 0.5])):
+        assert abs(rep.root[0] - X1_STAR) <= 1e-6 and abs(rep.root[1] - X2_STAR) <= 1e-6
 
 
 def test_newton_system_singular_jacobian():
