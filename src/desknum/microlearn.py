@@ -5,18 +5,22 @@ descent on mean-squared error, a batch-normalization forward pass,
 and tabular Q-learning on a five-state ring environment. Everything
 is deterministic given an explicit seed.
 
-The network runs on one private kernel per tuple of layer sizes: Python
-source generated for those sizes, compiled once and cached, `_kernel`
-(the standard library's dataclasses builds `__init__` the same way). It
-is unrolled over units inside a loop over samples, so its text grows with
-the weights, not with the batch, and every weight, activation and delta
-is a local variable. Activations are sample-major and weights row-major,
-as in `Matrix`. Dot products are builtin sums of a tuple in input order,
-as a per-sample loop does, and gradients are fsums over the batch in
-sample order. Every value that leaves the kernel (outputs, loss,
-gradients, updated parameters) is checked where it is formed and raises
-NonFinite; a traceback through the kernel names its file `<mlp 3-4-1>`
-and shows the generated line.
+The network trains in one private kernel per tuple of layer sizes: Python
+source generated for those sizes, compiled once and cached, `_kernel` (the
+standard library's dataclasses builds `__init__` the same way). It holds
+the whole training loop, unrolled over units inside a loop over samples
+inside a loop over epochs, so its text grows with the weights, not with
+the batch or the epochs, and every weight, activation and delta is a local
+variable from the first epoch to the last. One pass over the samples runs
+each one forward and back. The forward pass, the loss and the gradients
+are the same function, returning early. Activations are sample-major and
+weights row-major, as in `Matrix`. Dot products are builtin sums of a
+tuple in input order, as a per-sample loop does (a one-term sum is written
+0.0 plus the term, the value sum returns), and gradients are fsums over
+the batch in sample order. Every value that leaves an epoch
+(outputs, loss, gradients, updated parameters) is checked where it is
+formed and raises NonFinite; a traceback through the kernel names its
+file `<mlp 3-4-1>` and shows the generated line.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ import linecache
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import accumulate, chain, repeat
 from math import exp
+from numbers import Integral
 from operator import mul, sub
 from typing import Iterable, List, Sequence, Tuple
 
@@ -104,67 +109,86 @@ def _tuple(terms: Iterable[str]) -> str:
     return ", ".join(terms) + ","
 
 
-def _source(sizes: Tuple[int, ...]) -> str:
-    """Python source of one pass of the net with these layer sizes.
+def _sum(terms: List[str]) -> str:
+    # builtin sum of one float adds it to 0.0, so -0.0 sums to 0.0
+    return f"sum(({_tuple(terms)}))" if len(terms) > 1 else f"(0.0 + {terms[0]})"
 
-    Unrolled over units inside a loop over samples. Layer l has activations
-    a{l}_{i} (the inputs are layer 0) and, going back, deltas d{l}_{i};
-    w{l}_{i}_{j} weighs unit i of layer l into unit j of layer l + 1, whose
-    bias is b{l}_{j}. A{l} holds the activations of layer l for the batch,
-    S every activation of each sample, and G{l} and D{l} the products and
-    deltas that the gradients of the weights and biases of layer l sum.
-    Only ints from range() enter the text.
+
+def _source(sizes: Tuple[int, ...]) -> str:
+    """Python source of the training loop of the net with these layer sizes.
+
+    Unrolled over units inside a loop over samples, inside a loop over
+    epochs. Layer l has activations a{l}_{i} (the inputs are layer 0) and,
+    going back, deltas d{l}_{i}; w{l}_{i}_{j} weighs unit i of layer l into
+    unit j of layer l + 1, whose bias is b{l}_{j}. P holds every weight,
+    layer by layer, then every bias; each epoch unpacks it into those
+    names. A{l} holds the activations of layer l for the batch, and G{l}
+    and D{l} the products and deltas that the gradients of the weights and
+    biases of layer l sum. Only ints from range() enter the text.
     """
     a, d = ([[f"{c}{l}_{i}" for i in range(n)] for l, n in enumerate(sizes)] for c in "ad")
     w = [[[f"w{l}_{i}_{j}" for j in range(m)] for i in range(k)]
          for l, (k, m) in enumerate(zip(sizes, sizes[1:]))]
-    out, layers, every = len(w), range(len(w)), _tuple(chain(*a))
-    targets = [f"t_{j}" for j in range(sizes[-1])]
-    src = ["def mlp(W, B, X, T=None, history=None):", "    S = []"]
-    for l, wl in enumerate(w):
-        src.append(f"    {_tuple(chain(*wl))} = W[{l}]")
-        src.append(f"    {_tuple(f'b{l}_{j}' for j in range(len(wl[0])))} = B[{l}]")
-        src.append(f"    A{l + 1}, G{l}, D{l} = [], [], []")
-    src.append(f"    for {_tuple(a[0])} in zip(*[iter(X)] * {len(a[0])}):")
+    b = [[f"b{l}_{j}" for j in range(m)] for l, m in enumerate(sizes[1:])]
+    out, layers, ins, outs = len(w), range(len(w)), sizes[0], sizes[-1]
+    targets = [f"t_{j}" for j in range(outs)]
+    ends = [0, *accumulate([len(wl) * len(wl[0]) for wl in w] + [len(bl) for bl in b])]
+    src = [
+        "def mlp(W, B, X, T=None, eta=None, epochs=1):",
+        f"    P = ({_tuple(f'*{c}[{l}]' for c in 'WB' for l in layers)})",
+        # placeholder targets for a forward pass, which skips the backward pass
+        f"    Y = repeat(({'0.0, ' * outs})) if T is None else zip(*[iter(T)] * {outs})",
+        f"    pairs, scale, history = list(zip(zip(*[iter(X)] * {ins}), Y)), 2.0 / (len(X) // {ins} * {outs}), []",
+        "    for _ in range(epochs):",
+        f"        {_tuple(chain(*chain(*w), *b))} = P",
+    ]
+    for l in layers:
+        src.append(f"        A{l + 1}, G{l}, D{l} = [], [], []")
+    src.append(f"        for ({_tuple(a[0])}), ({_tuple(targets)}) in pairs:")
     for l, wl in enumerate(w):
         for j, unit in enumerate(a[l + 1]):
-            src.append(f"        v = sum(({_tuple(f'{x} * {wi[j]}' for x, wi in zip(a[l], wl))})) + b{l}_{j}")
-            src.append(f"        {unit} = {_SIGMOID}")
-        src.append(f"        A{l + 1} += {_tuple(a[l + 1])}")
-    src += [
-        f"        S.append(({every}))",
-        # a NaN pre-activation reaches every later unit of its sample
-        f'    _finite(A{out}, "network output")',
-        "    if T is None:",
-        f"        return [{_tuple(f'A{l + 1}' for l in layers)}]",
-        "    if history is not None:",
-        f"        history.append(_mse(A{out}, T))",
-        f"    scale = 2.0 / len(A{out})",
-        f"    for ({every}), ({_tuple(targets)}) in zip(S, zip(*[iter(T)] * {len(targets)})):",
-    ]
+            src.append(f"            v = {_sum([f'{x} * {wi[j]}' for x, wi in zip(a[l], wl)])} + {b[l][j]}")
+            src.append(f"            {unit} = {_SIGMOID}")
+        src.append(f"            A{l + 1} += {_tuple(a[l + 1])}")
+    src += ["            if T is None:", "                continue"]
     for delta, y, t in zip(d[out], a[out], targets):
-        src.append(f"        {delta} = scale * ({y} - {t}) * ({y} * (1.0 - {y}))")
+        src.append(f"            {delta} = scale * ({y} - {t}) * ({y} * (1.0 - {y}))")
     for l in reversed(layers):
-        src.append(f"        G{l}.append(({_tuple(f'{x} * {dj}' for x in a[l] for dj in d[l + 1])}))")
-        src.append(f"        D{l}.append(({_tuple(d[l + 1])}))")
+        src.append(f"            G{l}.append(({_tuple(f'{x} * {dj}' for x in a[l] for dj in d[l + 1])}))")
+        src.append(f"            D{l}.append(({_tuple(d[l + 1])}))")
         for i, x in enumerate(a[l] if l else ()):
-            dot = _tuple(f"{dj} * {wij}" for dj, wij in zip(d[l + 1], w[l][i]))
-            src.append(f"        d{l}_{i} = sum(({dot})) * ({x} * (1.0 - {x}))")
+            dot = _sum([f"{dj} * {wij}" for dj, wij in zip(d[l + 1], w[l][i])])
+            src.append(f"            d{l}_{i} = {dot} * ({x} * (1.0 - {x}))")
+    src += [
+        # a NaN pre-activation reaches every later unit of its sample
+        f'        _finite(A{out}, "network output")',
+        "        if T is None:",
+        f"            return [{_tuple(f'A{l + 1}' for l in layers)}]",
+        "        if eta is not None:",
+        f"            history.append(_mse(A{out}, T))",
+    ]
     for l in reversed(layers):
         # each gradient an fsum over the batch, checked before the next runs
-        src.append(f'    gw{l} = _fsums(zip(*G{l}), "weight gradient")')
-        src.append(f'    gb{l} = _fsums(zip(*D{l}), "bias gradient")')
-    src.append(f"    return [{_tuple(f'gw{l}' for l in layers)}], [{_tuple(f'gb{l}' for l in layers)}]")
+        src.append(f'        gw{l} = _fsums(zip(*G{l}), "weight gradient")')
+        src.append(f'        gb{l} = _fsums(zip(*D{l}), "bias gradient")')
+    src += [
+        "        if eta is None:",
+        f"            return [{_tuple(f'gw{l}' for l in layers)}], [{_tuple(f'gb{l}' for l in layers)}]",
+        f"        P = tuple(map(sub, P, map(mul, repeat(eta), chain({_tuple(f'g{c}{l}' for c in 'wb' for l in layers)}))))",
+        '        _finite(P, "updated parameters")',
+        f"    return [{_tuple(f'P[{i}:{j}]' for i, j in zip(ends, ends[1:]))}], history",
+    ]
     return "\n".join(src) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
 def _kernel(sizes: Tuple[int, ...]):
-    """The compiled pass for these layer sizes, built once per process.
+    """The compiled training loop for these layer sizes, built once per process.
 
     mlp(W, B, X) returns the activations of every layer after the inputs,
-    mlp(W, B, X, T) the weight and bias gradients, and mlp(W, B, X, T,
-    history) first appends the loss to history. W and B are lists of the
+    mlp(W, B, X, T) the weight and bias gradients, and mlp(W, B, X, T, eta,
+    epochs) the weights and then the biases of each layer after that many
+    steps, with the loss before each step. W and B are lists of the
     row-major weights and of the biases, X and T the sample-major inputs
     and targets. The source is kept in linecache under its file name, so
     that a traceback shows the line. The cache holds one function and its
@@ -214,8 +238,8 @@ def mlp_gradients(
     Deltas flow backwards: the output delta is 2(a-y)/(batch*outputs)
     times sigma', hidden deltas are (delta W^T) * sigma', and each
     layer's gradient is (previous activation)^T delta with bias
-    gradients the column sums. One forward and one backward pass of
-    the compiled kernel that `mlp_train` runs every epoch.
+    gradients the column sums. The first epoch of the compiled loop
+    that `mlp_train` runs, stopped before its update.
     """
     g_w, g_b = _kernel(p.sizes)(*_args(p, x, y))
     weights = tuple(Matrix(w.rows, w.cols, g) for w, g in zip(p.weights, g_w))
@@ -227,23 +251,19 @@ def mlp_train(
 ) -> Tuple[MlpParams, List[float]]:
     """Full-batch gradient descent; history holds the pre-step loss.
 
-    Checks its arguments once, then each epoch is one call of the compiled
-    kernel, a forward pass that also gives the loss and a backward pass,
-    and the update. An update that overflows raises NonFinite at its epoch.
+    Checks its arguments once, then runs every epoch in one call of the
+    compiled loop, which keeps the parameters in local variables: per
+    sample a forward and a backward pass, then the loss, the gradients and
+    the update. An update that overflows raises NonFinite at its epoch.
     """
     if not 0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
-    if epochs < 0:
-        raise ValueError("epochs must be nonnegative")
-    w_rows, biases, rows, targets = _args(p, x, y)
-    step, history = _kernel(p.sizes), []
-    for _ in range(epochs):
-        g_w, g_b = step(w_rows, biases, rows, targets, history)
-        w_rows = [list(map(sub, w, map(mul, repeat(eta), g))) for w, g in zip(w_rows, g_w)]
-        biases = [list(map(sub, b, map(mul, repeat(eta), g))) for b, g in zip(biases, g_b)]
-        _finite(chain(*w_rows, *biases), "updated parameters")
-    weights = tuple(Matrix(w.rows, w.cols, r) for w, r in zip(p.weights, w_rows))
-    return MlpParams(p.sizes, weights, tuple(Vector(b) for b in biases)), history
+    if not isinstance(epochs, Integral) or epochs < 0:
+        raise ValueError("epochs must be a nonnegative int")
+    trained, history = _kernel(p.sizes)(*_args(p, x, y), eta, epochs)
+    weights = tuple(Matrix(w.rows, w.cols, r) for w, r in zip(p.weights, trained))
+    biases = tuple(map(Vector, trained[len(weights):]))
+    return MlpParams(p.sizes, weights, biases), history
 
 
 @dataclass(frozen=True)
@@ -339,8 +359,8 @@ def q_learn(
         raise ValueError("gamma_disc must be in [0, 1)")
     if not 0.0 <= eps_explore <= 1.0:
         raise ValueError("eps_explore must be in [0, 1]")
-    if episodes < 0:
-        raise ValueError("episodes must be nonnegative")
+    if not isinstance(episodes, Integral) or episodes < 0:
+        raise ValueError("episodes must be a nonnegative int")
     rng = random.Random(seed)
     q = [[0.0] * env.n_actions for _ in range(env.n_states)]
     for _ in range(episodes):

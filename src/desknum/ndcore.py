@@ -116,15 +116,19 @@ def _fd_columns(f, x: list[float], h: float, fx=None) -> list[list[float]]:
     return cols
 
 
+def _dims(rows: int, cols: int) -> None:
+    # ints, or to_rows() and the slices of row() and col() raise TypeError
+    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+        raise ShapeMismatch(f"matrix dims must be positive integers, got {rows!r}x{cols!r}")
+
+
 class Matrix:
     """Dense rows x cols matrix stored row-major as float64."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[float]):
-        # ints, or to_rows() and the slices of row() and col() raise TypeError
-        if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
-            raise ShapeMismatch(f"matrix dims must be positive integers, got {rows!r}x{cols!r}")
+        _dims(rows, cols)
         checked = _checked_floats(data, "matrix data")
         if len(checked) != rows * cols:
             raise SizeMismatch(
@@ -148,6 +152,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
+        _dims(rows, cols)  # before the data list is sized by them
         return cls(rows, cols, [0.0] * (rows * cols))
 
     @classmethod

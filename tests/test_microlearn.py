@@ -371,16 +371,30 @@ def test_nonfinite_traceback_shows_the_compiled_line():
         ml.mlp_forward(p, Matrix.from_rows([[1e308, 1e308]]))
     frames = [f for f in traceback.extract_tb(info.value.__traceback__) if f.filename == "<mlp 2-1>"]
     assert [f.line for f in frames] == ['_finite(A1, "network output")']
+    # an overflowing first step of a training run: the update gate inside
+    # the compiled epoch loop raises, and the frame shows that line
+    p = ml.MlpParams((1, 1), (Matrix.from_rows([[0.0]]),), (Vector([0.0]),))
+    x, y = Matrix.from_rows([[1e308], [1e307]]), Matrix.from_rows([[1.0], [1.0]])
+    with pytest.raises(NonFinite, match="updated parameters") as info:
+        ml.mlp_train(p, x, y, 1e3, 3)
+    frames = [f for f in traceback.extract_tb(info.value.__traceback__) if f.filename == "<mlp 1-1>"]
+    assert [f.line for f in frames] == ['_finite(P, "updated parameters")']
 
 
 def test_second_train_on_the_same_sizes_reuses_the_kernel():
+    # 8 outputs, more than any other test draws: the forward pass, the loss,
+    # the gradients and two training runs on this shape compile it once
     x = Matrix.from_rows([[0.5, -1.0], [2.0, 0.0]])
-    y = Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
-    ml.mlp_train(ml.mlp_init([2, 3, 2], 0), x, y, 0.5, 2)
+    y = Matrix.from_rows([[1.0, 0.0] * 4, [0.0, 1.0] * 4])
     before = ml._kernel.cache_info()
-    ml.mlp_train(ml.mlp_init([2, 3, 2], 1), x, y, 0.5, 2)
+    p = ml.mlp_init([2, 3, 8], 0)
+    ml.mlp_forward(p, x)
+    ml.mlp_loss(p, x, y)
+    ml.mlp_gradients(p, x, y)
+    ml.mlp_train(p, x, y, 0.5, 2)
+    ml.mlp_train(ml.mlp_init([2, 3, 8], 1), x, y, 0.5, 2)
     after = ml._kernel.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert (after.hits, after.misses) == (before.hits + 4, before.misses + 1)
 
 
 # training
@@ -416,6 +430,17 @@ def test_train_validation():
         ml.mlp_train(p, XOR_X, XOR_Y, 0.5, -1)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, "3", None, -1], ids=repr)
+def test_counts_must_be_nonnegative_ints(count):
+    # a float or str count once reached range() or the comparison and raised
+    # a bare TypeError; it is refused before the compiled loop runs
+    p = ml.mlp_init([3, 4, 1], seed=0)
+    with pytest.raises(ValueError, match="^epochs must be a nonnegative int$"):
+        ml.mlp_train(p, XOR_X, XOR_Y, 0.5, count)
+    with pytest.raises(ValueError, match="^episodes must be a nonnegative int$"):
+        ml.q_learn(ml.GridEnv.default(), 0.1, 0.9, 0.1, count, seed=0)
+
+
 def test_train_rejects_nan_and_infinite_eta():
     p = ml.mlp_init([3, 4, 1], seed=0)
     for eta in (math.nan, math.inf, -math.inf):
@@ -436,9 +461,11 @@ def test_overflowing_squared_error_raises_nonfinite():
             ml.mlp_train(p, XOR_X, y, 0.5, 1)
 
 
-def test_train_overflowing_update_raises_nonfinite():
+@pytest.mark.parametrize("epochs", [1, 5])
+def test_train_overflowing_update_raises_nonfinite(epochs):
     # zero first-layer weights keep every unit unsaturated, so the input
-    # of 1e308 reaches the weight gradient and the first step overflows
+    # of 1e308 reaches the weight gradient and the first step overflows,
+    # also where more epochs remain in the compiled loop
     single = ml.MlpParams((1, 1), (Matrix.from_rows([[0.0]]),), (Vector([0.0]),))
     hidden = ml.MlpParams(
         (1, 2, 1),
@@ -452,8 +479,8 @@ def test_train_overflowing_update_raises_nonfinite():
     for p, xs, ys, eta in cases:
         x, y = Matrix.from_rows(xs), Matrix.from_rows(ys)
         assert ml.mlp_train(p, x, y, eta, 0)[1] == []
-        with pytest.raises(NonFinite):
-            ml.mlp_train(p, x, y, eta, 1)
+        with pytest.raises(NonFinite, match="^updated parameters contains a non-finite entry"):
+            ml.mlp_train(p, x, y, eta, epochs)
 
 
 def test_gradient_sum_overflow_raises_nonfinite():

@@ -205,6 +205,16 @@ def test_matrix_dims_must_be_integers():
         ndcore.reshape(Matrix(1, 2, [1.0, 2.0]), 2.0, 1.0)
 
 
+def test_zeros_and_identity_check_dims_before_building_data():
+    # the data list was sized by the dims first, so a float dim raised a bare
+    # TypeError from [0.0] * (rows * cols) instead of the constructor's error
+    for make in (lambda: Matrix.zeros(2.0, 1), lambda: Matrix.zeros(1, "2"), lambda: Matrix.identity(2.0)):
+        with pytest.raises(ShapeMismatch, match="^matrix dims must be positive integers, got "):
+            make()
+    with pytest.raises(ShapeMismatch, match="got 0x2"):
+        Matrix.zeros(0, 2)
+
+
 def test_matrix_accessors():
     m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.get(1, 2) == 6.0
