@@ -116,6 +116,8 @@ class HeatProblem:
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.length <= 0 or self.t_total <= 0:
             raise ValueError("alpha, length, and t_total must be positive")
+        if not (isinstance(self.nx, int) and isinstance(self.nt, int)):
+            raise ValueError("nx and nt must be ints")
         if self.nx < 3:
             raise ValueError("need at least 3 spatial points")
         if self.nt < 1:

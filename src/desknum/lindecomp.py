@@ -255,11 +255,11 @@ def _rows(cols: list[list[float]], n: int) -> list[list[float]]:
     return [list(r) for r in zip(*cols)][:n]
 
 
-def _householder_ls(cols: list[list[float]], rhs: list[float], thresh: float, err):
+def _householder_ls(cols: list[list[float]], rhs: list[float], err):
     """Least squares by reducing [A | rhs], A given by its columns
     (overwritten), to [R | Q^T rhs]; raises err when a diagonal entry of R
-    is at most thresh in magnitude."""
-    n = len(cols)
+    is at most _PIVOT_REL * max |A| in magnitude."""
+    n, thresh = len(cols), _PIVOT_REL * _maxabs(cols)
     cols.append(list(rhs))
     _triangularize(cols, n)
     if any(abs(cols[i][i]) <= thresh for i in range(n)):
@@ -336,7 +336,7 @@ def solve_direct(a: Matrix, b: VecLike, method: str = "gauss") -> Vector:
     if method == "qr":
         cols = [a.col(j) for j in range(n)]
         singular = Singular("R has a negligible diagonal entry")
-        return Vector(_householder_ls(cols, bv, _PIVOT_REL * _maxabs(cols), singular))
+        return Vector(_householder_ls(cols, bv, singular))
     if method == "cholesky":
         lo = cholesky(a).to_rows()
         # L y = b, then L^T x = y on the rows of L^T
@@ -744,5 +744,5 @@ def polyfit(xs: VecLike, ys: VecLike, degree: int) -> Vector:
     scaled = [_scaled([c]) for c in vand]
     cols = [c for (c,), _ in scaled]
     deficient = RankDeficient("Vandermonde system is rank deficient")
-    coef = _householder_ls(cols, yv, _PIVOT_REL * _maxabs(cols), deficient)
+    coef = _householder_ls(cols, yv, deficient)
     return Vector([x / f for x, (_, f) in zip(coef, scaled)])

@@ -101,6 +101,9 @@ class Image2D:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[float]):
+        # ints, as for Matrix, or fft2 fails on them with a bare TypeError
+        if not (isinstance(rows, int) and isinstance(cols, int)):
+            raise ShapeMismatch(f"image dimensions must be ints, got {rows!r}x{cols!r}")
         if rows < 1 or cols < 1:
             raise ShapeMismatch("image dimensions must be positive")
         data = _checked_floats(data, "data")

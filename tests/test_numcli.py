@@ -1,5 +1,9 @@
 """CLI contract tests: serialization round trips, exit codes, artifacts."""
 
+import contextlib
+import inspect
+import io
+import json
 import math
 import os
 import random
@@ -371,9 +375,12 @@ def test_no_flag_value_escapes_the_exit_contract(command, tmp_path, capsys):
     assert broken == []
 
 
-# run() parses with one parser per process; one session of calls, usage
-# errors and --help included, must give what a parser built afresh for
-# every call gives
+# run() parses with one parser per process, so one session of calls, usage
+# errors and --help included, must give what a parser built afresh for every
+# call gives. The same session run in two fresh interpreters, in order under
+# PYTHONHASHSEED=0 and in reverse under PYTHONHASHSEED=1, must give it again:
+# no exit code, output or artifact may depend on the hash seed or on the calls
+# made before it.
 
 _SESSION = [
     ["linalg", "--op", "inv"],
@@ -397,37 +404,124 @@ _SESSION = [
     ["qlearn", "--episodes", "200", "--out", "{tmp}/q.csv"],
     ["integrate", "--f", "sin"],
     ["linalg", "--op", "det"],
+    ["image-lowpass", "--in", "{tmp}/checker.pgm", "--keep", "3",
+     "--spectrum", "{tmp}/spec.pgm", "--out", "{tmp}/low.pgm"],
+    # every artifact through --out, with a usage error, a Python arithmetic
+    # error and an unwritable --out (a directory) in between
+    ["xor", "--epochs", "200", "--out", "{tmp}/xor.csv"],
+    ["linalg", "--op", "inv", "--out", "{tmp}/inv.csv"],
+    ["eig", "--out", "{tmp}/eig.csv"],
+    ["roots", "--f", "x2m4", "--method", "newton", "--out", "{tmp}/newton.csv"],
+    ["roots", "--f", "circlepara", "--method", "system", "--out", "{tmp}/system.csv"],
+    ["fft", "--n", "many"],
+    ["roots", "--f", "circlepara", "--method", "broyden", "--out", "{tmp}/broyden.csv"],
+    ["interp", "--method", "spline", "--num", "9", "--out", "{tmp}/spline.csv"],
+    ["integrate", "--method", "simpson", "--f", "sin", "--a", "0", "--b", "3", "--n", "64",
+     "--out", "{tmp}/simpson.csv"],
+    ["xor", "--eta", "0"],
+    ["fft", "--n", "16", "--freq", "2", "--fs", "16", "--out", "{tmp}/fft16.csv"],
+    ["image-lowpass", "--in", "{tmp}/in.pgm", "--keep", "3", "--out", "{tmp}/low.pgm"],
+    ["optimize", "--objective", "rosenbrock", "--method", "gd", "--eta", "1e10", "--iters", "3"],
+    ["optimize", "--objective", "rosenbrock", "--method", "adam", "--iters", "50",
+     "--out", "{tmp}/adam.csv"],
+    ["heat", "--alpha", "0.01", "--L", "10", "--nx", "21", "--nt", "100", "--t", "1",
+     "--out", "{tmp}/heat.csv"],
+    ["eig", "--out", "{tmp}"],
+    ["xor", "--epochs", "200", "--seed", "3", "--out", "{tmp}/xor3.csv"],
+    # one run of each remaining subcommand off its defaults
+    ["linalg", "--op", "matmul"],
+    ["solve", "--method", "gauss_seidel"],
+    ["roots", "--f", "sin", "--method", "secant"],
+    ["integrate", "--method", "trapezoid", "--f", "quad", "--a", "0", "--b", "2", "--n", "100"],
+    ["fft", "--n", "32", "--freq", "4", "--fs", "32"],
+    ["optimize", "--objective", "rosenbrock", "--method", "adam", "--iters", "25",
+     "--schedule", "cosine"],
+    ["ode", "--problem", "lti", "--method", "rk4", "--h", "0.1"],
+    ["heat", "--alpha", "0.01", "--L", "10", "--nx", "11", "--nt", "50", "--t", "1"],
+    ["xor", "--epochs", "40", "--seed", "2"],
+    ["qlearn", "--episodes", "60", "--seed", "5"],
 ]
-_SESSION_CODES = [0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]
+_SESSION_CODES = [0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0,
+                  0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 1, 0,
+                  0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
-def _run_session(tmp_path, capsys):
+def _session_inputs(tmp):
+    """The session's input images: in.pgm, a ramp with no symmetry, and
+    checker.pgm."""
+    _checker_pgm(tmp)[0].rename(tmp / "checker.pgm")
+    ramp = Image2D(8, 8, [float((r * 37 + c * 11) % 256) for r in range(8) for c in range(8)])
+    (tmp / "in.pgm").write_bytes(numcli.write_pgm(ramp))
+
+
+def _run_session(session, tmp):
+    """Each call's exit code, stdout and stderr, with tmp written back as
+    {tmp}, and the hex bytes of its --out and --spectrum files, which are
+    removed. The fresh interpreters run this function's source."""
     results = []
-    for args in _SESSION:
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    for args in session:
+        argv = [a.replace("{tmp}", tmp) for a in args]
         outs = [argv[i + 1] for i, a in enumerate(argv) if a in ("--out", "--spectrum")]
-        rc = numcli.run(argv)
-        cap = capsys.readouterr()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = numcli.run(argv)
         files = []
         for path in outs:
-            with open(path, "rb") as fh:
-                files.append(fh.read())
-            os.remove(path)
-        results.append((rc, cap.out, cap.err, files))
+            if os.path.isfile(path):
+                with open(path, "rb") as fh:
+                    files.append(fh.read().hex())
+                os.remove(path)
+        results.append([rc, out.getvalue().replace(tmp, "{tmp}"),
+                        err.getvalue().replace(tmp, "{tmp}"), files])
     return results
 
 
-def test_reused_parser_matches_a_fresh_parser_per_call(tmp_path, capsys, monkeypatch):
-    _checker_pgm(tmp_path)
-    assert numcli.build_parser() is not numcli.build_parser()
-    reused = _run_session(tmp_path, capsys)
-    assert numcli._parser() is numcli._parser()
-    monkeypatch.setattr(numcli, "_parser", numcli.build_parser)
-    fresh = _run_session(tmp_path, capsys)
+def _session_child(session, tmp, hash_seed):
+    """A fresh interpreter running session in tmp; it prints the results
+    as JSON."""
+    script = "\n".join([
+        "import contextlib, io, json, os, sys",
+        "from desknum import numcli",
+        inspect.getsource(_run_session),
+        "print(json.dumps(_run_session(json.loads(sys.argv[1]), sys.argv[2])))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(numcli.__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-c", script, json.dumps(session), str(tmp)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(hash_seed)),
+    )
+
+
+def test_reused_parser_matches_a_fresh_parser_per_call(tmp_path, monkeypatch):
+    # argparse wraps --help to the terminal width, read from COLUMNS here and
+    # in the children
+    monkeypatch.setenv("COLUMNS", "80")
+    here, fwd_dir, rev_dir = dirs = [tmp_path / name for name in ("here", "fwd", "rev")]
+    for tmp in dirs:
+        tmp.mkdir()
+        _session_inputs(tmp)
+    # the children run while this process runs the session twice
+    with _session_child(_SESSION, fwd_dir, 0) as fwd, \
+            _session_child(_SESSION[::-1], rev_dir, 1) as rev:
+        assert numcli.build_parser() is not numcli.build_parser()
+        reused = _run_session(_SESSION, str(here))
+        assert numcli._parser() is numcli._parser()
+        monkeypatch.setattr(numcli, "_parser", numcli.build_parser)
+        fresh = _run_session(_SESSION, str(here))
+        children = [proc.communicate(timeout=120) for proc in (fwd, rev)]
+    assert [(proc.returncode, err) for proc, (_, err) in zip((fwd, rev), children)] == [(0, "")] * 2
+    forward = json.loads(children[0][0])
+    reverse = json.loads(children[1][0])[::-1]
     assert [r[0] for r in reused] == _SESSION_CODES
     assert all(r[2].startswith("usage error") for r in reused if r[0] == 1)
+    assert not any("Traceback" in r[2] for r in reused)
     assert "numcli xor" in reused[_SESSION.index(["xor", "--help"])][1]
     assert reused == fresh
+    differ = [args for args, a, b, c in zip(_SESSION, reused, forward, reverse) if not a == b == c]
+    assert differ == []
 
 
 # subcommand outputs
@@ -828,47 +922,6 @@ def test_qlearn_seed_changes_output(capsys):
     _, out_a, _ = run(["qlearn", "--episodes", "40", "--seed", "0"], capsys)
     _, out_b, _ = run(["qlearn", "--episodes", "40", "--seed", "1"], capsys)
     assert out_a != out_b
-
-
-REPRESENTATIVE = [
-    ["linalg", "--op", "matmul"],
-    ["solve", "--method", "gauss_seidel"],
-    ["eig"],
-    ["roots", "--f", "sin", "--method", "secant"],
-    ["interp", "--method", "spline", "--num", "9"],
-    ["integrate", "--method", "trapezoid", "--f", "quad",
-     "--a", "0", "--b", "2", "--n", "100"],
-    ["fft", "--n", "32", "--freq", "4", "--fs", "32"],
-    ["optimize", "--objective", "rosenbrock", "--method", "adam",
-     "--iters", "25", "--schedule", "cosine"],
-    ["ode", "--problem", "lti", "--method", "rk4", "--h", "0.1"],
-    ["heat", "--alpha", "0.01", "--L", "10", "--nx", "11",
-     "--nt", "50", "--t", "1"],
-    ["xor", "--epochs", "40", "--seed", "2"],
-    ["qlearn", "--episodes", "60", "--seed", "5"],
-]
-
-
-@pytest.mark.parametrize("args", REPRESENTATIVE, ids=lambda a: a[0])
-def test_repeated_runs_are_byte_identical(args, capsys):
-    rc_a, out_a, _ = run(args, capsys)
-    rc_b, out_b, _ = run(args, capsys)
-    assert rc_a == rc_b == 0
-    assert out_a == out_b
-    assert out_a.encode() == out_a.encode()
-
-
-def test_image_lowpass_repeat_is_byte_identical(tmp_path, capsys):
-    path, _ = _checker_pgm(tmp_path)
-    a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
-    for out in (a, b):
-        rc, _, _ = run(
-            ["image-lowpass", "--in", str(path), "--keep", "3",
-             "--out", str(out)],
-            capsys,
-        )
-        assert rc == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 # image-lowpass bytes against the float formulas they were first written with

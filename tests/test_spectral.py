@@ -301,6 +301,17 @@ def test_fft2_rejects_non_pow2():
 def test_image2d_validation():
     with pytest.raises(ShapeMismatch):
         Image2D(2, 2, [1.0, 2.0, 3.0])
+    with pytest.raises(ShapeMismatch, match="^image dimensions must be positive$"):
+        Image2D(0, 2, [])
+
+
+@pytest.mark.parametrize("rows, cols", [(2.0, 2), (2, 2.0), (2, "2")],
+                         ids=["float-rows", "float-cols", "str-cols"])
+def test_image2d_rejects_non_int_dimensions(rows, cols):
+    # accepted, a float dimension makes fft2 raise a bare TypeError and
+    # write_pgm write the header "2 2.0"
+    with pytest.raises(ShapeMismatch, match="image dimensions must be ints"):
+        Image2D(rows, cols, [0.0, 1.0, 2.0, 3.0])
 
 
 # filtering
