@@ -495,33 +495,64 @@ def _session_child(session, tmp, hash_seed):
     )
 
 
-def test_reused_parser_matches_a_fresh_parser_per_call(tmp_path, monkeypatch):
-    # argparse wraps --help to the terminal width, read from COLUMNS here and
-    # in the children
-    monkeypatch.setenv("COLUMNS", "80")
+@pytest.fixture(scope="module")
+def session_runs(tmp_path_factory):
+    """The session's results run with the reused parser, with a fresh parser
+    per call, in the forward child and in the reverse child (put back in
+    forward order)."""
+    tmp_path = tmp_path_factory.mktemp("session")
     here, fwd_dir, rev_dir = dirs = [tmp_path / name for name in ("here", "fwd", "rev")]
     for tmp in dirs:
         tmp.mkdir()
         _session_inputs(tmp)
-    # the children run while this process runs the session twice
-    with _session_child(_SESSION, fwd_dir, 0) as fwd, \
-            _session_child(_SESSION[::-1], rev_dir, 1) as rev:
-        assert numcli.build_parser() is not numcli.build_parser()
-        reused = _run_session(_SESSION, str(here))
-        assert numcli._parser() is numcli._parser()
-        monkeypatch.setattr(numcli, "_parser", numcli.build_parser)
-        fresh = _run_session(_SESSION, str(here))
-        children = [proc.communicate(timeout=120) for proc in (fwd, rev)]
+    with pytest.MonkeyPatch.context() as mp:
+        # argparse wraps --help to the terminal width, read from COLUMNS here
+        # and in the children
+        mp.setenv("COLUMNS", "80")
+        # the children run while this process runs the session twice
+        with _session_child(_SESSION, fwd_dir, 0) as fwd, \
+                _session_child(_SESSION[::-1], rev_dir, 1) as rev:
+            assert numcli.build_parser() is not numcli.build_parser()
+            reused = _run_session(_SESSION, str(here))
+            assert numcli._parser() is numcli._parser()
+            mp.setattr(numcli, "_parser", numcli.build_parser)
+            fresh = _run_session(_SESSION, str(here))
+            children = [proc.communicate(timeout=120) for proc in (fwd, rev)]
     assert [(proc.returncode, err) for proc, (_, err) in zip((fwd, rev), children)] == [(0, "")] * 2
-    forward = json.loads(children[0][0])
-    reverse = json.loads(children[1][0])[::-1]
+    return reused, fresh, json.loads(children[0][0]), json.loads(children[1][0])[::-1]
+
+
+def _session_differences(runs, command=None):
+    """The session's calls, of command or of all, whose results are not the
+    same in every run."""
+    return [
+        args for args, *results in zip(_SESSION, *runs)
+        if command in (None, args[0]) and any(r != results[0] for r in results)
+    ]
+
+
+def test_reused_parser_matches_a_fresh_parser_per_call(session_runs):
+    reused, fresh, forward, reverse = session_runs
     assert [r[0] for r in reused] == _SESSION_CODES
     assert all(r[2].startswith("usage error") for r in reused if r[0] == 1)
     assert not any("Traceback" in r[2] for r in reused)
     assert "numcli xor" in reused[_SESSION.index(["xor", "--help"])][1]
     assert reused == fresh
-    differ = [args for args, a, b, c in zip(_SESSION, reused, forward, reverse) if not a == b == c]
-    assert differ == []
+    assert _session_differences(session_runs) == []
+
+
+@pytest.mark.parametrize("command", [
+    "linalg", "solve", "eig", "roots", "interp", "integrate",
+    "fft", "optimize", "ode", "heat", "xor", "qlearn",
+])
+def test_repeated_runs_are_byte_identical(command, session_runs):
+    assert any(args[0] == command for args in _SESSION)
+    assert _session_differences(session_runs, command) == []
+
+
+def test_image_lowpass_repeat_is_byte_identical(session_runs):
+    assert any(args[0] == "image-lowpass" for args in _SESSION)
+    assert _session_differences(session_runs, "image-lowpass") == []
 
 
 # subcommand outputs
