@@ -532,7 +532,7 @@ def _session_differences(runs, command=None):
 
 
 def test_reused_parser_matches_a_fresh_parser_per_call(session_runs):
-    reused, fresh, forward, reverse = session_runs
+    reused, fresh = session_runs[:2]
     assert [r[0] for r in reused] == _SESSION_CODES
     assert all(r[2].startswith("usage error") for r in reused if r[0] == 1)
     assert not any("Traceback" in r[2] for r in reused)
