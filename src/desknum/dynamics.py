@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import roots
@@ -116,7 +117,7 @@ class HeatProblem:
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.length <= 0 or self.t_total <= 0:
             raise ValueError("alpha, length, and t_total must be positive")
-        if not (isinstance(self.nx, int) and isinstance(self.nt, int)):
+        if not (isinstance(self.nx, Integral) and isinstance(self.nt, Integral)):
             raise ValueError("nx and nt must be ints")
         if self.nx < 3:
             raise ValueError("need at least 3 spatial points")

@@ -28,13 +28,17 @@ def run(args, capsys):
     return rc, cap.out, cap.err
 
 
-@pytest.mark.parametrize("argv", [["eig"], ["xor", "--epochs", "50"]], ids=["eig", "xor"])
+@pytest.mark.parametrize(
+    "argv", [["eig"], ["xor", "--epochs", "50"], ["xor", "--eta", "0"]],
+    ids=["eig", "xor", "xor-usage-error"],
+)
 def test_module_entry_point_runs_without_warnings(capsys, argv):
     # numcli used to be imported with the package, so runpy warned that
     # it was already in sys.modules before running it as __main__; xor
-    # compiles its MLP kernel at run time, where a SyntaxWarning would show
+    # compiles its MLP kernel at run time, where a SyntaxWarning would show.
+    # The process exits with run()'s code, usage errors included
     rc = numcli.run(argv)
-    want = capsys.readouterr().out
+    want = capsys.readouterr()
     src = os.path.dirname(os.path.dirname(os.path.abspath(numcli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "desknum.numcli", *argv],
@@ -43,8 +47,8 @@ def test_module_entry_point_runs_without_warnings(capsys, argv):
         env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
-    assert (rc, proc.returncode, proc.stderr) == (0, 0, "")
-    assert proc.stdout == want
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want.out, want.err)
+    assert (rc, want.err) == (0, "") or (rc == 1 and want.err.startswith("usage error: "))
 
 
 # CSV serialization
@@ -456,8 +460,9 @@ def _session_inputs(tmp):
 
 def _run_session(session, tmp):
     """Each call's exit code, stdout and stderr, with tmp written back as
-    {tmp}, and the hex bytes of its --out and --spectrum files, which are
-    removed. The fresh interpreters run this function's source."""
+    {tmp}, and, for a call that exits 0, the hex bytes of its --out and
+    --spectrum files, which must exist and are removed. The fresh
+    interpreters run this function's source."""
     results = []
     for args in session:
         argv = [a.replace("{tmp}", tmp) for a in args]
@@ -466,11 +471,10 @@ def _run_session(session, tmp):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = numcli.run(argv)
         files = []
-        for path in outs:
-            if os.path.isfile(path):
-                with open(path, "rb") as fh:
-                    files.append(fh.read().hex())
-                os.remove(path)
+        for path in outs if rc == 0 else ():
+            with open(path, "rb") as fh:
+                files.append(fh.read().hex())
+            os.remove(path)
         results.append([rc, out.getvalue().replace(tmp, "{tmp}"),
                         err.getvalue().replace(tmp, "{tmp}"), files])
     return results
@@ -512,12 +516,18 @@ def session_runs(tmp_path_factory):
         # the children run while this process runs the session twice
         with _session_child(_SESSION, fwd_dir, 0) as fwd, \
                 _session_child(_SESSION[::-1], rev_dir, 1) as rev:
-            assert numcli.build_parser() is not numcli.build_parser()
-            reused = _run_session(_SESSION, str(here))
-            assert numcli._parser() is numcli._parser()
-            mp.setattr(numcli, "_parser", numcli.build_parser)
-            fresh = _run_session(_SESSION, str(here))
-            children = [proc.communicate(timeout=120) for proc in (fwd, rev)]
+            try:
+                assert numcli.build_parser() is not numcli.build_parser()
+                reused = _run_session(_SESSION, str(here))
+                assert numcli._parser() is numcli._parser()
+                mp.setattr(numcli, "_parser", numcli.build_parser)
+                fresh = _run_session(_SESSION, str(here))
+                children = [proc.communicate(timeout=120) for proc in (fwd, rev)]
+            except BaseException:
+                # leaving the with block waits for the children, with no timeout
+                fwd.kill()
+                rev.kill()
+                raise
     assert [(proc.returncode, err) for proc, (_, err) in zip((fwd, rev), children)] == [(0, "")] * 2
     return reused, fresh, json.loads(children[0][0]), json.loads(children[1][0])[::-1]
 
