@@ -27,7 +27,7 @@ import random
 import struct
 import sys
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub, truediv
 
 if __name__ == "__main__":
     # record the checkout's own source, not an installed copy
@@ -632,6 +632,7 @@ for _name, _f, _xs in (
     ("rsub", lambda x: 1 - x, [0.75]),
     ("rtruediv", lambda x: 1 / x, [0.75]),
     ("neg", lambda x: -x, [0.75]),
+    ("pow_zero", lambda x, y: x**0 * y, [0.75, -2.0]),
     # the value 1e200 is finite, its partial -1e400 is not
     ("div_partial_overflow", lambda x, y: x / y, [1.0, 1e-200]),
     ("pow_overflow", lambda x: x**2, [1e200]),
@@ -639,6 +640,59 @@ for _name, _f, _xs in (
     ("gradient_overflow", lambda x: (x * 1e200) * 1e200, [1e-300]),
 ):
     case(f"autodiff.{_name}", _taped, lambda f=_f, xs=_xs: (f, xs))
+
+
+# autodiff on seeded random expression trees that use every op of the tape:
+# constants on either side of + - * /, ** with 0, integer and fractional
+# exponents, and exp, log, sin, cos, tanh, sigmoid. log and the negative or
+# fractional powers act on a shifted square, so most trees stay in domain.
+# gradient.k records the value and the gradient of one tree; jacobian.k
+# records the Jacobian of one to three trees, and every fourth family has a
+# plain-float output, which the tape records as a constant.
+
+
+def _tree(rng, n, depth):
+    """A random expression of n inputs as nested tuples, evaluated by _eval."""
+    kind = "x" if depth == 0 else rng.choice(("x", "op", "op", "pow", "unary", "unary"))
+    if kind == "x":
+        return ("x", rng.randrange(n))
+    a = _tree(rng, n, depth - 1)
+    if kind == "op":
+        b = _tree(rng, n, depth - 1)
+        side = rng.choice(("both", "left", "right"))
+        c = rng.uniform(-2.0, 2.0)
+        return ("op", rng.choice((add, sub, mul, truediv)), c if side == "left" else a, c if side == "right" else b)
+    shift = rng.uniform(0.5, 2.0)
+    if kind == "pow":
+        k = rng.choice((0, 1, 2, 3, -1, 0.5, 1.5, -0.5))
+        return ("pow", k, a, shift if k < 0 or k != int(k) else None)
+    g = rng.choice((autodiff.exp, autodiff.log, autodiff.sin, autodiff.cos, autodiff.tanh, autodiff.sigmoid))
+    return ("unary", g, a, shift if g is autodiff.log else None)
+
+
+def _eval(t, xs):
+    if t[0] == "x":
+        return xs[t[1]]
+    if t[0] == "op":
+        return t[1](*(_eval(s, xs) if isinstance(s, tuple) else s for s in t[2:]))
+    e = _eval(t[2], xs)  # a pow or unary node: (kind, exponent or op, operand, shift)
+    if t[3] is not None:
+        e = e * e + t[3]
+    return t[1](e) if t[0] == "unary" else e ** t[1]
+
+
+def _autodiff(name, k):
+    rng = random.Random(f"autodiff-{name}-{k}")
+    n = 1 + k % 4
+    trees = [_tree(rng, n, 2 + k % 3) for _ in range(1 if name == "gradient" else 1 + k % 3)]
+    xs = [rng.uniform(-1.5, 1.5) for _ in range(n)]
+    if name == "gradient":
+        return _taped(lambda *v: _eval(trees[0], v), xs)
+    const = rng.uniform(-2.0, 2.0) if k % 4 == 3 else None
+    return autodiff.jacobian(lambda *v: [_eval(t, v) for t in trees] + ([] if const is None else [const]), xs).data
+
+
+seeded("autodiff", _autodiff, ("gradient", "jacobian"), 24)
 # the true value -5e308 is not representable
 case("interp.lagrange_overflow", lambda: [interp.lagrange_eval([0, 1], [1e308, -1e308], 3.0)])
 
