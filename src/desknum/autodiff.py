@@ -1,28 +1,23 @@
 """Reverse-mode automatic differentiation on scalar expression tapes.
 
 Expressions are built from input variables with overloaded operators plus the
-unary helpers exp/log/sin/cos/tanh/sigmoid. Recording evaluates eagerly and
-stores one node per elementary op (value, parents, local partials), so a
-single backward sweep yields all input partials. Jacobians reuse one tape
-with one sweep per output; Hessians are central differences of the gradient.
+unary helpers exp/log/sin/cos/tanh/sigmoid. Recording evaluates eagerly: each
+expression carries its value, and the tape keeps only what the backward sweep
+reads, the parents and local partials of each entry, in two parallel lists.
+The n inputs are entries 0..n-1, so a single backward sweep yields all input
+partials as the first n adjoints. Jacobians reuse one tape with one sweep per
+output; Hessians are central differences of the gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, NonFinite
 from .ndcore import Matrix, _checked_float, _checked_floats, _fd_columns
-
-
-@dataclass(frozen=True)
-class Node:
-    op: str
-    parents: tuple[int, ...]
-    partials: tuple[float, ...]
-    value: float
 
 
 @dataclass(frozen=True)
@@ -33,11 +28,18 @@ class Grad:
 
 
 class Tape:
-    """Append-only record of elementary ops in topological order."""
+    """Append-only record of elementary ops in topological order.
 
-    def __init__(self) -> None:
-        self.nodes: list[Node] = []
-        self.input_indices: list[int] = []
+    Entry i is parents[i], the indices of its operands, and partials[i], the
+    local partial of its value with respect to each. Entries 0..n-1 are the n
+    inputs, with no parents; constants likewise have none. The values live on
+    the Expr handles, since the backward sweep never reads them.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.parents: list[tuple[int, ...]] = [()] * n
+        self.partials: list[tuple[float, ...]] = [()] * n
+        self.input_indices = range(n)
         self.output_index: int = -1
 
     def _emit(self, op: str, parents: tuple[int, ...], partials: tuple[float, ...], value: float) -> "Expr":
@@ -46,30 +48,23 @@ class Tape:
         for d in partials:
             if not math.isfinite(d):
                 raise NonFinite(f"{op} produced a non-finite partial")
-        self.nodes.append(Node(op, parents, partials, value))
-        return Expr(self, len(self.nodes) - 1)
-
-    def _input(self, value: float) -> "Expr":
-        e = self._emit("input", (), (), value)
-        self.input_indices.append(e.index)
-        return e
+        self.parents.append(parents)
+        self.partials.append(partials)
+        return Expr(self, len(self.parents) - 1, value)
 
     def _const(self, value: float) -> "Expr":
         return self._emit("const", (), (), value)
 
 
 class Expr:
-    """Handle to one tape node; arithmetic on it extends the tape."""
+    """Handle to one tape entry and its value; arithmetic on it extends the tape."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "value")
 
-    def __init__(self, tape: Tape, index: int):
+    def __init__(self, tape: Tape, index: int, value: float):
         self.tape = tape
         self.index = index
-
-    @property
-    def value(self) -> float:
-        return self.tape.nodes[self.index].value
+        self.value = value
 
     def _coerce(self, other: Union["Expr", int, float]) -> "Expr":
         if isinstance(other, Expr):
@@ -181,27 +176,32 @@ def sigmoid(e: Expr) -> Expr:
     return _unary(e, "sigmoid", s, s * (1.0 - s))
 
 
+def _on_tape(f: Callable[..., Sequence[Expr]], x: Sequence[float], what: str) -> tuple[Tape, list[Expr]]:
+    """A tape whose inputs 0..n-1 hold x, and the outputs of f on them, each
+    plain-float output recorded as a constant entry."""
+    xs = _checked_floats(x, what)
+    tape = Tape(len(xs))
+    outs = f(*map(Expr, repeat(tape), tape.input_indices, xs))
+    return tape, [o if isinstance(o, Expr) else tape._const(float(o)) for o in outs]
+
+
 def record(f: Callable[..., Expr], inputs: Sequence[float]) -> tuple[float, Tape]:
     """Evaluate f on fresh tape inputs; return (value, tape)."""
-    tape = Tape()
-    exprs = [tape._input(v) for v in _checked_floats(inputs, "inputs")]
-    out = f(*exprs)
-    if not isinstance(out, Expr):
-        out = tape._const(float(out))
+    tape, (out,) = _on_tape(lambda *e: [f(*e)], inputs, "inputs")
     tape.output_index = out.index
     return out.value, tape
 
 
 def _backward(tape: Tape, seed: int) -> list[float]:
-    adj = [0.0] * len(tape.nodes)
+    parents, partials = tape.parents, tape.partials
+    adj = [0.0] * len(parents)
     adj[seed] = 1.0
-    for i in range(len(tape.nodes) - 1, -1, -1):
+    # entries after the seed cannot reach it, so their adjoints stay zero
+    for i in range(seed, -1, -1):
         a = adj[i]
-        if a == 0.0:
-            continue
-        node = tape.nodes[i]
-        for p, d in zip(node.parents, node.partials):
-            adj[p] += a * d
+        if a != 0.0:
+            for p, d in zip(parents[i], partials[i]):
+                adj[p] += a * d
     return adj
 
 
@@ -209,21 +209,14 @@ def gradient(tape: Tape) -> Grad:
     """One reverse sweep: partials of the output w.r.t. every input."""
     adj = _backward(tape, tape.output_index)
     # each partial on the tape is finite, their products along a path need not be
-    return Grad(_checked_floats([adj[j] for j in tape.input_indices], "gradient"))
+    return Grad(_checked_floats(adj[: len(tape.input_indices)], "gradient"))
 
 
 def jacobian(f: Callable[..., Sequence[Expr]], x: Sequence[float]) -> Matrix:
     """m x n Jacobian of a vector-valued expression family at x."""
-    tape = Tape()
-    exprs = [tape._input(v) for v in _checked_floats(x, "x")]
-    outs = list(f(*exprs))
-    rows = []
-    for out in outs:
-        if not isinstance(out, Expr):
-            out = tape._const(float(out))
-        adj = _backward(tape, out.index)
-        rows.append([adj[j] for j in tape.input_indices])
-    return Matrix.from_rows(rows)
+    tape, outs = _on_tape(f, x, "x")
+    n = len(tape.input_indices)
+    return Matrix.from_rows([_backward(tape, out.index)[:n] for out in outs])
 
 
 def hessian_fd(f: Callable[..., Expr], x: Sequence[float], h: float = 1e-5) -> Matrix:

@@ -460,6 +460,11 @@ def test_eig_identity():
     assert res.values == [1.0, 1.0, 1.0]
     vecs = np.array(res.vectors.to_rows())
     assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) <= 1e-15
+    # upper triangular: the Hessenberg reduction skips its zero column
+    a = Matrix.from_rows([[1, 2, 3], [0, 4, 5], [0, 0, 6]])
+    res = ld.eig(a)
+    assert res.values == [6.0, 4.0, 1.0]
+    assert eig_residual(a, res) <= 1e-15
 
 
 def test_eig_symmetric_trace_det_and_oracle():

@@ -1,6 +1,8 @@
 """CLI contract tests: serialization round trips, exit codes, artifacts."""
 
+import ast
 import contextlib
+import importlib
 import inspect
 import io
 import json
@@ -51,12 +53,27 @@ def test_module_entry_point_runs_without_warnings(capsys, argv):
     assert (rc, want.err) == (0, "") or (rc == 1 and want.err.startswith("usage error: "))
 
 
+def test_console_script_is_the_main_that_dash_m_runs():
+    # the installed `numcli` script calls the [project.scripts] target; it
+    # must be the main() that the module's __main__ guard calls, which the
+    # test above runs through -m
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        scripts = fh.read().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    ((name, module, attr),) = re.findall(r'^(\w+) = "([\w.]+):(\w+)"$', scripts, re.M)
+    assert name == "numcli"
+    assert getattr(importlib.import_module(module), attr) is numcli.main
+    guard = ast.parse(inspect.getsource(numcli)).body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    sys.exit(main())"
+
+
 # CSV serialization
 
 
 def test_write_csv_golden():
     out = numcli.write_csv(["a", "b"], [[1, 2.5]])
     assert out == b"a,b\n1,2.5\n"
+    assert numcli.write_csv(["a"], [[True]]) == b"a\n1\n"
 
 
 def test_csv_round_trip_is_bitwise():

@@ -147,6 +147,8 @@ def test_newton_order_at_least_quadratic_ish():
 def test_secant_golden():
     rep = roots.secant(lambda x: x * x - 4, 1.0, 3.0, tol=1e-5)
     assert abs(rep.root - 2.0) <= 1e-5
+    with pytest.raises(MaxIterations, match="^secant did not converge in 2 iterations$"):
+        roots.secant(lambda x: x * x - 4, 1.0, 3.0, tol=1e-13, max_iter=2)
 
 
 def test_secant_linear_one_step():
