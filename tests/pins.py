@@ -688,8 +688,8 @@ def _autodiff(name, k):
     xs = [rng.uniform(-1.5, 1.5) for _ in range(n)]
     if name == "gradient":
         return _taped(lambda *v: _eval(trees[0], v), xs)
-    const = rng.uniform(-2.0, 2.0) if k % 4 == 3 else None
-    return autodiff.jacobian(lambda *v: [_eval(t, v) for t in trees] + ([] if const is None else [const]), xs).data
+    consts = [rng.uniform(-2.0, 2.0)] if k % 4 == 3 else []
+    return autodiff.jacobian(lambda *v: [_eval(t, v) for t in trees] + consts, xs).data
 
 
 seeded("autodiff", _autodiff, ("gradient", "jacobian"), 24)
