@@ -20,6 +20,9 @@ from .errors import DomainError, NonFinite
 from .ndcore import Matrix, _checked_float, _checked_floats, _fd_columns
 
 
+_MIXED = "cannot mix expressions from different tapes"
+
+
 @dataclass(frozen=True)
 class Grad:
     """Partials aligned with the tape's input order."""
@@ -69,7 +72,7 @@ class Expr:
     def _coerce(self, other: Union["Expr", int, float]) -> "Expr":
         if isinstance(other, Expr):
             if other.tape is not self.tape:
-                raise ValueError("cannot mix expressions from different tapes")
+                raise ValueError(_MIXED)
             return other
         return self.tape._const(float(other))
 
@@ -178,11 +181,15 @@ def sigmoid(e: Expr) -> Expr:
 
 def _on_tape(f: Callable[..., Sequence[Expr]], x: Sequence[float], what: str) -> tuple[Tape, list[Expr]]:
     """A tape whose inputs 0..n-1 hold x, and the outputs of f on them, each
-    plain-float output recorded as a constant entry."""
+    plain-float output recorded as a constant entry. An output recorded on
+    another tape raises ValueError."""
     xs = _checked_floats(x, what)
     tape = Tape(len(xs))
     outs = f(*map(Expr, repeat(tape), tape.input_indices, xs))
-    return tape, [o if isinstance(o, Expr) else tape._const(float(o)) for o in outs]
+    outs = [o if isinstance(o, Expr) else tape._const(float(o)) for o in outs]
+    if any(o.tape is not tape for o in outs):
+        raise ValueError(_MIXED)
+    return tape, outs
 
 
 def record(f: Callable[..., Expr], inputs: Sequence[float]) -> tuple[float, Tape]:

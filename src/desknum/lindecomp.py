@@ -45,6 +45,7 @@ from .ndcore import (
     Vector,
     _checked_float,
     _checked_floats,
+    _count,
     _dot,
     _finite,
     _fsum,
@@ -710,6 +711,7 @@ def svd(a: Matrix) -> SvdResult:
 def pca(x: Matrix, k: int) -> Matrix:
     """Project mean-centered rows onto the top-k principal axes: the first k
     columns of U Sigma in the SVD of the centered data."""
+    _count(k, "component count")
     n, d = x.rows, x.cols
     if not 1 <= k <= min(n - 1, d):
         raise BadRank(f"component count {k} outside [1, {min(n - 1, d)}]")
@@ -726,6 +728,7 @@ def pca(x: Matrix, k: int) -> Matrix:
 
 def polyfit(xs: VecLike, ys: VecLike, degree: int) -> Vector:
     """Least-squares polynomial coefficients, highest degree first."""
+    _count(degree, "degree")
     xv = _vec(xs, "xs")
     yv = _vec(ys, "ys")
     if degree < 0:

@@ -14,13 +14,13 @@ the batch or the epochs, and every weight, activation and delta is a local
 variable from the first epoch to the last. One pass over the samples runs
 each one forward and back. The forward pass, the loss and the gradients
 are the same function, returning early. Activations are sample-major and
-weights row-major, as in `Matrix`. Dot products are builtin sums of a
-tuple in input order, as a per-sample loop does (a one-term sum is written
-0.0 plus the term, the value sum returns), and gradients are fsums over
-the batch in sample order. Every value that leaves an epoch
-(outputs, loss, gradients, updated parameters) is checked where it is
-formed and raises NonFinite; a traceback through the kernel names its
-file `<mlp 3-4-1>` and shows the generated line.
+weights row-major, as in `Matrix`. Dot products add their terms left to
+right from 0.0 in input order, the adds builtin sum makes up to CPython
+3.11 (it compensates from 3.12), so the bits are the same on every
+CPython; gradients are fsums over the batch in sample order. Every value
+that leaves an epoch (outputs, loss, gradients, updated parameters) is
+checked where it is formed and raises NonFinite; a traceback through the
+kernel names its file `<mlp 3-4-1>` and shows the generated line.
 """
 
 from __future__ import annotations
@@ -109,9 +109,19 @@ def _tuple(terms: Iterable[str]) -> str:
     return ", ".join(terms) + ","
 
 
+# terms per link of a long sum: the compiler recurses once per + of a
+# chain, and gives up near 3,000 on CPython 3.10 to 3.12
+_LINK = 100
+
+
 def _sum(terms: List[str]) -> str:
-    # builtin sum of one float adds it to 0.0, so -0.0 sums to 0.0
-    return f"sum(({_tuple(terms)}))" if len(terms) > 1 else f"(0.0 + {terms[0]})"
+    # left to right from 0.0, so that -0.0 sums to 0.0: the adds builtin sum
+    # makes up to CPython 3.11, without its tuple and call. A longer sum is
+    # a tuple of links, each adding its terms to the running total s
+    if len(terms) <= _LINK:
+        return f"(0.0 + {' + '.join(terms)})"
+    links = (f"s := {'s' if k else '0.0'} + {' + '.join(terms[k:k + _LINK])}" for k in range(0, len(terms), _LINK))
+    return f"({_tuple(links)})[-1]"
 
 
 def _source(sizes: Tuple[int, ...]) -> str:

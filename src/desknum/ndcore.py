@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import filterfalse
+from numbers import Integral
 from operator import add, mul, sub, truediv
 from typing import Iterable, Sequence, Union
 
@@ -92,6 +93,13 @@ def _checked_float(value: float, what: str) -> float:
     if not math.isfinite(f):
         raise NonFinite(f"{what} is not finite: {f!r}")
     return f
+
+
+def _count(value: int, what: str) -> None:
+    # any Integral passes; a float, str or None raises here, before range()
+    # or a slice would raise a bare TypeError
+    if not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an int, got {value!r}")
 
 
 def _bounded(values: Iterable[float]) -> bool:

@@ -22,7 +22,7 @@ from .errors import (
     TooFewPoints,
     UnsortedKnots,
 )
-from .ndcore import _checked_float, _fsum, _vec
+from .ndcore import _checked_float, _count, _fsum, _vec
 
 Fn = Callable[[float], float]
 
@@ -56,6 +56,7 @@ def _width(a: float, b: float) -> float:
 
 
 def trapezoid_fn(f: Fn, a: float, b: float, n: int) -> float:
+    _count(n, "n")
     a, b = _checked_float(a, "a"), _checked_float(b, "b")
     if n < 1:
         raise BadPartition("need at least one subinterval")
@@ -82,6 +83,7 @@ def trapezoid_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def simpson(f: Fn, a: float, b: float, n: int) -> float:
+    _count(n, "n")
     a, b = _checked_float(a, "a"), _checked_float(b, "b")
     if n % 2 != 0:
         raise OddPartition("n must be even")
@@ -114,8 +116,10 @@ def _legendre_pair(n: int, x: float) -> tuple[float, float]:
     return p, dp
 
 
-@functools.lru_cache(maxsize=None)
+# typed, so that 3.0 is not served the rule cached for 3
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_rule(n: int) -> GaussRule:
+    _count(n, "order")
     if not 1 <= n <= _MAX_GAUSS_ORDER:
         raise BadOrder(f"order must be in [1, {_MAX_GAUSS_ORDER}], got {n}")
     nodes = []

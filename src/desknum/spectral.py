@@ -51,7 +51,7 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
 )
-from .ndcore import Vector, _checked_float, _checked_floats, _finite, _transpose, _vec
+from .ndcore import Vector, _checked_float, _checked_floats, _count, _finite, _transpose, _vec
 
 
 class ComplexVec:
@@ -328,6 +328,7 @@ def _positive(value: float, what: str) -> float:
 
 
 def fft_freqs(n: int, d: float = 1.0) -> list[float]:
+    _count(n, "n")
     if n < 1:
         raise ShapeMismatch("need n >= 1")
     d = _positive(d, "sample spacing")
@@ -372,6 +373,7 @@ def convolve_fft(f: Sequence[float], g: Sequence[float]) -> Vector:
 
 
 def convolve_circular(f: Sequence[float], g: Sequence[float], n: int) -> Vector:
+    _count(n, "period n")
     a = _vec(f, "f")
     b = _vec(g, "g")
     if n < max(len(a), len(b)):
@@ -448,6 +450,7 @@ def spectral_pool2d(img: Image2D, keep: int) -> Image2D:
     row and the kept columns are transformed forward; the real part is
     the exact inverse of the band's Hermitian part (see _pool_band), so
     no imaginary part is computed on the way back."""
+    _count(keep, "keep")
     rows, cols = img.rows, img.cols
     _require_keep(rows, cols, keep)
     _require_pow2(rows)

@@ -6,9 +6,11 @@ float.hex (every bit, the sign of a zero too), a count or a flag as str and
 a raised exception as `Class: message`, one value per line of the record.
 
 Builtin sum adds floats left to right up to CPython 3.11 and with
-compensation from 3.12, and matmul, the MLP and the CLI use it, so there is
-one record per summation behaviour, pins/sum-plain.json and
-pins/sum-compensated.json, picked by probing the running interpreter.
+compensation from 3.12, and matmul, LU and the CLI use it, so there is one
+record per summation behaviour, pins/sum-plain.json and
+pins/sum-compensated.json, picked by probing the running interpreter. The
+MLP adds left to right on every CPython, so its cases and cli.xor are the
+same in both.
 
 `python tests/pins.py` re-records the file for the running interpreter and
 prints each moved value: case, index, old and new hex, distance in ulps. A

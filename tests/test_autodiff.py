@@ -51,6 +51,18 @@ def test_record_with_zero_inputs():
     assert v == 3.0 and ad.gradient(tape).partials == []
 
 
+def test_outputs_from_another_tape_are_rejected():
+    saved = []
+    ad.record(lambda x, y: saved.append(x * y) or saved[0], [3.0, 4.0])
+    for call in (
+        lambda: ad.record(lambda a, b, c: saved[0], [5.0, 6.0, 7.0]),
+        lambda: ad.record(lambda a: saved[0], [5.0]),
+        lambda: ad.jacobian(lambda a, b, c: [a, saved[0]], [5.0, 6.0, 7.0]),
+    ):
+        with pytest.raises(ValueError, match="cannot mix expressions from different tapes"):
+            call()
+
+
 def test_record_domain_errors():
     with pytest.raises(DomainError):
         ad.record(lambda x: ad.log(x), [-1.0])

@@ -1,8 +1,10 @@
 """Neural-net, batchnorm, and Q-learning tests with FD oracles."""
 
+import functools
 import math
 import random
 import traceback
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -232,9 +234,14 @@ def test_features_checked_by_loss_gradients_and_train():
 
 
 # the compiled kernel against the per-sample, per-unit formulas written
-# out: every dot product is a builtin sum of its products in input order
-# and every gradient an fsum over the batch in sample order, so the two
-# must agree to the last bit on any CPython
+# out: every dot product folds its products left to right from 0.0 in input
+# order (builtin sum up to CPython 3.11, which compensates from 3.12) and
+# every gradient is an fsum over the batch in sample order, so the two must
+# agree to the last bit on any CPython
+
+
+def _dot(terms):
+    return functools.reduce(add, terms, 0.0)
 
 
 def _reference_forward(w, b, xs):
@@ -245,7 +252,7 @@ def _reference_forward(w, b, xs):
         for a in acts[-1]:
             row = []
             for j in range(len(bl)):
-                dot = sum(a[i] * wl[i][j] for i in range(len(a)))
+                dot = _dot(a[i] * wl[i][j] for i in range(len(a)))
                 row.append(ml.sigmoid(dot + bl[j]))
             layer.append(row)
         acts.append(layer)
@@ -278,7 +285,7 @@ def _reference_pass(w, b, xs, ys):
         for s in range(batch):
             row = []
             for i in range(len(wl)):
-                dot = sum(delta[s][j] * wl[i][j] for j in range(len(wl[0])))
+                dot = _dot(delta[s][j] * wl[i][j] for j in range(len(wl[0])))
                 row.append(dot * ml.sigmoid_derivative(prev[s][i]))
             hidden.append(row)
         delta = hidden
@@ -336,10 +343,15 @@ def test_kernel_bits_match_per_sample_formulas(case, epochs):
 
 # layouts the strategy above rarely or never draws: batch 1 through 1 -> 1
 # layers, where every sum and gradient of the kernel has a single term, and
-# nets wider than the strategy allows
+# nets wider than the strategy allows: 3000 inputs, past the nesting depth
+# at which CPython 3.10 to 3.12 stop compiling one chain of +, and 250
+# outputs, whose hidden deltas each sum 250 terms in several links
 
 
-@pytest.mark.parametrize("sizes, batch", [([1, 1], 1), ([1, 1, 1], 1), ([9, 12, 1], 10), ([30, 40, 1], 12)])
+@pytest.mark.parametrize(
+    "sizes, batch",
+    [([1, 1], 1), ([1, 1, 1], 1), ([9, 12, 1], 10), ([30, 40, 1], 12), ([3000, 2], 2), ([3, 2, 250], 3)],
+)
 def test_kernel_edge_layouts_match_per_sample_formulas(sizes, batch):
     rng = random.Random(f"{sizes}x{batch}")
     xs = [[rng.uniform(-3.0, 3.0) for _ in range(sizes[0])] for _ in range(batch)]

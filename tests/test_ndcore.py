@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desknum import autodiff, dynamics, interp, microlearn, ndcore, quadrature, roots, spectral
+from desknum import autodiff, dynamics, interp, lindecomp, microlearn, ndcore, quadrature, roots, spectral
 from desknum.errors import (
     DivisionByZero,
     EmptyInput,
@@ -213,6 +213,29 @@ def test_zeros_and_identity_check_dims_before_building_data():
             make()
     with pytest.raises(ShapeMismatch, match="got 0x2"):
         Matrix.zeros(0, 2)
+
+
+# a count argument of each call, given a valid value and then bad ones
+_COUNTS = {
+    "gauss_rule": quadrature.gauss_rule,
+    "trapezoid_fn": lambda n: quadrature.trapezoid_fn(math.sin, 0.0, 1.0, n),
+    "simpson": lambda n: quadrature.simpson(math.sin, 0.0, 1.0, n),
+    "fft_freqs": spectral.fft_freqs,
+    "convolve_circular": lambda n: spectral.convolve_circular([1.0, 2.0], [3.0], n),
+    "polyfit": lambda k: lindecomp.polyfit([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 5.0, 4.0], k),
+    "pca": lambda k: lindecomp.pca(Matrix.from_rows([[1, 2, 0, 4], [3, 1, 1, 0], [0, 5, 2, 1], [2, 2, 7, 3], [6, 0, 1, 1]]), k),
+    "spectral_pool2d": lambda k: spectral.spectral_pool2d(spectral.Image2D(4, 4, [float(i * i % 7) for i in range(16)]), k),
+}
+
+
+@pytest.mark.parametrize("bad", [4.0, "4", None], ids=repr)
+@pytest.mark.parametrize("call", sorted(_COUNTS))
+def test_counts_that_are_not_integers_raise_value_error(call, bad):
+    # these raised a bare TypeError from range() or a slice, and gauss_rule(4.0)
+    # returned the rule cached for 4; any numbers.Integral is a count
+    _COUNTS[call](4)
+    with pytest.raises(ValueError, match=f"must be an int, got {bad!r}$"):
+        _COUNTS[call](bad)
 
 
 def test_matrix_accessors():
