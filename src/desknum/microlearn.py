@@ -120,7 +120,8 @@ def _sum(terms: List[str]) -> str:
     # a tuple of links, each adding its terms to the running total s
     if len(terms) <= _LINK:
         return f"(0.0 + {' + '.join(terms)})"
-    links = (f"s := {'s' if k else '0.0'} + {' + '.join(terms[k:k + _LINK])}" for k in range(0, len(terms), _LINK))
+    starts = range(0, len(terms), _LINK)
+    links = (f"s := {'s' if k else '0.0'} + {' + '.join(terms[k:k + _LINK])}" for k in starts)
     return f"({_tuple(links)})[-1]"
 
 

@@ -223,8 +223,8 @@ _COUNTS = {
     "fft_freqs": spectral.fft_freqs,
     "convolve_circular": lambda n: spectral.convolve_circular([1.0, 2.0], [3.0], n),
     "polyfit": lambda k: lindecomp.polyfit([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 5.0, 4.0], k),
-    "pca": lambda k: lindecomp.pca(Matrix.from_rows([[1, 2, 0, 4], [3, 1, 1, 0], [0, 5, 2, 1], [2, 2, 7, 3], [6, 0, 1, 1]]), k),
-    "spectral_pool2d": lambda k: spectral.spectral_pool2d(spectral.Image2D(4, 4, [float(i * i % 7) for i in range(16)]), k),
+    "pca": lambda k: lindecomp.pca(Matrix(5, 4, [float(i * i % 7) for i in range(20)]), k),
+    "spectral_pool2d": lambda k: spectral.spectral_pool2d(spectral.Image2D(4, 4, [float(i % 5) for i in range(16)]), k),
 }
 
 

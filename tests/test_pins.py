@@ -29,6 +29,8 @@ def test_pin(record, name):
 def test_mlp_cases_have_one_record():
     # the MLP kernel adds left to right on every CPython, so its cases, and
     # the numcli xor artifacts, hold the same bits in both records
-    plain, compensated = (json.loads(Path(pins.PINS_DIR, f"sum-{s}.json").read_text()) for s in ("plain", "compensated"))
+    plain, compensated = (
+        json.loads(Path(pins.PINS_DIR, f"sum-{s}.json").read_text()) for s in ("plain", "compensated")
+    )
     names = [n for n in pins.CASES if n.startswith("mlp.") or n == "cli.xor"]
     assert [n for n in names if plain[n] != compensated[n]] == []
