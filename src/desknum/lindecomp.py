@@ -365,6 +365,7 @@ def solve_iterative(
     when the budget runs out.
     """
     _require_square(a, "solve_iterative")
+    _count(cfg.max_iter, "max_iter")
     if cfg.tol <= 0 or cfg.max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
     bv = _vec(b, "b")

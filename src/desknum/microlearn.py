@@ -38,7 +38,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
 from .errors import BadArchitecture, ShapeMismatch, TooSmallBatch
-from .ndcore import Matrix, Vector, _checked_floats, _finite, _fsum, _fsums
+from .ndcore import Matrix, Vector, _checked_floats, _count, _finite, _fsum, _fsums
 
 
 def sigmoid_derivative(a: float) -> float:
@@ -75,7 +75,7 @@ class MlpParams:
 
 def mlp_init(sizes: Sequence[int], seed: int) -> MlpParams:
     """Standard-normal weights and zero biases from one seeded stream."""
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(_count(s, "layer size") for s in sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise BadArchitecture("need at least two layers, all sizes >= 1")
     rng = random.Random(seed)

@@ -95,11 +95,12 @@ def _checked_float(value: float, what: str) -> float:
     return f
 
 
-def _count(value: int, what: str) -> None:
-    # any Integral passes; a float, str or None raises here, before range()
-    # or a slice would raise a bare TypeError
+def _count(value: int, what: str) -> int:
+    # any Integral passes, as an int; a float, str or None raises here, before
+    # range() or a slice would raise a bare TypeError
     if not isinstance(value, Integral):
         raise ValueError(f"{what} must be an int, got {value!r}")
+    return int(value)
 
 
 def _bounded(values: Iterable[float]) -> bool:

@@ -283,8 +283,13 @@ def _cmd_linalg(ns) -> bytes:
     return write_matrix_csv(lindecomp.inv(target))
 
 
+# solve's --method choices: the direct methods, then the iterative ones
+_DIRECT = ("gauss", "lu", "qr", "inverse", "cholesky")
+_ITERATIVE = ("jacobi", "gauss_seidel", "cg")
+
+
 def _cmd_solve(ns) -> bytes:
-    if ns.method in ("gauss", "lu", "qr", "inverse", "cholesky"):
+    if ns.method in _DIRECT:
         a, b = (_SPD, [1.0, 2.0]) if ns.method == "cholesky" else (_FIXTURE, [5.0, 6.0])
         x = lindecomp.solve_direct(Matrix.from_rows(a), b, ns.method)
         return write_csv(["x0", "x1"], [list(x.data)])
@@ -354,14 +359,16 @@ def _cmd_interp(ns) -> bytes:
     return write_csv(["x", "y"], [[x, eval_at(x)] for x in samples])
 
 
+_RULES = {
+    "trapezoid": quadrature.trapezoid_fn,
+    "simpson": quadrature.simpson,
+    "gauss": quadrature.gauss_legendre,
+}
+
+
 def _cmd_integrate(ns) -> bytes:
     f, _, _, antider, _, _, _ = _SCALAR_FUNCS[ns.func]
-    if ns.method == "trapezoid":
-        value = quadrature.trapezoid_fn(f, ns.a, ns.b, ns.n)
-    elif ns.method == "simpson":
-        value = quadrature.simpson(f, ns.a, ns.b, ns.n)
-    else:
-        value = quadrature.gauss_legendre(f, ns.a, ns.b, ns.n)
+    value = _RULES[ns.method](f, ns.a, ns.b, ns.n)
     exact = antider(ns.b) - antider(ns.a)
     return write_csv(
         ["value", "exact", "abs_error"], [[value, exact, abs(value - exact)]]
@@ -458,18 +465,18 @@ _ODE_PROBLEMS = {
     "lti": (lambda t, y: [(2.0 - y[0]) / 1.5], (0.0,), 0.01, 7.5),
 }
 
+_ODE_SOLVERS = {
+    "euler": dynamics.euler_solve,
+    "rk4": dynamics.rk4_solve,
+    "backward_euler": dynamics.backward_euler_solve,
+}
+
 
 def _cmd_ode(ns) -> bytes:
     rhs, y0, def_h, def_t = _ODE_PROBLEMS[ns.problem]
     h = ns.h if ns.h is not None else def_h
     t_end = ns.t_end if ns.t_end is not None else def_t
-    problem = dynamics.IvpProblem(rhs, 0.0, y0, h, t_end)
-    solver = {
-        "euler": dynamics.euler_solve,
-        "rk4": dynamics.rk4_solve,
-        "backward_euler": dynamics.backward_euler_solve,
-    }[ns.method]
-    traj = solver(problem)
+    traj = _ODE_SOLVERS[ns.method](dynamics.IvpProblem(rhs, 0.0, y0, h, t_end))
     headers = ["t"] + [f"y{i}" for i in range(len(y0))]
     rows = [[t] + traj.ys.row(i) for i, t in enumerate(traj.ts)]
     return write_csv(headers, rows)
@@ -512,8 +519,10 @@ def _cmd_qlearn(ns) -> bytes:
 
 def build_parser() -> _Parser:
     shared = _Parser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", default=None)
+    # only the subcommands that draw random numbers take --seed
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
     parser = _Parser(prog="numcli", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -524,14 +533,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_linalg)
 
     p = sub.add_parser("solve", parents=[shared])
-    p.add_argument(
-        "--method",
-        choices=[
-            "gauss", "lu", "qr", "inverse", "cholesky",
-            "jacobi", "gauss_seidel", "cg",
-        ],
-        required=True,
-    )
+    p.add_argument("--method", choices=_DIRECT + _ITERATIVE, required=True)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("eig", parents=[shared])
@@ -563,9 +565,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_interp)
 
     p = sub.add_parser("integrate", parents=[shared])
-    p.add_argument(
-        "--method", choices=["trapezoid", "simpson", "gauss"], required=True
-    )
+    p.add_argument("--method", choices=_RULES, required=True)
     p.add_argument("--f", dest="func", choices=sorted(_SCALAR_FUNCS), required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
@@ -603,9 +603,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ode", parents=[shared])
     p.add_argument("--problem", choices=sorted(_ODE_PROBLEMS), required=True)
-    p.add_argument(
-        "--method", choices=["euler", "rk4", "backward_euler"], required=True
-    )
+    p.add_argument("--method", choices=_ODE_SOLVERS, required=True)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--t-end", dest="t_end", type=float, default=None)
     p.set_defaults(handler=_cmd_ode)
@@ -618,12 +616,12 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=float, required=True)
     p.set_defaults(handler=_cmd_heat)
 
-    p = sub.add_parser("xor", parents=[shared])
+    p = sub.add_parser("xor", parents=[seeded, shared])
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=10000)
     p.set_defaults(handler=_cmd_xor)
 
-    p = sub.add_parser("qlearn", parents=[shared])
+    p = sub.add_parser("qlearn", parents=[seeded, shared])
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=0.9)
     p.add_argument("--epsilon", type=float, default=0.1)

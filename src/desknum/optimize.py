@@ -42,6 +42,7 @@ from .ndcore import (
     _bounded,
     _checked_float,
     _checked_floats,
+    _count,
     _dot,
     _fsums,
     _matvec,
@@ -138,6 +139,7 @@ class MinimizeResult:
 def gd_minimize(
     grad: VecFn, x0: Sequence[float], eta: float, iters: int
 ) -> list[Vector]:
+    _count(iters, "iters")
     if eta <= 0:
         raise ValueError("eta must be positive")
     if iters < 0:
@@ -274,6 +276,7 @@ def _quasi_newton(f, grad, x0, tol, max_iter, new_model) -> MinimizeResult:
     """The quasi-Newton loop of the module docstring. new_model(n) is H = I_n,
     with direction(g) = -H g, update(s, y, rho) for rho = 1/y's, or None for a
     pair past the curvature guard, and state(), the QuasiNewtonState returned."""
+    _count(max_iter, "max_iter")
     x = list(_vec(x0, "x0"))
     f = _finite_objective(f)
     g = _checked_floats(grad(x), "gradient")
@@ -382,6 +385,7 @@ def lbfgs_minimize(
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> MinimizeResult:
+    _count(memory, "memory")
     if memory < 1:
         raise ValueError("memory must be >= 1")
     return _quasi_newton(f, grad, x0, tol, max_iter, lambda n: _PairBuffer(maxlen=memory))
@@ -408,6 +412,7 @@ def nelder_mead(
     accepted only when freshly built, or when a restart from its best vertex
     no longer lowers f by more than tol (Kelley, SIAM J. Optim. 10, 1999).
     """
+    _count(max_iter, "max_iter")
     x = _vec(x0, "x0")
     n = len(x)
     f = _finite_objective(f)

@@ -38,6 +38,7 @@ from .ndcore import (
     _bounded,
     _checked_float,
     _checked_floats,
+    _count,
     _dot,
     _fd_columns,
     _matvec,
@@ -63,6 +64,7 @@ def bisection(
     max_iter: int = 100,
 ) -> RootReport:
     """Halve [a, b] keeping a sign change; return the midpoint at tolerance."""
+    _count(max_iter, "max_iter")
     a, b = _checked_float(a, "a"), _checked_float(b, "b")
     fa, fb = _checked_float(f(a), "f(a)"), _checked_float(f(b), "f(b)")
     if fa * fb >= 0:
@@ -87,6 +89,7 @@ def newton_scalar(
     max_iter: int = 100,
 ) -> RootReport:
     """Newton steps x - f(x)/f'(x); df=None uses a central difference."""
+    _count(max_iter, "max_iter")
     x = _checked_float(x0, "x0")
     for k in range(1, max_iter + 1):
         d = df(x) if df is not None else _fd_columns(lambda v: [f(v[0])], [x], 1e-6)[0][0]
@@ -107,6 +110,7 @@ def secant(
     tol: float = 1e-5,
     max_iter: int = 100,
 ) -> RootReport:
+    _count(max_iter, "max_iter")
     x0, x1 = _checked_float(x0, "x0"), _checked_float(x1, "x1")
     f0, f1 = _checked_float(f(x0), "f(x0)"), _checked_float(f(x1), "f(x1)")
     for k in range(1, max_iter + 1):
@@ -129,6 +133,7 @@ def fixed_point(
     max_iter: int = 100,
 ) -> RootReport:
     """Iterate x <- g(x) until the update defect |g(x) - x| drops below tol."""
+    _count(max_iter, "max_iter")
     x = _checked_float(x0, "x0")
     for k in range(1, max_iter + 1):
         gx = g(x)
@@ -148,6 +153,7 @@ def _newton(f_vec, model, x0, tol, max_iter, singular, stalled) -> RootReport:
     the rows of J at x, where s is the step that led to x (None at x0);
     Singular is raised again as `singular`, and MaxIterations with
     stalled.format(max_iter)."""
+    _count(max_iter, "max_iter")
     # a copy: callbacks receive x, and may not reach a Vector's own list
     x = list(_vec(x0, "x0"))
     fx = _checked_floats(f_vec(x), "F(x)")

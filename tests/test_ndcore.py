@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desknum import autodiff, dynamics, interp, lindecomp, microlearn, ndcore, quadrature, roots, spectral
+from desknum import autodiff, dynamics, interp, lindecomp, microlearn, ndcore, optimize, quadrature, roots, spectral
 from desknum.errors import (
     DivisionByZero,
     EmptyInput,
@@ -215,7 +215,20 @@ def test_zeros_and_identity_check_dims_before_building_data():
         Matrix.zeros(0, 2)
 
 
-# a count argument of each call, given a valid value and then bad ones
+def _line(v):
+    return [v[0] - 1.0]
+
+
+def _bowl(v):
+    return v[0] * v[0]
+
+
+def _bowl_grad(v):
+    return [2.0 * v[0]]
+
+
+# a count argument of each call, given a valid value and then bad ones; each
+# iteration budget of 4 is enough
 _COUNTS = {
     "gauss_rule": quadrature.gauss_rule,
     "trapezoid_fn": lambda n: quadrature.trapezoid_fn(math.sin, 0.0, 1.0, n),
@@ -225,14 +238,31 @@ _COUNTS = {
     "polyfit": lambda k: lindecomp.polyfit([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 5.0, 4.0], k),
     "pca": lambda k: lindecomp.pca(Matrix(5, 4, [float(i * i % 7) for i in range(20)]), k),
     "spectral_pool2d": lambda k: spectral.spectral_pool2d(spectral.Image2D(4, 4, [float(i % 5) for i in range(16)]), k),
+    "bisection": lambda k: roots.bisection(lambda x: x - 1.0, 0.0, 2.0, max_iter=k),
+    "newton_scalar": lambda k: roots.newton_scalar(lambda x: x - 1.0, lambda x: 1.0, 0.0, max_iter=k),
+    "secant": lambda k: roots.secant(lambda x: x - 1.0, 0.0, 2.0, max_iter=k),
+    "fixed_point": lambda k: roots.fixed_point(lambda x: 1.0, 0.0, max_iter=k),
+    "newton_system": lambda k: roots.newton_system(_line, None, [0.0], max_iter=k),
+    "broyden": lambda k: roots.broyden(_line, [0.0], max_iter=k),
+    "newton_minimize": lambda k: optimize.newton_minimize(
+        _bowl_grad, lambda v: Matrix.from_rows([[2.0]]), [1.0], max_iter=k),
+    "bfgs_minimize": lambda k: optimize.bfgs_minimize(_bowl, _bowl_grad, [1.0], max_iter=k),
+    "lbfgs_minimize": lambda k: optimize.lbfgs_minimize(_bowl, _bowl_grad, [1.0], max_iter=k),
+    "lbfgs_minimize.memory": lambda k: optimize.lbfgs_minimize(_bowl, _bowl_grad, [1.0], memory=k),
+    "nelder_mead": lambda k: optimize.nelder_mead(_bowl, [0.0], tol=1.0, max_iter=k),
+    "gd_minimize": lambda k: optimize.gd_minimize(_bowl_grad, [1.0], 0.1, k),
+    "solve_iterative": lambda k: lindecomp.solve_iterative(
+        Matrix.identity(1), [1.0], [0.0], "jacobi", lindecomp.IterConfig(max_iter=k)),
+    "mlp_init": lambda k: microlearn.mlp_init([3, k, 1], 0),
 }
 
 
 @pytest.mark.parametrize("bad", [4.0, "4", None], ids=repr)
 @pytest.mark.parametrize("call", sorted(_COUNTS))
 def test_counts_that_are_not_integers_raise_value_error(call, bad):
-    # these raised a bare TypeError from range() or a slice, and gauss_rule(4.0)
-    # returned the rule cached for 4; any numbers.Integral is a count
+    # these raised a bare TypeError from range() or a slice, or a later and
+    # wrong error; gauss_rule(4.0) returned the rule cached for 4, and mlp_init
+    # took int() of each size; any numbers.Integral is a count
     _COUNTS[call](4)
     with pytest.raises(ValueError, match=f"must be an int, got {bad!r}$"):
         _COUNTS[call](bad)
