@@ -17,7 +17,7 @@ from itertools import repeat
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, NonFinite
-from .ndcore import Matrix, _checked_float, _checked_floats, _fd_columns
+from .ndcore import Matrix, _checked_floats, _fd_columns, _positive
 
 
 _MIXED = "cannot mix expressions from different tapes"
@@ -228,9 +228,7 @@ def jacobian(f: Callable[..., Sequence[Expr]], x: Sequence[float]) -> Matrix:
 
 def hessian_fd(f: Callable[..., Expr], x: Sequence[float], h: float = 1e-5) -> Matrix:
     """Central finite differences of the reverse-mode gradient, symmetrized."""
-    h = _checked_float(h, "h")
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    h = _positive(h, "h")
     xs = _checked_floats(x, "x")
     n = len(xs)
     cols = _fd_columns(lambda v: gradient(record(f, v)[1]).partials, xs, h)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import roots
@@ -28,7 +27,7 @@ from .errors import (
     SingularJacobian,
     Unstable,
 )
-from .ndcore import Matrix, Vector, _bounded, _checked_floats
+from .ndcore import Matrix, Vector, _bounded, _checked_floats, _count, _positive
 
 StateFn = Callable[[float, Sequence[float]], Sequence[float]]
 
@@ -56,8 +55,7 @@ class IvpProblem:
             raise ShapeMismatch("state must have at least one component")
         if not all(map(math.isfinite, (self.t0, self.h, self.t_end))):
             raise ValueError("t0, h and t_end must be finite")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        _positive(self.h, "h")
         # at least one step, with _grid's own slack, and few enough that
         # the grid and the trajectory fit in memory
         if not 1.0 - 1e-9 <= (self.t_end - self.t0) / self.h <= _MAX_STEPS:
@@ -93,10 +91,8 @@ class LifParams:
     current: float
 
     def __post_init__(self) -> None:
-        if self.tau_m <= 0:
-            raise ValueError("tau_m must be positive")
-        if self.r_m <= 0:
-            raise ValueError("r_m must be positive")
+        for name in ("tau_m", "r_m"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -115,13 +111,11 @@ class HeatProblem:
     u0: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.length <= 0 or self.t_total <= 0:
-            raise ValueError("alpha, length, and t_total must be positive")
-        if not (isinstance(self.nx, Integral) and isinstance(self.nt, Integral)):
-            raise ValueError("nx and nt must be ints")
-        if self.nx < 3:
+        for name in ("alpha", "length", "t_total"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        if _count(self.nx, "nx") < 3:
             raise ValueError("need at least 3 spatial points")
-        if self.nt < 1:
+        if _count(self.nt, "nt") < 1:
             raise ValueError("need at least 1 time step")
         if self.stability_factor >= 0.5:
             raise Unstable(
@@ -262,8 +256,7 @@ def lif_simulate(params: LifParams, h: float, t_end: float) -> Trajectory:
 
 def lti_step_response(k: float, tau: float, h: float, t_end: float) -> Trajectory:
     """Unit-step response of tau y' + y = k from rest (y(0) = 0)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    tau = _positive(tau, "tau")
 
     def rhs(t, y):
         return [(k - y[0]) / tau]
@@ -280,7 +273,7 @@ def heat1d_explicit(
     r = alpha dt/dx^2; the two boundary values never change from u0
     (Dirichlet). snapshot_every > 0 also records every k-th profile.
     """
-    if snapshot_every is not None and snapshot_every < 1:
+    if snapshot_every is not None and _count(snapshot_every, "snapshot_every") < 1:
         raise ValueError("snapshot_every must be a positive step count")
     xs = [i * p.dx for i in range(p.nx)]
     xs[-1] = p.length

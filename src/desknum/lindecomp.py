@@ -52,6 +52,7 @@ from .ndcore import (
     _matvec,
     _norm2,
     _norm_inf,
+    _positive,
     _vec,
 )
 
@@ -365,9 +366,9 @@ def solve_iterative(
     when the budget runs out.
     """
     _require_square(a, "solve_iterative")
-    _count(cfg.max_iter, "max_iter")
-    if cfg.tol <= 0 or cfg.max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
+    _positive(cfg.tol, "tol")
+    if _count(cfg.max_iter, "max_iter") < 1:
+        raise ValueError("max_iter must be at least 1")
     bv = _vec(b, "b")
     xv = _vec(x0, "x0")
     n = a.rows

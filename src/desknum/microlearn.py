@@ -32,13 +32,12 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import exp
-from numbers import Integral
 from operator import mul, sub
 from typing import Iterable, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
 from .errors import BadArchitecture, ShapeMismatch, TooSmallBatch
-from .ndcore import Matrix, Vector, _checked_floats, _count, _finite, _fsum, _fsums
+from .ndcore import Matrix, Vector, _checked_floats, _count, _finite, _fsum, _fsums, _positive
 
 
 def sigmoid_derivative(a: float) -> float:
@@ -267,10 +266,9 @@ def mlp_train(
     sample a forward and a backward pass, then the loss, the gradients and
     the update. An update that overflows raises NonFinite at its epoch.
     """
-    if not 0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
-    if not isinstance(epochs, Integral) or epochs < 0:
-        raise ValueError("epochs must be a nonnegative int")
+    eta = _positive(eta, "eta")
+    if _count(epochs, "epochs") < 0:
+        raise ValueError("epochs must be nonnegative")
     trained, history = _kernel(p.sizes)(*_args(p, x, y), eta, epochs)
     weights = tuple(Matrix(w.rows, w.cols, r) for w, r in zip(p.weights, trained))
     biases = tuple(map(Vector, trained[len(weights):]))
@@ -286,11 +284,11 @@ class BatchNormParams:
     def __post_init__(self) -> None:
         if len(self.gamma) != len(self.beta):
             raise ShapeMismatch("gamma and beta must have the same length")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        object.__setattr__(self, "eps", _positive(self.eps, "eps"))
 
     @classmethod
     def identity(cls, n: int, eps: float = 1e-5) -> "BatchNormParams":
+        _count(n, "n")
         return cls(Vector([1.0] * n), Vector([0.0] * n), eps)
 
 
@@ -370,8 +368,8 @@ def q_learn(
         raise ValueError("gamma_disc must be in [0, 1)")
     if not 0.0 <= eps_explore <= 1.0:
         raise ValueError("eps_explore must be in [0, 1]")
-    if not isinstance(episodes, Integral) or episodes < 0:
-        raise ValueError("episodes must be a nonnegative int")
+    if _count(episodes, "episodes") < 0:
+        raise ValueError("episodes must be nonnegative")
     rng = random.Random(seed)
     q = [[0.0] * env.n_actions for _ in range(env.n_states)]
     for _ in range(episodes):
@@ -393,6 +391,9 @@ def greedy_rollout(
     q: QTable, env: GridEnv, start: int = 0, max_steps: int = 10
 ) -> List[int]:
     """States visited when always taking the best known action."""
+    if not 0 <= _count(start, "start") < env.n_states:
+        raise ValueError(f"start must be in [0, {env.n_states}), got {start!r}")
+    _count(max_steps, "max_steps")
     path = [start]
     state = start
     for _ in range(max_steps):

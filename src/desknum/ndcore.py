@@ -22,6 +22,11 @@ is within DIVERGE_LIMIT in magnitude.
 `_fd_columns` is the one finite-difference kernel of the solvers: the
 derivative of newton_scalar, the Jacobian of newton_system and the Hessian of
 autodiff.hessian_fd are its columns, each at the step its caller passes.
+The argument rules live here too: `_count` for every count or iteration
+budget (any numbers.Integral, else ValueError), `_dims` for the dimensions of
+a Matrix or an Image2D (positive ints, else ShapeMismatch), and `_positive`
+for every step, rate or scale that must exceed 0 (NonFinite for nan and
+inf, then the caller's error class for a value <= 0).
 """
 
 from __future__ import annotations
@@ -103,6 +108,14 @@ def _count(value: int, what: str) -> int:
     return int(value)
 
 
+def _positive(value: float, what: str, err: type = ValueError) -> float:
+    # a step, rate or scale: NonFinite for nan and inf, then err for <= 0
+    value = _checked_float(value, what)
+    if value <= 0:
+        raise err(f"{what} must be positive")
+    return value
+
+
 def _bounded(values: Iterable[float]) -> bool:
     # false for NaN too, which fails every comparison
     return all(abs(v) <= DIVERGE_LIMIT for v in values)
@@ -125,10 +138,10 @@ def _fd_columns(f, x: list[float], h: float, fx=None) -> list[list[float]]:
     return cols
 
 
-def _dims(rows: int, cols: int) -> None:
+def _dims(rows: int, cols: int, what: str = "matrix") -> None:
     # ints, or to_rows() and the slices of row() and col() raise TypeError
     if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
-        raise ShapeMismatch(f"matrix dims must be positive integers, got {rows!r}x{cols!r}")
+        raise ShapeMismatch(f"{what} dims must be positive integers, got {rows!r}x{cols!r}")
 
 
 class Matrix:

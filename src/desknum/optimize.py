@@ -48,6 +48,7 @@ from .ndcore import (
     _matvec,
     _norm2,
     _norm_inf,
+    _positive,
     _vec,
 )
 
@@ -67,14 +68,13 @@ class OptConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        for name in ("eta", "eps"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
         for name in ("beta", "beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        object.__setattr__(self, "weight_decay", _checked_float(self.weight_decay, "weight_decay"))
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
 
@@ -90,6 +90,8 @@ class OptState:
 
     @classmethod
     def zeros(cls, n: int) -> "OptState":
+        _count(n, "n")
+
         def z() -> Vector:
             return Vector([0.0] * n)
 
@@ -111,8 +113,10 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("step", "exponential", "cosine_warm_restarts"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.drop_epoch < 1 or self.t0 < 1:
-            raise ValueError("drop_epoch and t0 must be >= 1")
+        # t_mult < 1 stops the restart period from growing, and lr_at loops
+        for name in ("drop_epoch", "t0", "t_mult"):
+            if _count(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.eta_max is not None and self.eta_min > self.eta_max:
             raise ValueError("need eta_min <= eta_max")
 
@@ -140,8 +144,7 @@ def gd_minimize(
     grad: VecFn, x0: Sequence[float], eta: float, iters: int
 ) -> list[Vector]:
     _count(iters, "iters")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    eta = _positive(eta, "eta")
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     # a copy: callbacks receive x, and may not reach a Vector's own list
@@ -227,8 +230,7 @@ def lr_at(sched: Schedule, t: int) -> float:
 
 
 def clip_by_norm(g: Sequence[float], threshold: float) -> Vector:
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    threshold = _positive(threshold, "threshold")
     gr = _vec(g, "g")
     norm = _norm2(gr, "gradient norm")
     if norm <= threshold:
@@ -489,10 +491,10 @@ def sgd_linreg(
     data_y = _vec(ys, "ys")
     if len(data_x) != len(data_y):
         raise ShapeMismatch(f"{len(data_x)} inputs but {len(data_y)} targets")
-    if not 1 <= batch <= len(data_x):
+    if not 1 <= _count(batch, "batch") <= len(data_x):
         raise ShapeMismatch("batch must be in [1, len(xs)]")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    eta = _positive(eta, "eta")
+    _count(iters, "iters")
     rng = random.Random(seed)
     theta0 = rng.gauss(0.0, 1.0)
     theta1 = rng.gauss(0.0, 1.0)

@@ -22,7 +22,7 @@ from .errors import (
     TooFewPoints,
     UnsortedKnots,
 )
-from .ndcore import _checked_float, _count, _fsum, _vec
+from .ndcore import _checked_float, _count, _fsum, _positive, _vec
 
 Fn = Callable[[float], float]
 
@@ -34,9 +34,7 @@ _MAX_GAUSS_ORDER = 64
 def finite_diff(f: Fn, x: float, h: float = 1e-5, scheme: str = "central") -> float:
     """Difference quotient of f at x. central is second order in h,
     forward and backward are first order."""
-    x, h = _checked_float(x, "x"), _checked_float(h, "h")
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    x, h = _checked_float(x, "x"), _positive(h, "h")
     if scheme == "forward":
         d = (f(x + h) - f(x)) / h
     elif scheme == "backward":

@@ -51,7 +51,7 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
 )
-from .ndcore import Vector, _checked_float, _checked_floats, _count, _finite, _transpose, _vec
+from .ndcore import Vector, _checked_floats, _count, _dims, _finite, _positive, _transpose, _vec
 
 
 class ComplexVec:
@@ -101,11 +101,7 @@ class Image2D:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[float]):
-        # ints, as for Matrix, or fft2 fails on them with a bare TypeError
-        if not (isinstance(rows, int) and isinstance(cols, int)):
-            raise ShapeMismatch(f"image dimensions must be ints, got {rows!r}x{cols!r}")
-        if rows < 1 or cols < 1:
-            raise ShapeMismatch("image dimensions must be positive")
+        _dims(rows, cols, "image")
         data = _checked_floats(data, "data")
         if len(data) != rows * cols:
             raise ShapeMismatch(f"expected {rows * cols} pixels, got {len(data)}")
@@ -319,19 +315,11 @@ def ifft(x: ComplexVec) -> ComplexVec:
     return _from_complex(a)
 
 
-def _positive(value: float, what: str) -> float:
-    """A sample spacing or rate: finite (NonFinite) and positive (BadCutoff)."""
-    value = _checked_float(value, what)
-    if value <= 0:
-        raise BadCutoff(f"{what} must be positive")
-    return value
-
-
 def fft_freqs(n: int, d: float = 1.0) -> list[float]:
     _count(n, "n")
     if n < 1:
         raise ShapeMismatch("need n >= 1")
-    d = _positive(d, "sample spacing")
+    d = _positive(d, "sample spacing", BadCutoff)
     split = (n + 1) // 2
     nd = n * d
     freqs = list(map(truediv, range(split), repeat(nd))) + list(
@@ -432,7 +420,7 @@ def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vec
     data = _vec(signal, "signal")
     n = len(data)
     _require_pow2(n)
-    sample_rate = _positive(sample_rate, "sample rate")
+    sample_rate = _positive(sample_rate, "sample rate", BadCutoff)
     if not 0 < cutoff < sample_rate / 2:
         raise BadCutoff("cutoff must lie in (0, sample_rate/2)")
     half = _rfft_rows(data, 1, n, n // 2 + 1)
@@ -515,7 +503,7 @@ def spectrum(signal: Sequence[float], sample_spacing: float) -> Spectrum:
 
 def peak_frequency(signal: Sequence[float], sample_rate: float) -> float:
     """Frequency of the strongest non-DC bin on the nonnegative half."""
-    spec = spectrum(signal, 1.0 / _positive(sample_rate, "sample rate"))
+    spec = spectrum(signal, 1.0 / _positive(sample_rate, "sample rate", BadCutoff))
     bins, freqs, n = spec.bins, spec.freqs, len(spec.freqs)
     best_k = -1
     best_mag = 0.0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from desknum import autodiff, dynamics, interp, lindecomp, microlearn, ndcore, optimize, quadrature, roots, spectral
 from desknum.errors import (
+    BadCutoff,
     DivisionByZero,
     EmptyInput,
     NonFinite,
@@ -197,10 +198,14 @@ def test_matrix_rejects_bad_shape():
 
 def test_matrix_dims_must_be_integers():
     # float dimensions whose product matched the data length once built a
-    # Matrix, and its to_rows() then raised a bare TypeError
-    for rows, cols, data in ((2.0, 1, [1.0, 2.0]), (1, 2.0, [1.0, 2.0]), (2.0, 1.5, [1.0, 2.0, 3.0])):
-        with pytest.raises(ShapeMismatch, match="integers"):
+    # Matrix, and its to_rows() then raised a bare TypeError; an Image2D has
+    # the same rule, or fft2 raises it and write_pgm writes the header "2 2.0"
+    for rows, cols, data in ((2.0, 1, [1.0, 2.0]), (1, 2.0, [1.0, 2.0]), (2.0, 1.5, [1.0, 2.0, 3.0]),
+                             (2.0, 2, [0.0] * 4), (2, 2.0, [0.0] * 4), (2, "2", [0.0] * 4)):
+        with pytest.raises(ShapeMismatch, match="^matrix dims must be positive integers"):
             Matrix(rows, cols, data)
+        with pytest.raises(ShapeMismatch, match=f"^image dims must be positive integers, got {rows!r}x{cols!r}$"):
+            spectral.Image2D(rows, cols, data)
     with pytest.raises(ShapeMismatch, match="integers"):
         ndcore.reshape(Matrix(1, 2, [1.0, 2.0]), 2.0, 1.0)
 
@@ -213,6 +218,8 @@ def test_zeros_and_identity_check_dims_before_building_data():
             make()
     with pytest.raises(ShapeMismatch, match="got 0x2"):
         Matrix.zeros(0, 2)
+    with pytest.raises(ShapeMismatch, match="^image dims must be positive integers, got 0x2$"):
+        spectral.Image2D(0, 2, [])
 
 
 def _line(v):
@@ -226,6 +233,9 @@ def _bowl(v):
 def _bowl_grad(v):
     return [2.0 * v[0]]
 
+
+_X = Matrix(1, 1, [0.5])
+_Q = microlearn.QTable(Matrix.zeros(5, 2))
 
 # a count argument of each call, given a valid value and then bad ones; each
 # iteration budget of 4 is enough
@@ -254,6 +264,22 @@ _COUNTS = {
     "solve_iterative": lambda k: lindecomp.solve_iterative(
         Matrix.identity(1), [1.0], [0.0], "jacobi", lindecomp.IterConfig(max_iter=k)),
     "mlp_init": lambda k: microlearn.mlp_init([3, k, 1], 0),
+    "mlp_train": lambda k: microlearn.mlp_train(microlearn.mlp_init([1, 1], 0), _X, _X, 0.1, k),
+    "q_learn": lambda k: microlearn.q_learn(microlearn.GridEnv.default(), 0.1, 0.9, 0.1, k, 0),
+    "greedy_rollout.start": lambda k: microlearn.greedy_rollout(_Q, microlearn.GridEnv.default(), start=k),
+    "greedy_rollout.max_steps": lambda k: microlearn.greedy_rollout(
+        _Q, microlearn.GridEnv.default(), max_steps=k),
+    "BatchNormParams.identity": microlearn.BatchNormParams.identity,
+    "HeatProblem.nx": lambda k: dynamics.HeatProblem(0.01, 10.0, k, 100, 1.0, math.sin),
+    "HeatProblem.nt": lambda k: dynamics.HeatProblem(0.01, 10.0, 21, k, 1.0, math.sin),
+    "heat1d_explicit": lambda k: dynamics.heat1d_explicit(
+        dynamics.HeatProblem(0.01, 10.0, 21, 8, 1.0, math.sin), snapshot_every=k),
+    "sgd_linreg.batch": lambda k: optimize.sgd_linreg([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], k, 0.1, 2, 0),
+    "sgd_linreg.iters": lambda k: optimize.sgd_linreg([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 1, 0.1, k, 0),
+    "OptState.zeros": optimize.OptState.zeros,
+    "Schedule.drop_epoch": lambda k: optimize.Schedule("step", 0.1, drop_epoch=k),
+    "Schedule.t0": lambda k: optimize.Schedule("cosine_warm_restarts", 0.1, t0=k),
+    "Schedule.t_mult": lambda k: optimize.Schedule("cosine_warm_restarts", 0.1, t_mult=k),
 }
 
 
@@ -261,11 +287,60 @@ _COUNTS = {
 @pytest.mark.parametrize("call", sorted(_COUNTS))
 def test_counts_that_are_not_integers_raise_value_error(call, bad):
     # these raised a bare TypeError from range() or a slice, or a later and
-    # wrong error; gauss_rule(4.0) returned the rule cached for 4, and mlp_init
-    # took int() of each size; any numbers.Integral is a count
+    # wrong error; gauss_rule(4.0) returned the rule cached for 4, mlp_init
+    # took int() of each size, and heat1d_explicit(snapshot_every=2.5)
+    # recorded 20 snapshots; any numbers.Integral is a count
     _COUNTS[call](4)
+    if call == "heat1d_explicit" and bad is None:
+        # None is the default of snapshot_every: no snapshots
+        assert _COUNTS[call](None).snapshots == ()
+        return
     with pytest.raises(ValueError, match=f"must be an int, got {bad!r}$"):
         _COUNTS[call](bad)
+
+
+# a parameter of each call that must exceed 0: (call, name, error for <= 0)
+_POSITIVE = {
+    "finite_diff.h": (lambda v: quadrature.finite_diff(math.sin, 0.0, v), "h", ValueError),
+    "hessian_fd.h": (lambda v: autodiff.hessian_fd(lambda a: a * a, [1.0], v), "h", ValueError),
+    "OptConfig.eta": (lambda v: optimize.OptConfig(eta=v), "eta", ValueError),
+    "OptConfig.eps": (lambda v: optimize.OptConfig(eta=0.1, eps=v), "eps", ValueError),
+    "gd_minimize.eta": (lambda v: optimize.gd_minimize(_bowl_grad, [1.0], v, 2), "eta", ValueError),
+    "sgd_linreg.eta": (lambda v: optimize.sgd_linreg([0.0, 1.0], [1.0, 2.0], 1, v, 2, 0), "eta", ValueError),
+    "mlp_train.eta": (lambda v: microlearn.mlp_train(microlearn.mlp_init([1, 1], 0), _X, _X, v, 1), "eta",
+                      ValueError),
+    "clip_by_norm.threshold": (lambda v: optimize.clip_by_norm([1.0], v), "threshold", ValueError),
+    "LifParams.tau_m": (lambda v: dynamics.LifParams(v, -65.0, 10.0, 2.0), "tau_m", ValueError),
+    "LifParams.r_m": (lambda v: dynamics.LifParams(10.0, -65.0, v, 2.0), "r_m", ValueError),
+    "HeatProblem.alpha": (lambda v: dynamics.HeatProblem(v, 10.0, 21, 100, 1.0, math.sin), "alpha", ValueError),
+    "HeatProblem.length": (lambda v: dynamics.HeatProblem(0.01, v, 21, 100, 1.0, math.sin), "length",
+                           ValueError),
+    "HeatProblem.t_total": (lambda v: dynamics.HeatProblem(0.01, 10.0, 21, 100, v, math.sin), "t_total",
+                            ValueError),
+    "lti_step_response.tau": (lambda v: dynamics.lti_step_response(1.0, v, 0.1, 1.0), "tau", ValueError),
+    "BatchNormParams.eps": (lambda v: microlearn.BatchNormParams.identity(2, v), "eps", ValueError),
+    "solve_iterative.tol": (lambda v: lindecomp.solve_iterative(
+        Matrix.identity(1), [1.0], [0.0], "jacobi", lindecomp.IterConfig(tol=v)), "tol", ValueError),
+    "fft_freqs.d": (lambda v: spectral.fft_freqs(4, v), "sample spacing", BadCutoff),
+    "spectrum.sample_spacing": (lambda v: spectral.spectrum(_SIG, v), "sample spacing", BadCutoff),
+    "peak_frequency.sample_rate": (lambda v: spectral.peak_frequency(_SIG, v), "sample rate", BadCutoff),
+    "lowpass1d.sample_rate": (lambda v: spectral.lowpass1d(_SIG, v, 1.0), "sample rate", BadCutoff),
+}
+_SIG = [0.0, 1.0, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("call", sorted(_POSITIVE))
+def test_positive_parameters(call, bad):
+    # nan fails every comparison, so a bare `<= 0` test lets it through; the
+    # finiteness gate comes first and names it
+    make, what, err = _POSITIVE[call]
+    if math.isfinite(bad):
+        with pytest.raises(err, match=f"^{what} must be positive$"):
+            make(bad)
+    else:
+        with pytest.raises(NonFinite, match=f"^{what} is not finite: {bad!r}$"):
+            make(bad)
 
 
 def test_matrix_accessors():

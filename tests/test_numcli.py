@@ -226,6 +226,7 @@ _EXITS = {
     "ode-negative-h": (["ode", "--problem", "decay", "--method", "rk4", "--h", "-0.1"], {}, 1, "^usage error: "),
     "ode-subnormal-h": (["ode", "--problem", "decay", "--method", "rk4", "--h", "5e-324"], {}, 1, "^usage error: "),
     "xor-eta-0": (["xor", "--eta", "0"], {}, 1, "^usage error: "),
+    "xor-eta-nan": (["xor", "--eta", "nan"], {}, 2, "^NonFinite: eta is not finite: nan$"),
     "qlearn-alpha-2": (["qlearn", "--alpha", "2"], {}, 1, "^usage error: "),
     "optimize-negative-eta": (["optimize", "--objective", "bowl2d", "--method", "adam", "--eta", "-1"],
                               {}, 1, "^usage error: "),

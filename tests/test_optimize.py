@@ -167,6 +167,21 @@ def test_config_validation():
         opt.OptConfig(eta=0.1, beta=1.0)
     with pytest.raises(ValueError):
         opt.OptConfig(eta=0.1, weight_decay=-0.1)
+    # nan < 0 is False, so only the finiteness gate refuses nan here, not adamw
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFinite, match=f"^weight_decay is not finite: {bad!r}$"):
+            opt.OptConfig(eta=0.1, weight_decay=bad)
+
+
+@pytest.mark.parametrize("t_mult", [0, -1])
+def test_schedule_period_must_grow(t_mult):
+    # lr_at multiplies the restart period by t_mult until it passes t, which
+    # it never does for t_mult < 1; only the construction runs here, since
+    # lr_at would not return on such a schedule
+    with pytest.raises(ValueError, match="^t_mult must be >= 1$"):
+        opt.Schedule("cosine_warm_restarts", 0.1, t_mult=t_mult)
+    with pytest.raises(ValueError, match="^t_mult must be an int, got 0.5$"):
+        opt.Schedule("cosine_warm_restarts", 0.1, t_mult=0.5)
 
 
 # learning-rate schedules
