@@ -354,6 +354,16 @@ def test_heat_validation():
         dyn.heat1d_explicit(make_heat(), snapshot_every=0)
 
 
+@pytest.mark.parametrize("nx, nt", [(21.0, 100), (21, 100.0), ("21", 100)],
+                         ids=["float-nx", "float-nt", "str-nx"])
+def test_heat_counts_must_be_ints(nx, nt):
+    # accepted, a float count makes heat1d_explicit raise a bare TypeError
+    # from range
+    what, bad = ("nt", nt) if isinstance(nx, int) else ("nx", nx)
+    with pytest.raises(ValueError, match=rf"^{what} must be an int, got {bad!r}$"):
+        dyn.HeatProblem(0.01, 10.0, nx, nt, 1.0, sine_bump)
+
+
 # first-order step response
 
 

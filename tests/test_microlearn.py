@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 import traceback
 from operator import add
 
@@ -440,6 +441,29 @@ def test_train_validation():
         ml.mlp_train(p, XOR_X, XOR_Y, 0.0, 10)
     with pytest.raises(ValueError, match="^epochs must be nonnegative$"):
         ml.mlp_train(p, XOR_X, XOR_Y, 0.5, -1)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, "3", None, -1], ids=repr)
+def test_counts_must_be_nonnegative_ints(count):
+    # a float or str count once reached range() or the comparison and raised
+    # a bare TypeError; it is refused before the compiled loop runs
+    if count == -1:
+        rule = "must be nonnegative"
+    else:
+        rule = f"must be an int, got {count!r}"
+    p = ml.mlp_init([3, 4, 1], seed=0)
+    with pytest.raises(ValueError, match=f"^epochs {re.escape(rule)}$"):
+        ml.mlp_train(p, XOR_X, XOR_Y, 0.5, count)
+    with pytest.raises(ValueError, match=f"^episodes {re.escape(rule)}$"):
+        ml.q_learn(ml.GridEnv.default(), 0.1, 0.9, 0.1, count, seed=0)
+
+
+def test_train_rejects_nan_and_infinite_eta():
+    p = ml.mlp_init([3, 4, 1], seed=0)
+    for eta in (math.nan, math.inf, -math.inf):
+        for epochs in (0, 1):
+            with pytest.raises(NonFinite, match="^eta is not finite: "):
+                ml.mlp_train(p, XOR_X, XOR_Y, eta, epochs)
 
 
 def test_overflowing_squared_error_raises_nonfinite():

@@ -141,6 +141,20 @@ def test_fft_freqs_bit_identical_to_per_bin_formula():
             assert array("d", got).tobytes() == array("d", want).tobytes(), (n, d)
 
 
+def test_spacing_and_rate_must_be_positive():
+    sig = [0.0, 1.0, 0.0, -1.0]
+    calls = [
+        (lambda v: spectral.fft_freqs(4, v), "sample spacing"),
+        (lambda v: spectral.spectrum(sig, v), "sample spacing"),
+        (lambda v: spectral.peak_frequency(sig, v), "sample rate"),
+        (lambda v: spectral.lowpass1d(sig, v, 1.0), "sample rate"),
+    ]
+    for call, what in calls:
+        for bad in (0.0, -0.0, -1.0):
+            with pytest.raises(BadCutoff, match=f"^{what} must be positive$"):
+                call(bad)
+
+
 def test_fft_freqs_overflow_raises_non_finite():
     # a subnormal spacing puts 1 / (n d) past the float maximum; the spacing
     # that peak_frequency derives from a rate of 1e-320 is inf itself
@@ -287,6 +301,19 @@ def test_fft2_rejects_non_pow2():
 def test_image2d_validation():
     with pytest.raises(ShapeMismatch):
         Image2D(2, 2, [1.0, 2.0, 3.0])
+    with pytest.raises(ShapeMismatch,
+                       match=r"^image dims must be positive integers, got 0x2$"):
+        Image2D(0, 2, [])
+
+
+@pytest.mark.parametrize("rows, cols", [(2.0, 2), (2, 2.0), (2, "2")],
+                         ids=["float-rows", "float-cols", "str-cols"])
+def test_image2d_rejects_non_int_dimensions(rows, cols):
+    # accepted, a float dimension makes fft2 raise a bare TypeError and
+    # write_pgm write the header "2 2.0"
+    want = rf"^image dims must be positive integers, got {rows!r}x{cols!r}$"
+    with pytest.raises(ShapeMismatch, match=want):
+        Image2D(rows, cols, [0.0, 1.0, 2.0, 3.0])
 
 
 # filtering
