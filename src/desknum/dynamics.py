@@ -27,7 +27,7 @@ from .errors import (
     SingularJacobian,
     Unstable,
 )
-from .ndcore import Matrix, Vector, _bounded, _checked_floats, _count, _positive
+from .ndcore import Matrix, Vector, _bounded, _checked_float, _checked_floats, _count, _positive
 
 StateFn = Callable[[float, Sequence[float]], Sequence[float]]
 
@@ -53,9 +53,9 @@ class IvpProblem:
         object.__setattr__(self, "y0", tuple(_checked_floats(self.y0, "y0")))
         if not self.y0:
             raise ShapeMismatch("state must have at least one component")
-        if not all(map(math.isfinite, (self.t0, self.h, self.t_end))):
-            raise ValueError("t0, h and t_end must be finite")
-        _positive(self.h, "h")
+        object.__setattr__(self, "h", _positive(self.h, "h"))
+        for name in ("t0", "t_end"):
+            object.__setattr__(self, name, _checked_float(getattr(self, name), name))
         # at least one step, with _grid's own slack, and few enough that
         # the grid and the trajectory fit in memory
         if not 1.0 - 1e-9 <= (self.t_end - self.t0) / self.h <= _MAX_STEPS:
@@ -113,10 +113,8 @@ class HeatProblem:
     def __post_init__(self) -> None:
         for name in ("alpha", "length", "t_total"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
-        if _count(self.nx, "nx") < 3:
-            raise ValueError("need at least 3 spatial points")
-        if _count(self.nt, "nt") < 1:
-            raise ValueError("need at least 1 time step")
+        _count(self.nx, "nx", 3)
+        _count(self.nt, "nt", 1)
         if self.stability_factor >= 0.5:
             raise Unstable(
                 f"the scheme is unstable: alpha*dt/dx^2 = "
@@ -273,8 +271,8 @@ def heat1d_explicit(
     r = alpha dt/dx^2; the two boundary values never change from u0
     (Dirichlet). snapshot_every > 0 also records every k-th profile.
     """
-    if snapshot_every is not None and _count(snapshot_every, "snapshot_every") < 1:
-        raise ValueError("snapshot_every must be a positive step count")
+    if snapshot_every is not None:
+        _count(snapshot_every, "snapshot_every", 1)
     xs = [i * p.dx for i in range(p.nx)]
     xs[-1] = p.length
     u = [float(p.u0(x)) for x in xs]

@@ -367,8 +367,7 @@ def solve_iterative(
     """
     _require_square(a, "solve_iterative")
     _positive(cfg.tol, "tol")
-    if _count(cfg.max_iter, "max_iter") < 1:
-        raise ValueError("max_iter must be at least 1")
+    _count(cfg.max_iter, "max_iter", 1)
     bv = _vec(b, "b")
     xv = _vec(x0, "x0")
     n = a.rows
@@ -713,12 +712,9 @@ def svd(a: Matrix) -> SvdResult:
 def pca(x: Matrix, k: int) -> Matrix:
     """Project mean-centered rows onto the top-k principal axes: the first k
     columns of U Sigma in the SVD of the centered data."""
-    _count(k, "component count")
-    n, d = x.rows, x.cols
-    if not 1 <= k <= min(n - 1, d):
-        raise BadRank(f"component count {k} outside [1, {min(n - 1, d)}]")
+    _count(k, "component count", 1, min(x.rows - 1, x.cols), BadRank)
     rows, f = _scaled(x.to_rows())
-    means = [_fsum(c, "column sum") / n for c in zip(*rows)]
+    means = [_fsum(c, "column sum") / x.rows for c in zip(*rows)]
     xc = [list(map(sub, row, means)) for row in rows]
     urows, sigma, _ = _svd(xc, k)
     scores = [[u * s * f for u, s in zip(row, sigma[:k])] for row in urows]
@@ -733,8 +729,6 @@ def polyfit(xs: VecLike, ys: VecLike, degree: int) -> Vector:
     _count(degree, "degree")
     xv = _vec(xs, "xs")
     yv = _vec(ys, "ys")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
     p = degree + 1
     if len(xv) != len(yv):
         raise ShapeMismatch("xs and ys lengths differ")

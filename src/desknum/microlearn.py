@@ -37,7 +37,9 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
 from .errors import BadArchitecture, ShapeMismatch, TooSmallBatch
-from .ndcore import Matrix, Vector, _checked_floats, _count, _finite, _fsum, _fsums, _positive
+from .ndcore import (
+    Matrix, Vector, _checked_float, _checked_floats, _count, _finite, _fsum, _fsums, _positive,
+)
 
 
 def sigmoid_derivative(a: float) -> float:
@@ -74,8 +76,8 @@ class MlpParams:
 
 def mlp_init(sizes: Sequence[int], seed: int) -> MlpParams:
     """Standard-normal weights and zero biases from one seeded stream."""
-    sizes = tuple(_count(s, "layer size") for s in sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
+    sizes = tuple(_count(s, "layer size", 1, err=BadArchitecture) for s in sizes)
+    if len(sizes) < 2:
         raise BadArchitecture("need at least two layers, all sizes >= 1")
     rng = random.Random(seed)
     weights = []
@@ -267,8 +269,7 @@ def mlp_train(
     the update. An update that overflows raises NonFinite at its epoch.
     """
     eta = _positive(eta, "eta")
-    if _count(epochs, "epochs") < 0:
-        raise ValueError("epochs must be nonnegative")
+    _count(epochs, "epochs")
     trained, history = _kernel(p.sizes)(*_args(p, x, y), eta, epochs)
     weights = tuple(Matrix(w.rows, w.cols, r) for w, r in zip(p.weights, trained))
     biases = tuple(map(Vector, trained[len(weights):]))
@@ -362,14 +363,13 @@ def q_learn(
     Each episode starts at a random state and runs until the goal;
     the update is Q(s,a) += alpha (r + gamma max_a' Q(s',a') - Q(s,a)).
     """
-    if not 0.0 < alpha <= 1.0:
+    if not 0.0 < (alpha := _checked_float(alpha, "alpha")) <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
-    if not 0.0 <= gamma_disc < 1.0:
+    if not 0.0 <= (gamma_disc := _checked_float(gamma_disc, "gamma_disc")) < 1.0:
         raise ValueError("gamma_disc must be in [0, 1)")
-    if not 0.0 <= eps_explore <= 1.0:
+    if not 0.0 <= (eps_explore := _checked_float(eps_explore, "eps_explore")) <= 1.0:
         raise ValueError("eps_explore must be in [0, 1]")
-    if _count(episodes, "episodes") < 0:
-        raise ValueError("episodes must be nonnegative")
+    _count(episodes, "episodes")
     rng = random.Random(seed)
     q = [[0.0] * env.n_actions for _ in range(env.n_states)]
     for _ in range(episodes):
@@ -391,8 +391,7 @@ def greedy_rollout(
     q: QTable, env: GridEnv, start: int = 0, max_steps: int = 10
 ) -> List[int]:
     """States visited when always taking the best known action."""
-    if not 0 <= _count(start, "start") < env.n_states:
-        raise ValueError(f"start must be in [0, {env.n_states}), got {start!r}")
+    _count(start, "start", 0, env.n_states - 1)
     _count(max_steps, "max_steps")
     path = [start]
     state = start

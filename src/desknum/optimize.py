@@ -70,11 +70,11 @@ class OptConfig:
     def __post_init__(self):
         for name in ("eta", "eps"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
+        for name in ("beta", "beta1", "beta2", "weight_decay"):
+            object.__setattr__(self, name, _checked_float(getattr(self, name), name))
         for name in ("beta", "beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
+            if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
-        object.__setattr__(self, "weight_decay", _checked_float(self.weight_decay, "weight_decay"))
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
 
@@ -115,8 +115,11 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         # t_mult < 1 stops the restart period from growing, and lr_at loops
         for name in ("drop_epoch", "t0", "t_mult"):
-            if _count(getattr(self, name), name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _count(getattr(self, name), name, 1)
+        for name in ("eta0", "drop_factor"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        for name in ("lam", "eta_min") if self.eta_max is None else ("lam", "eta_min", "eta_max"):
+            object.__setattr__(self, name, _checked_float(getattr(self, name), name))
         if self.eta_max is not None and self.eta_min > self.eta_max:
             raise ValueError("need eta_min <= eta_max")
 
@@ -145,8 +148,6 @@ def gd_minimize(
 ) -> list[Vector]:
     _count(iters, "iters")
     eta = _positive(eta, "eta")
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
     # a copy: callbacks receive x, and may not reach a Vector's own list
     x = list(_vec(x0, "x0"))
     traj = [Vector(x)]
@@ -210,8 +211,7 @@ def optimizer_step(
 
 
 def lr_at(sched: Schedule, t: int) -> float:
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _count(t, "t")
     if sched.kind == "step":
         return sched.eta0 * sched.drop_factor ** (t // sched.drop_epoch)
     if sched.kind == "exponential":
@@ -387,9 +387,7 @@ def lbfgs_minimize(
     tol: float = 1e-6,
     max_iter: int = 200,
 ) -> MinimizeResult:
-    _count(memory, "memory")
-    if memory < 1:
-        raise ValueError("memory must be >= 1")
+    _count(memory, "memory", 1)
     return _quasi_newton(f, grad, x0, tol, max_iter, lambda n: _PairBuffer(maxlen=memory))
 
 
@@ -491,8 +489,7 @@ def sgd_linreg(
     data_y = _vec(ys, "ys")
     if len(data_x) != len(data_y):
         raise ShapeMismatch(f"{len(data_x)} inputs but {len(data_y)} targets")
-    if not 1 <= _count(batch, "batch") <= len(data_x):
-        raise ShapeMismatch("batch must be in [1, len(xs)]")
+    _count(batch, "batch", 1, len(data_x), ShapeMismatch)
     eta = _positive(eta, "eta")
     _count(iters, "iters")
     rng = random.Random(seed)

@@ -54,10 +54,8 @@ def _width(a: float, b: float) -> float:
 
 
 def trapezoid_fn(f: Fn, a: float, b: float, n: int) -> float:
-    _count(n, "n")
+    _count(n, "n", 1, err=BadPartition)
     a, b = _checked_float(a, "a"), _checked_float(b, "b")
-    if n < 1:
-        raise BadPartition("need at least one subinterval")
     if not a < b:
         raise BadPartition("need a < b")
     h = _width(a, b) / n
@@ -81,12 +79,10 @@ def trapezoid_samples(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def simpson(f: Fn, a: float, b: float, n: int) -> float:
-    _count(n, "n")
-    a, b = _checked_float(a, "a"), _checked_float(b, "b")
-    if n % 2 != 0:
+    # n >= 1 and even is n >= 2, and n = 1 is named by its parity
+    if _count(n, "n", 1, err=BadPartition) % 2 != 0:
         raise OddPartition("n must be even")
-    if n < 2:
-        raise BadPartition("need at least two subintervals")
+    a, b = _checked_float(a, "a"), _checked_float(b, "b")
     if not a < b:
         raise BadPartition("need a < b")
     h = _width(a, b) / n
@@ -117,9 +113,7 @@ def _legendre_pair(n: int, x: float) -> tuple[float, float]:
 # typed, so that 3.0 is not served the rule cached for 3
 @functools.lru_cache(maxsize=None, typed=True)
 def gauss_rule(n: int) -> GaussRule:
-    _count(n, "order")
-    if not 1 <= n <= _MAX_GAUSS_ORDER:
-        raise BadOrder(f"order must be in [1, {_MAX_GAUSS_ORDER}], got {n}")
+    _count(n, "order", 1, _MAX_GAUSS_ORDER, BadOrder)
     nodes = []
     weights = []
     for i in range(1, n + 1):

@@ -51,7 +51,9 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
 )
-from .ndcore import Vector, _checked_floats, _count, _dims, _finite, _positive, _transpose, _vec
+from .ndcore import (
+    Vector, _checked_float, _checked_floats, _count, _dims, _finite, _positive, _transpose, _vec,
+)
 
 
 class ComplexVec:
@@ -110,7 +112,8 @@ class Image2D:
         self.data = data
 
     def get(self, r: int, c: int) -> float:
-        return self.data[r * self.cols + c]
+        return self.data[_count(r, "row index", 0, self.rows - 1, IndexError) * self.cols
+                         + _count(c, "column index", 0, self.cols - 1, IndexError)]
 
 
 def _image(rows: int, cols: int, data: list[float]) -> Image2D:
@@ -144,11 +147,6 @@ def _from_complex(xs: Sequence[complex]) -> ComplexVec:
 def _require_pow2(n: int) -> None:
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"length {n} is not a power of two")
-
-
-def _require_keep(rows: int, cols: int, keep: int) -> None:
-    if not 1 <= keep <= min(rows, cols):
-        raise BadKeep(f"keep must be in [1, {min(rows, cols)}]")
 
 
 @functools.lru_cache(maxsize=None)
@@ -316,9 +314,7 @@ def ifft(x: ComplexVec) -> ComplexVec:
 
 
 def fft_freqs(n: int, d: float = 1.0) -> list[float]:
-    _count(n, "n")
-    if n < 1:
-        raise ShapeMismatch("need n >= 1")
+    _count(n, "n", 1, err=ShapeMismatch)
     d = _positive(d, "sample spacing", BadCutoff)
     split = (n + 1) // 2
     nd = n * d
@@ -361,11 +357,10 @@ def convolve_fft(f: Sequence[float], g: Sequence[float]) -> Vector:
 
 
 def convolve_circular(f: Sequence[float], g: Sequence[float], n: int) -> Vector:
-    _count(n, "period n")
     a = _vec(f, "f")
     b = _vec(g, "g")
-    if n < max(len(a), len(b)):
-        raise ValueError("period n must cover both inputs")
+    # the period must cover both inputs
+    _count(n, "period n", max(len(a), len(b)))
     out = [0.0] * n
     for i, fi in enumerate(a):
         for j, gj in enumerate(b):
@@ -421,7 +416,7 @@ def lowpass1d(signal: Sequence[float], sample_rate: float, cutoff: float) -> Vec
     n = len(data)
     _require_pow2(n)
     sample_rate = _positive(sample_rate, "sample rate", BadCutoff)
-    if not 0 < cutoff < sample_rate / 2:
+    if not 0 < (cutoff := _checked_float(cutoff, "cutoff")) < sample_rate / 2:
         raise BadCutoff("cutoff must lie in (0, sample_rate/2)")
     half = _rfft_rows(data, 1, n, n // 2 + 1)
     # |fft_freqs(n, d)[k]| is min(k, n - k) / (n * d), non-decreasing in
@@ -438,9 +433,8 @@ def spectral_pool2d(img: Image2D, keep: int) -> Image2D:
     row and the kept columns are transformed forward; the real part is
     the exact inverse of the band's Hermitian part (see _pool_band), so
     no imaginary part is computed on the way back."""
-    _count(keep, "keep")
     rows, cols = img.rows, img.cols
-    _require_keep(rows, cols, keep)
+    _count(keep, "keep", 1, min(rows, cols), BadKeep)
     _require_pow2(rows)
     _require_pow2(cols)
     return _pool_band(_fft2_band(img, keep, keep), rows, cols)
@@ -449,7 +443,7 @@ def spectral_pool2d(img: Image2D, keep: int) -> Image2D:
 def _pool_field(field: Sequence[ComplexVec], keep: int) -> Image2D:
     """spectral_pool2d from the already computed fft2 of the image."""
     rows, cols = len(field), len(field[0])
-    _require_keep(rows, cols, keep)
+    _count(keep, "keep", 1, min(rows, cols), BadKeep)
     band = [list(map(complex, row.re[:keep], row.im[:keep])) for row in field[:keep]]
     return _pool_band(band, rows, cols)
 

@@ -65,6 +65,12 @@ def summation():
     return "compensated" if sum([1.0, 1e100, 1.0, -1e100]) else "plain"
 
 
+# the groups of cases whose bits differ between the two records; every other
+# case holds the same bits in both
+SUM_DEPENDENT = ("sweep.matmul.", "sweep.inv.", "sweep.solve_inverse.", "sweep.det.", "sweep.solve_gauss.",
+                 "sweep.solve_lu.")
+
+
 def record_path():
     return os.path.join(PINS_DIR, f"sum-{summation()}.json")
 

@@ -85,8 +85,9 @@ def test_problem_validation():
     ],
 )
 def test_problem_rejects_non_finite_times(t0, h, t_end):
-    # h = nan used to pass and then fail in the grid's int() conversion
-    with pytest.raises(ValueError, match="must be finite"):
+    # h = nan used to pass and then fail in the grid's int() conversion;
+    # the finiteness gate names the argument
+    with pytest.raises(NonFinite, match="^(t0|h|t_end) is not finite: "):
         dyn.IvpProblem(decay_rhs, t0, (1.0,), h, t_end)
 
 
@@ -160,6 +161,16 @@ def test_rk4_exact_on_polynomial_rhs():
 def test_rk4_zero_rhs_constant():
     tr = solve(dyn.rk4_solve, lambda t, y: [0.0], [5.0], 0.1, 1.0)
     assert all(v == 5.0 for v in tr.component(0))
+
+
+def test_component_rejects_an_index_outside_the_state():
+    # component(2) of a 2-component state once returned component 0 from
+    # the second grid point on
+    tr = solve(dyn.rk4_solve, lambda t, y: [0.0, 0.0], [5.0, 6.0], 0.5, 1.0)
+    assert tr.component(1) == [6.0, 6.0, 6.0]
+    for j in (2, -1):
+        with pytest.raises(IndexError, match=rf"^column index must be in \[0, 1\], got {j}$"):
+            tr.component(j)
 
 
 # stiff problem: explicit blows up, implicit does not

@@ -439,7 +439,7 @@ def test_train_validation():
     p = ml.mlp_init([3, 4, 1], seed=0)
     with pytest.raises(ValueError):
         ml.mlp_train(p, XOR_X, XOR_Y, 0.0, 10)
-    with pytest.raises(ValueError, match="^epochs must be nonnegative$"):
+    with pytest.raises(ValueError, match="^epochs must be >= 0, got -1$"):
         ml.mlp_train(p, XOR_X, XOR_Y, 0.5, -1)
 
 
@@ -448,7 +448,7 @@ def test_counts_must_be_nonnegative_ints(count):
     # a float or str count once reached range() or the comparison and raised
     # a bare TypeError; it is refused before the compiled loop runs
     if count == -1:
-        rule = "must be nonnegative"
+        rule = "must be >= 0, got -1"
     else:
         rule = f"must be an int, got {count!r}"
     p = ml.mlp_init([3, 4, 1], seed=0)
@@ -666,7 +666,7 @@ def test_q_learn_validation():
         ml.q_learn(env, 0.1, 1.0, 0.1, 10, seed=0)
     with pytest.raises(ValueError):
         ml.q_learn(env, 0.1, 0.9, 1.5, 10, seed=0)
-    with pytest.raises(ValueError, match="^episodes must be nonnegative$"):
+    with pytest.raises(ValueError, match="^episodes must be >= 0, got -1$"):
         ml.q_learn(env, 0.1, 0.9, 0.1, -1, seed=0)
 
 
@@ -687,5 +687,5 @@ def test_rollout_start_must_be_a_state(start):
     # a start outside the table has no row of q, and max() of an empty row
     # names no argument
     env = ml.GridEnv.default()
-    with pytest.raises(ValueError, match=rf"^start must be in \[0, 5\), got {start}$"):
+    with pytest.raises(ValueError, match=rf"^start must be in \[0, 4\], got {start}$"):
         ml.greedy_rollout(ml.QTable(Matrix.zeros(5, 2)), env, start=start)

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from desknum import autodiff, dynamics, interp, lindecomp, microlearn, ndcore, optimize, quadrature, roots, spectral
 from desknum.errors import (
+    BadArchitecture,
     BadCutoff,
+    BadKeep,
+    BadOrder,
+    BadPartition,
+    BadRank,
     DivisionByZero,
     EmptyInput,
     NonFinite,
@@ -236,50 +241,75 @@ def _bowl_grad(v):
 
 _X = Matrix(1, 1, [0.5])
 _Q = microlearn.QTable(Matrix.zeros(5, 2))
+_IMG = spectral.Image2D(4, 4, [float(i % 5) for i in range(16)])
 
-# a count argument of each call, given a valid value and then bad ones; each
-# iteration budget of 4 is enough
+# a count argument of each call: (call, name, least, most or None, error
+# outside [least, most]); 4 is a valid value, and each iteration budget of 4
+# is enough
 _COUNTS = {
-    "gauss_rule": quadrature.gauss_rule,
-    "trapezoid_fn": lambda n: quadrature.trapezoid_fn(math.sin, 0.0, 1.0, n),
-    "simpson": lambda n: quadrature.simpson(math.sin, 0.0, 1.0, n),
-    "fft_freqs": spectral.fft_freqs,
-    "convolve_circular": lambda n: spectral.convolve_circular([1.0, 2.0], [3.0], n),
-    "polyfit": lambda k: lindecomp.polyfit([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 5.0, 4.0], k),
-    "pca": lambda k: lindecomp.pca(Matrix(5, 4, [float(i * i % 7) for i in range(20)]), k),
-    "spectral_pool2d": lambda k: spectral.spectral_pool2d(spectral.Image2D(4, 4, [float(i % 5) for i in range(16)]), k),
-    "bisection": lambda k: roots.bisection(lambda x: x - 1.0, 0.0, 2.0, max_iter=k),
-    "newton_scalar": lambda k: roots.newton_scalar(lambda x: x - 1.0, lambda x: 1.0, 0.0, max_iter=k),
-    "secant": lambda k: roots.secant(lambda x: x - 1.0, 0.0, 2.0, max_iter=k),
-    "fixed_point": lambda k: roots.fixed_point(lambda x: 1.0, 0.0, max_iter=k),
-    "newton_system": lambda k: roots.newton_system(_line, None, [0.0], max_iter=k),
-    "broyden": lambda k: roots.broyden(_line, [0.0], max_iter=k),
-    "newton_minimize": lambda k: optimize.newton_minimize(
-        _bowl_grad, lambda v: Matrix.from_rows([[2.0]]), [1.0], max_iter=k),
-    "bfgs_minimize": lambda k: optimize.bfgs_minimize(_bowl, _bowl_grad, [1.0], max_iter=k),
-    "lbfgs_minimize": lambda k: optimize.lbfgs_minimize(_bowl, _bowl_grad, [1.0], max_iter=k),
-    "lbfgs_minimize.memory": lambda k: optimize.lbfgs_minimize(_bowl, _bowl_grad, [1.0], memory=k),
-    "nelder_mead": lambda k: optimize.nelder_mead(_bowl, [0.0], tol=1.0, max_iter=k),
-    "gd_minimize": lambda k: optimize.gd_minimize(_bowl_grad, [1.0], 0.1, k),
-    "solve_iterative": lambda k: lindecomp.solve_iterative(
-        Matrix.identity(1), [1.0], [0.0], "jacobi", lindecomp.IterConfig(max_iter=k)),
-    "mlp_init": lambda k: microlearn.mlp_init([3, k, 1], 0),
-    "mlp_train": lambda k: microlearn.mlp_train(microlearn.mlp_init([1, 1], 0), _X, _X, 0.1, k),
-    "q_learn": lambda k: microlearn.q_learn(microlearn.GridEnv.default(), 0.1, 0.9, 0.1, k, 0),
-    "greedy_rollout.start": lambda k: microlearn.greedy_rollout(_Q, microlearn.GridEnv.default(), start=k),
-    "greedy_rollout.max_steps": lambda k: microlearn.greedy_rollout(
-        _Q, microlearn.GridEnv.default(), max_steps=k),
-    "BatchNormParams.identity": microlearn.BatchNormParams.identity,
-    "HeatProblem.nx": lambda k: dynamics.HeatProblem(0.01, 10.0, k, 100, 1.0, math.sin),
-    "HeatProblem.nt": lambda k: dynamics.HeatProblem(0.01, 10.0, 21, k, 1.0, math.sin),
-    "heat1d_explicit": lambda k: dynamics.heat1d_explicit(
-        dynamics.HeatProblem(0.01, 10.0, 21, 8, 1.0, math.sin), snapshot_every=k),
-    "sgd_linreg.batch": lambda k: optimize.sgd_linreg([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], k, 0.1, 2, 0),
-    "sgd_linreg.iters": lambda k: optimize.sgd_linreg([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 1, 0.1, k, 0),
-    "OptState.zeros": optimize.OptState.zeros,
-    "Schedule.drop_epoch": lambda k: optimize.Schedule("step", 0.1, drop_epoch=k),
-    "Schedule.t0": lambda k: optimize.Schedule("cosine_warm_restarts", 0.1, t0=k),
-    "Schedule.t_mult": lambda k: optimize.Schedule("cosine_warm_restarts", 0.1, t_mult=k),
+    "gauss_rule": (quadrature.gauss_rule, "order", 1, quadrature._MAX_GAUSS_ORDER, BadOrder),
+    "trapezoid_fn": (lambda n: quadrature.trapezoid_fn(math.sin, 0.0, 1.0, n), "n", 1, None, BadPartition),
+    # simpson's least is 1: an even n >= 1 is an n >= 2, and n = 1 raises OddPartition
+    "simpson": (lambda n: quadrature.simpson(math.sin, 0.0, 1.0, n), "n", 1, None, BadPartition),
+    "fft_freqs": (spectral.fft_freqs, "n", 1, None, ShapeMismatch),
+    "convolve_circular": (lambda n: spectral.convolve_circular([1.0, 2.0], [3.0], n), "period n", 2, None,
+                          ValueError),
+    "polyfit": (lambda k: lindecomp.polyfit([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 5.0, 4.0], k),
+                "degree", 0, None, ValueError),
+    "pca": (lambda k: lindecomp.pca(Matrix(5, 4, [float(i * i % 7) for i in range(20)]), k),
+            "component count", 1, 4, BadRank),
+    "spectral_pool2d": (lambda k: spectral.spectral_pool2d(_IMG, k), "keep", 1, 4, BadKeep),
+    "bisection": (lambda k: roots.bisection(lambda x: x - 1.0, 0.0, 2.0, max_iter=k), "max_iter", 0, None,
+                  ValueError),
+    "newton_scalar": (lambda k: roots.newton_scalar(lambda x: x - 1.0, lambda x: 1.0, 0.0, max_iter=k),
+                      "max_iter", 0, None, ValueError),
+    "secant": (lambda k: roots.secant(lambda x: x - 1.0, 0.0, 2.0, max_iter=k), "max_iter", 0, None, ValueError),
+    "fixed_point": (lambda k: roots.fixed_point(lambda x: 1.0, 0.0, max_iter=k), "max_iter", 0, None, ValueError),
+    "newton_system": (lambda k: roots.newton_system(_line, None, [0.0], max_iter=k), "max_iter", 0, None,
+                      ValueError),
+    "broyden": (lambda k: roots.broyden(_line, [0.0], max_iter=k), "max_iter", 0, None, ValueError),
+    "newton_minimize": (lambda k: optimize.newton_minimize(
+        _bowl_grad, lambda v: Matrix.from_rows([[2.0]]), [1.0], max_iter=k), "max_iter", 0, None, ValueError),
+    "bfgs_minimize": (lambda k: optimize.bfgs_minimize(_bowl, _bowl_grad, [1.0], max_iter=k), "max_iter", 0, None,
+                      ValueError),
+    "lbfgs_minimize": (lambda k: optimize.lbfgs_minimize(_bowl, _bowl_grad, [1.0], max_iter=k), "max_iter", 0,
+                       None, ValueError),
+    "lbfgs_minimize.memory": (lambda k: optimize.lbfgs_minimize(_bowl, _bowl_grad, [1.0], memory=k), "memory", 1,
+                              None, ValueError),
+    "nelder_mead": (lambda k: optimize.nelder_mead(_bowl, [0.0], tol=1.0, max_iter=k), "max_iter", 0, None,
+                    ValueError),
+    "gd_minimize": (lambda k: optimize.gd_minimize(_bowl_grad, [1.0], 0.1, k), "iters", 0, None, ValueError),
+    "solve_iterative": (lambda k: lindecomp.solve_iterative(
+        Matrix.identity(1), [1.0], [0.0], "jacobi", lindecomp.IterConfig(max_iter=k)), "max_iter", 1, None,
+        ValueError),
+    "mlp_init": (lambda k: microlearn.mlp_init([3, k, 1], 0), "layer size", 1, None, BadArchitecture),
+    "mlp_train": (lambda k: microlearn.mlp_train(microlearn.mlp_init([1, 1], 0), _X, _X, 0.1, k), "epochs", 0,
+                  None, ValueError),
+    "q_learn": (lambda k: microlearn.q_learn(microlearn.GridEnv.default(), 0.1, 0.9, 0.1, k, 0), "episodes", 0,
+                None, ValueError),
+    "greedy_rollout.start": (lambda k: microlearn.greedy_rollout(_Q, microlearn.GridEnv.default(), start=k),
+                             "start", 0, 4, ValueError),
+    "greedy_rollout.max_steps": (lambda k: microlearn.greedy_rollout(
+        _Q, microlearn.GridEnv.default(), max_steps=k), "max_steps", 0, None, ValueError),
+    "BatchNormParams.identity": (microlearn.BatchNormParams.identity, "n", 0, None, ValueError),
+    "HeatProblem.nx": (lambda k: dynamics.HeatProblem(0.01, 10.0, k, 100, 1.0, math.sin), "nx", 3, None,
+                       ValueError),
+    "HeatProblem.nt": (lambda k: dynamics.HeatProblem(0.01, 10.0, 21, k, 1.0, math.sin), "nt", 1, None,
+                       ValueError),
+    "heat1d_explicit": (lambda k: dynamics.heat1d_explicit(
+        dynamics.HeatProblem(0.01, 10.0, 21, 8, 1.0, math.sin), snapshot_every=k), "snapshot_every", 1, None,
+        ValueError),
+    "sgd_linreg.batch": (lambda k: optimize.sgd_linreg([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], k, 0.1, 2, 0),
+                         "batch", 1, 4, ShapeMismatch),
+    "sgd_linreg.iters": (lambda k: optimize.sgd_linreg([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], 1, 0.1, k, 0),
+                         "iters", 0, None, ValueError),
+    "OptState.zeros": (optimize.OptState.zeros, "n", 0, None, ValueError),
+    "Schedule.drop_epoch": (lambda k: optimize.Schedule("step", 0.1, drop_epoch=k), "drop_epoch", 1, None,
+                            ValueError),
+    "Schedule.t0": (lambda k: optimize.Schedule("cosine_warm_restarts", 0.1, t0=k), "t0", 1, None, ValueError),
+    "Schedule.t_mult": (lambda k: optimize.Schedule("cosine_warm_restarts", 0.1, t_mult=k), "t_mult", 1, None,
+                        ValueError),
+    "lr_at": (lambda k: optimize.lr_at(optimize.Schedule("step", 0.1), k), "t", 0, None, ValueError),
 }
 
 
@@ -290,13 +320,26 @@ def test_counts_that_are_not_integers_raise_value_error(call, bad):
     # wrong error; gauss_rule(4.0) returned the rule cached for 4, mlp_init
     # took int() of each size, and heat1d_explicit(snapshot_every=2.5)
     # recorded 20 snapshots; any numbers.Integral is a count
-    _COUNTS[call](4)
+    make = _COUNTS[call][0]
+    make(4)
     if call == "heat1d_explicit" and bad is None:
         # None is the default of snapshot_every: no snapshots
-        assert _COUNTS[call](None).snapshots == ()
+        assert make(None).snapshots == ()
         return
     with pytest.raises(ValueError, match=f"must be an int, got {bad!r}$"):
-        _COUNTS[call](bad)
+        make(bad)
+
+
+@pytest.mark.parametrize("call", sorted(_COUNTS))
+def test_counts_outside_their_bounds_raise_their_error(call):
+    # a negative budget used to run: sgd_linreg(iters=-1) returned its random
+    # start, greedy_rollout(max_steps=-1) the start alone, and max_iter=-1
+    # raised MaxIterations for not converging in -1 iterations
+    make, what, least, most, err = _COUNTS[call]
+    bound = f">= {least}" if most is None else rf"in \[{least}, {most}\]"
+    for bad in [least - 1] + ([] if most is None else [most + 1]):
+        with pytest.raises(err, match=f"^{what} must be {bound}, got {bad}$"):
+            make(bad)
 
 
 # a parameter of each call that must exceed 0: (call, name, error for <= 0)
@@ -325,6 +368,8 @@ _POSITIVE = {
     "spectrum.sample_spacing": (lambda v: spectral.spectrum(_SIG, v), "sample spacing", BadCutoff),
     "peak_frequency.sample_rate": (lambda v: spectral.peak_frequency(_SIG, v), "sample rate", BadCutoff),
     "lowpass1d.sample_rate": (lambda v: spectral.lowpass1d(_SIG, v, 1.0), "sample rate", BadCutoff),
+    "Schedule.eta0": (lambda v: optimize.Schedule("step", v), "eta0", ValueError),
+    "Schedule.drop_factor": (lambda v: optimize.Schedule("step", 0.1, drop_factor=v), "drop_factor", ValueError),
 }
 _SIG = [0.0, 1.0, 0.0, -1.0]
 
@@ -343,12 +388,66 @@ def test_positive_parameters(call, bad):
             make(bad)
 
 
+# a float argument of each call that an interval bounds, or that Schedule took
+# unchecked: nan fails every comparison, so a nan got the range error or was
+# accepted; the finiteness gate now names it: (call, name)
+_INTERVALS = {
+    "q_learn.alpha": (lambda v: microlearn.q_learn(microlearn.GridEnv.default(), v, 0.9, 0.1, 3, 0), "alpha"),
+    "q_learn.gamma_disc": (lambda v: microlearn.q_learn(microlearn.GridEnv.default(), 0.1, v, 0.1, 3, 0),
+                           "gamma_disc"),
+    "q_learn.eps_explore": (lambda v: microlearn.q_learn(microlearn.GridEnv.default(), 0.1, 0.9, v, 3, 0),
+                            "eps_explore"),
+    "OptConfig.beta": (lambda v: optimize.OptConfig(0.1, beta=v), "beta"),
+    "OptConfig.beta1": (lambda v: optimize.OptConfig(0.1, beta1=v), "beta1"),
+    "OptConfig.beta2": (lambda v: optimize.OptConfig(0.1, beta2=v), "beta2"),
+    "lowpass1d.cutoff": (lambda v: spectral.lowpass1d(_SIG, 8.0, v), "cutoff"),
+    "IvpProblem.t0": (lambda v: dynamics.IvpProblem(lambda t, y: y, v, (1.0,), 0.1, 1.0), "t0"),
+    "IvpProblem.t_end": (lambda v: dynamics.IvpProblem(lambda t, y: y, 0.0, (1.0,), 0.1, v), "t_end"),
+    "Schedule.lam": (lambda v: optimize.Schedule("exponential", 0.1, lam=v), "lam"),
+    "Schedule.eta_min": (lambda v: optimize.Schedule("cosine_warm_restarts", 0.1, eta_min=v), "eta_min"),
+    "Schedule.eta_max": (lambda v: optimize.Schedule("cosine_warm_restarts", 0.1, eta_max=v), "eta_max"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("call", sorted(_INTERVALS))
+def test_interval_arguments_are_gated_for_nan(call, bad):
+    make, what = _INTERVALS[call]
+    with pytest.raises(NonFinite, match=f"^{what} is not finite: {bad!r}$"):
+        make(bad)
+
+
 def test_matrix_accessors():
     m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.get(1, 2) == 6.0
     assert m.row(0) == [1.0, 2.0, 3.0]
     assert m.col(1) == [2.0, 5.0]
     assert Matrix.identity(2).to_rows() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+_M22 = Matrix.from_rows([[1, 2], [3, 4]])
+
+
+# an index outside the shape once read another entry of the row-major data:
+# get(0, 3) returned 4.0, and get(1, -1) 2.0, the last entry of the row above
+@pytest.mark.parametrize("i, j", [(0, 2), (0, 3), (1, -1), (-1, 0), (2, 0)])
+def test_matrix_get_rejects_an_index_outside_the_shape(i, j):
+    with pytest.raises(IndexError, match=r"index must be in \[0, 1\], got -?\d$"):
+        _M22.get(i, j)
+
+
+# row(-1) and row(2) returned [], not a row
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_matrix_row_rejects_an_index_outside_the_shape(i):
+    with pytest.raises(IndexError, match=rf"^row index must be in \[0, 1\], got {i}$"):
+        _M22.row(i)
+
+
+# col(2) returned [3.0], the later entries of column 0, and col(-1) [4.0]
+@pytest.mark.parametrize("j", [-1, 2, 3])
+def test_matrix_col_rejects_an_index_outside_the_shape(j):
+    with pytest.raises(IndexError, match=rf"^column index must be in \[0, 1\], got {j}$"):
+        _M22.col(j)
 
 
 # element-wise ops and reductions

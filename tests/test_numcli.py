@@ -228,6 +228,7 @@ _EXITS = {
     "xor-eta-0": (["xor", "--eta", "0"], {}, 1, "^usage error: "),
     "xor-eta-nan": (["xor", "--eta", "nan"], {}, 2, "^NonFinite: eta is not finite: nan$"),
     "qlearn-alpha-2": (["qlearn", "--alpha", "2"], {}, 1, "^usage error: "),
+    "qlearn-alpha-nan": (["qlearn", "--alpha", "nan"], {}, 2, "^NonFinite: alpha is not finite: nan$"),
     "optimize-negative-eta": (["optimize", "--objective", "bowl2d", "--method", "adam", "--eta", "-1"],
                               {}, 1, "^usage error: "),
     "fft-infinite-freq": (["fft", "--freq", "inf"], {}, 1, "^usage error: "),

@@ -178,7 +178,7 @@ def test_schedule_period_must_grow(t_mult):
     # lr_at multiplies the restart period by t_mult until it passes t, which
     # it never does for t_mult < 1; only the construction runs here, since
     # lr_at would not return on such a schedule
-    with pytest.raises(ValueError, match="^t_mult must be >= 1$"):
+    with pytest.raises(ValueError, match=f"^t_mult must be >= 1, got {t_mult}$"):
         opt.Schedule("cosine_warm_restarts", 0.1, t_mult=t_mult)
     with pytest.raises(ValueError, match="^t_mult must be an int, got 0.5$"):
         opt.Schedule("cosine_warm_restarts", 0.1, t_mult=0.5)

@@ -316,6 +316,16 @@ def test_image2d_rejects_non_int_dimensions(rows, cols):
         Image2D(rows, cols, [0.0, 1.0, 2.0, 3.0])
 
 
+# an index outside the shape once read another pixel: get(0, 3) of a 2x2
+# image returned the pixel at (1, 1)
+@pytest.mark.parametrize("r, c", [(0, 3), (0, 2), (-1, 0), (2, 0)])
+def test_image2d_get_rejects_an_index_outside_the_shape(r, c):
+    img = Image2D(2, 2, [1.0, 2.0, 3.0, 4.0])
+    assert img.get(1, 1) == 4.0
+    with pytest.raises(IndexError, match=r"index must be in \[0, 1\], got -?\d$"):
+        img.get(r, c)
+
+
 # filtering
 
 
