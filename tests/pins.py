@@ -532,6 +532,16 @@ MLP_GATES = {
     # an infinite output delta: every gradient is infinite, and the gate that
     # fires first (last layer, weights before biases) names -inf, not inf
     "gradient_order": (lambda: _net(([[1.0, 1.0]], [0.0, 0.0]), ([[-1.0], [-1.0]], [0.0])), [[1.0]], [[1.7e308]], 0.5),
+    # a last-layer weight of 1e9, offset by its bias, scales the first
+    # layer's deltas to -3e307: their products with inputs of 1e-300 stay
+    # small and their bias gradient's fsum overflows (loss and train stop
+    # earlier, at the squared error)
+    "bias_gradient": (lambda: _net(([[1.0]], [0.0]), ([[1e9]], [-5e8])), [[1e-300]] * 8, [[2e300]] * 8, 0.5),
+    # three weight layers: the last layer's gradients are finite and the
+    # middle layer's finite weight products overflow their fsum, ahead of
+    # its bias gradient and the first layer's
+    "middle_layer": (lambda: _net(([[1.0]], [0.0]), ([[2.0]], [-1.0]), ([[1e300]], [-5e299])), [[0.0]] * 16,
+                     [[-3.2e9]] * 16, 0.5),
     # finite gradients, an overflowing first step
     "update.0": (lambda: _net(([[0.0]], [0.0])), [[1e308], [1e307]], [[1.0], [1.0]], 1e3),
     "update.1": (lambda: _net(([[0.0, 0.0]], [0.0, 0.0]), ([[1.0], [1.0]], [0.0])), [[1e308]], [[1.0]], 100.0),

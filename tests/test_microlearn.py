@@ -517,6 +517,39 @@ def test_gradient_sum_overflow_raises_nonfinite():
             ml.mlp_train(p, x, y, 0.5, 1)
 
 
+def test_bias_gradient_overflow_raises_nonfinite():
+    # a last-layer weight of 1e9, offset by its bias, scales the first
+    # layer's deltas to -3e307: every weight gradient stays finite and the
+    # first layer's bias gradient overflows its fsum. The loss overflows
+    # too, so training stops earlier, at the squared error
+    p = ml.MlpParams(
+        (1, 1, 1), (Matrix.from_rows([[1.0]]), Matrix.from_rows([[1e9]])), (Vector([0.0]), Vector([-5e8]))
+    )
+    x, y = Matrix.from_rows([[1e-300]] * 8), Matrix.from_rows([[2e300]] * 8)
+    with pytest.raises(NonFinite, match="^bias gradient overflows$"):
+        ml.mlp_gradients(p, x, y)
+    with pytest.raises(NonFinite, match="^squared error overflows$"):
+        ml.mlp_train(p, x, y, 0.5, 1)
+
+
+def test_gradient_gates_run_from_the_last_layer():
+    # three weight layers: the last layer's gradients are finite, the middle
+    # layer's weight and bias gradients and the first layer's bias gradient
+    # overflow. The middle layer's weight gradient is named, as it is the
+    # first of them going back, weights before biases
+    p = ml.MlpParams(
+        (1, 1, 1, 1),
+        tuple(Matrix.from_rows([[w]]) for w in (1.0, 2.0, 1e300)),
+        tuple(Vector([b]) for b in (0.0, -1.0, -5e299)),
+    )
+    x, y = Matrix.from_rows([[0.0]] * 16), Matrix.from_rows([[-3.2e9]] * 16)
+    assert math.isfinite(ml.mlp_loss(p, x, y))
+    with pytest.raises(NonFinite, match="^weight gradient overflows$"):
+        ml.mlp_gradients(p, x, y)
+    with pytest.raises(NonFinite, match="^weight gradient overflows$"):
+        ml.mlp_train(p, x, y, 0.5, 1)
+
+
 def test_train_huge_eta_on_xor_saturates_without_overflow():
     # saturated sigmoids give zero gradients, so even eta = 1.7e308 keeps
     # every update finite: this is not an overflow case
