@@ -17,10 +17,15 @@ are the same function, returning early. Activations are sample-major and
 weights row-major, as in `Matrix`. Dot products add their terms left to
 right from 0.0 in input order, the adds builtin sum makes up to CPython
 3.11 (it compensates from 3.12), so the bits are the same on every
-CPython; gradients are fsums over the batch in sample order. Every value
-that leaves an epoch (outputs, loss, gradients, updated parameters) is
-checked where it is formed and raises NonFinite; a traceback through the
-kernel names its file `<mlp 3-4-1>` and shows the generated line.
+CPython. Each sample appends one gradient row, its weight products and
+deltas in parameter order, and each epoch forms every gradient in one
+reduction, an fsum per parameter over the batch in sample order. Every
+value that leaves an epoch (outputs, loss, gradients, updated parameters)
+is checked where it is formed and raises NonFinite. A gradient that fails
+is named as if each layer's gradients were gated in turn, the last layer
+first and its weights before its biases: the failing reduction is replayed
+that way. A traceback through the kernel names its file `<mlp 3-4-1>` and
+shows the generated line.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from math import exp
+from math import exp, isfinite
 from operator import mul, sub
 from typing import Iterable, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
-from .errors import BadArchitecture, ShapeMismatch, TooSmallBatch
+from .errors import BadArchitecture, NonFinite, ShapeMismatch, TooSmallBatch
 from .ndcore import (
     Matrix, Vector, _checked_float, _checked_floats, _count, _finite, _fsum, _fsums, _positive,
 )
@@ -134,9 +139,11 @@ def _source(sizes: Tuple[int, ...]) -> str:
     going back, deltas d{l}_{i}; w{l}_{i}_{j} weighs unit i of layer l into
     unit j of layer l + 1, whose bias is b{l}_{j}. P holds every weight,
     layer by layer, then every bias; each epoch unpacks it into those
-    names. A{l} holds the activations of layer l for the batch, and G{l}
-    and D{l} the products and deltas that the gradients of the weights and
-    biases of layer l sum. Only ints from range() enter the text.
+    names. A{l} holds the activations of layer l for the batch. G holds one
+    row per sample, in the order of P: the weight products a{l}_{i} *
+    d{l+1}_{j} layer by layer, then the deltas. One _fsums over its columns
+    gives every gradient of the epoch; when it raises, _gradient_gates
+    names the failure. Only ints from range() enter the text.
     """
     a, d = ([[f"{c}{l}_{i}" for i in range(n)] for l, n in enumerate(sizes)] for c in "ad")
     w = [[[f"w{l}_{i}_{j}" for j in range(m)] for i in range(k)]
@@ -154,8 +161,7 @@ def _source(sizes: Tuple[int, ...]) -> str:
         "    for _ in range(epochs):",
         f"        {_tuple(chain(*chain(*w), *b))} = P",
     ]
-    for l in layers:
-        src.append(f"        A{l + 1}, G{l}, D{l} = [], [], []")
+    src.append(f"        {_tuple(f'A{l + 1}' for l in layers)} G = {'[], ' * out}[]")
     src.append(f"        for ({_tuple(a[0])}), ({_tuple(targets)}) in pairs:")
     for l, wl in enumerate(w):
         for j, unit in enumerate(a[l + 1]):
@@ -165,32 +171,52 @@ def _source(sizes: Tuple[int, ...]) -> str:
     src += ["            if T is None:", "                continue"]
     for delta, y, t in zip(d[out], a[out], targets):
         src.append(f"            {delta} = scale * ({y} - {t}) * ({y} * (1.0 - {y}))")
-    for l in reversed(layers):
-        src.append(f"            G{l}.append(({_tuple(f'{x} * {dj}' for x in a[l] for dj in d[l + 1])}))")
-        src.append(f"            D{l}.append(({_tuple(d[l + 1])}))")
-        for i, x in enumerate(a[l] if l else ()):
+    for l in reversed(layers[1:]):
+        for i, x in enumerate(a[l]):
             dot = _sum([f"{dj} * {wij}" for dj, wij in zip(d[l + 1], w[l][i])])
             src.append(f"            d{l}_{i} = {dot} * ({x} * (1.0 - {x}))")
+    # the sample's gradient row, in the order of P
+    products = (f"{x} * {dj}" for l in layers for x in a[l] for dj in d[l + 1])
+    src.append(f"            G.append(({_tuple(chain(products, *d[1:]))}))")
+    slices = [f"[{i}:{j}]" for i, j in zip(ends, ends[1:])]
     src += [
         # a NaN pre-activation reaches every later unit of its sample
-        f'        _finite(A{out}, "network output")',
+        f"        if not all(map(isfinite, A{out})):",
+        f'            _finite(A{out}, "network output")',
         "        if T is None:",
         f"            return [{_tuple(f'A{l + 1}' for l in layers)}]",
         "        if eta is not None:",
         f"            history.append(_mse(A{out}, T))",
-    ]
-    for l in reversed(layers):
-        # each gradient an fsum over the batch, checked before the next runs
-        src.append(f'        gw{l} = _fsums(zip(*G{l}), "weight gradient")')
-        src.append(f'        gb{l} = _fsums(zip(*D{l}), "bias gradient")')
-    src += [
+        # one fsum per parameter over the batch; a failure is named by the
+        # gates that ran one layer at a time
+        "        try:",
+        '            g = _fsums(zip(*G), "gradient")',
+        "        except NonFinite:",
+        f"            _gradient_gates(G, ({_tuple(map(str, ends))}))",
+        "            raise",
         "        if eta is None:",
-        f"            return [{_tuple(f'gw{l}' for l in layers)}], [{_tuple(f'gb{l}' for l in layers)}]",
-        f"        P = tuple(map(sub, P, map(mul, repeat(eta), chain({_tuple(f'g{c}{l}' for c in 'wb' for l in layers)}))))",
-        '        _finite(P, "updated parameters")',
-        f"    return [{_tuple(f'P[{i}:{j}]' for i, j in zip(ends, ends[1:]))}], history",
+        f"            return [{_tuple(f'g{s}' for s in slices[:out])}], [{_tuple(f'g{s}' for s in slices[out:])}]",
+        "        P = tuple(map(sub, P, map(mul, repeat(eta), g)))",
+        "        if not all(map(isfinite, P)):",
+        '            _finite(P, "updated parameters")',
+        f"    return [{_tuple(f'P{s}' for s in slices)}], history",
     ]
     return "\n".join(src) + "\n"
+
+
+def _gradient_gates(G: List[tuple], ends: Tuple[int, ...]) -> None:
+    """Raise the NonFinite of the first gradient that fails going back: the
+    weights of the last layer, then its biases, then the layer before. G
+    holds one gradient row per sample, and ends the bounds of each layer's
+    weights and then biases within a row, as in P."""
+    columns = list(zip(*G))
+    layers = len(ends) // 2
+    try:
+        for l in reversed(range(layers)):
+            _fsums(columns[ends[l]:ends[l + 1]], "weight gradient")
+            _fsums(columns[ends[layers + l]:ends[layers + l + 1]], "bias gradient")
+    except NonFinite as exc:
+        raise exc from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,7 +226,10 @@ def _kernel(sizes: Tuple[int, ...]):
     mlp(W, B, X) returns the activations of every layer after the inputs,
     mlp(W, B, X, T) the weight and bias gradients, and mlp(W, B, X, T, eta,
     epochs) the weights and then the biases of each layer after that many
-    steps, with the loss before each step. W and B are lists of the
+    steps, with the loss before each step. Each epoch sums all its
+    gradients in one reduction over the samples' gradient rows; a
+    non-finite one raises the NonFinite of the per-layer gates, last layer
+    first, weights before biases. W and B are lists of the
     row-major weights and of the biases, X and T the sample-major inputs
     and targets. The source is kept in linecache under its file name, so
     that a traceback shows the line. The cache holds one function and its

@@ -236,9 +236,12 @@ def test_features_checked_by_loss_gradients_and_train():
 
 # the compiled kernel against the per-sample, per-unit formulas written
 # out: every dot product folds its products left to right from 0.0 in input
-# order (builtin sum up to CPython 3.11, which compensates from 3.12) and
-# every gradient is an fsum over the batch in sample order, so the two must
-# agree to the last bit on any CPython
+# order (builtin sum up to CPython 3.11, which compensates from 3.12). The
+# kernel appends one gradient row per sample, in parameter order, and sums
+# all of them in one reduction per epoch, an fsum per parameter over the
+# batch in sample order; fsum is correctly rounded, so the sums equal the
+# per-layer ones below, and the two must agree to the last bit on any
+# CPython
 
 
 def _dot(terms):
