@@ -53,6 +53,7 @@ from .ndcore import (
     _norm2,
     _norm_inf,
     _positive,
+    _trusted,
     _vec,
 )
 
@@ -181,8 +182,9 @@ def _lu_rows(rows: list[list[float]]):
 def lu(a: Matrix) -> LuFactors:
     """Partially pivoted P*A = L*U in left-looking Crout order, unit-diagonal L."""
     _require_square(a, "lu")
+    # _lu_rows has checked U, which every non-finite L entry reaches
     lrows, urows, perm, sign = _lu_rows(a.to_rows())
-    return LuFactors(Matrix.from_rows(lrows), Matrix.from_rows(urows), perm, sign)
+    return LuFactors(_trusted(lrows), _trusted(urows), perm, sign)
 
 
 def _forward_substitute(lo: list[list[float]], b: list[float]) -> list[float]:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from numbers import Integral
 from operator import add, mul, sub, truediv
 from typing import Iterable, Sequence, Union
@@ -223,6 +223,16 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.to_rows()!r})"
+
+
+def _trusted(rows: list[list[float]]) -> Matrix:
+    """Matrix of rows already checked as equal-length lists of finite
+    floats, stored without a second pass through the constructor's checks."""
+    m = Matrix.__new__(Matrix)
+    m.rows = len(rows)
+    m.cols = len(rows[0])
+    m.data = list(chain.from_iterable(rows))
+    return m
 
 
 class Vector:
