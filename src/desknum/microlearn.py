@@ -188,7 +188,7 @@ def _source(sizes: Tuple[int, ...]) -> str:
         "        if eta is not None:",
         f"            history.append(_mse(A{out}, T))",
         # one fsum per parameter over the batch; a failure is named by the
-        # gates that ran one layer at a time
+        # per-layer gates, replayed in their order
         "        try:",
         '            g = _fsums(zip(*G), "gradient")',
         "        except NonFinite:",
