@@ -19,7 +19,7 @@ import sys
 from itertools import accumulate, repeat
 from operator import add, mul, sub, truediv
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import (
     dynamics,
@@ -61,10 +61,10 @@ def _fmt_cell(v) -> str:
     return format(f, ".17g")
 
 
-def write_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> bytes:
-    """Comma-separated table, newline line ends, 17 significant digits."""
-    width = len(headers)
-    lines = [",".join(str(h) for h in headers)]
+def _csv(first: str, rows: Iterable[Sequence], width: int) -> bytes:
+    """The line `first`, then each row of `width` cells comma-separated with
+    17 significant digits; newline line ends."""
+    lines = [first]
     for row in rows:
         if len(row) != width:
             raise MalformedCsv(
@@ -72,6 +72,11 @@ def write_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> bytes:
             )
         lines.append(",".join(_fmt_cell(v) for v in row))
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def write_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> bytes:
+    """Comma-separated table, newline line ends, 17 significant digits."""
+    return _csv(",".join(str(h) for h in headers), rows, len(headers))
 
 
 def _ascii_lines(data: bytes, what: str, first: str) -> List[str]:
@@ -105,10 +110,7 @@ def read_csv(data: bytes) -> Tuple[List[str], List[List[float]]]:
 
 def write_matrix_csv(m: Matrix) -> bytes:
     """Dimensions line `r,c`, then one CSV row per matrix row."""
-    lines = [f"{m.rows},{m.cols}"]
-    for i in range(m.rows):
-        lines.append(",".join(_fmt_cell(v) for v in m.row(i)))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return _csv(f"{m.rows},{m.cols}", m.to_rows(), m.cols)
 
 
 def read_matrix_csv(data: bytes) -> Matrix:
