@@ -362,7 +362,7 @@ def solve_iterative(
     method: str = "jacobi",
     cfg: IterConfig = IterConfig(),
 ) -> tuple[Vector, IterReport]:
-    """Iterate until the step (or residual) drops below cfg.tol.
+    """Iterate until the step (or residual) drops strictly below cfg.tol.
 
     Never raises on slow convergence: the report carries converged=False
     when the budget runs out.

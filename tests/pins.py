@@ -15,8 +15,8 @@ same in both.
 `python tests/pins.py` re-records the file for the running interpreter and
 prints each moved value: case, index, old and new hex, distance in ulps. A
 change that moves bits on purpose commits the re-recorded file; that diff is
-its declaration. Only the standard library and desknum are imported, so the
-corpus records and runs where numpy and pytest are missing.
+its declaration. Only the standard library, desknum and the suite's own
+oracles are imported, so the corpus records and runs where pytest is missing.
 """
 
 import contextlib
@@ -28,7 +28,6 @@ import os
 import random
 import struct
 import sys
-from fractions import Fraction
 from operator import add, mul, sub, truediv
 
 if __name__ == "__main__":
@@ -42,6 +41,8 @@ from desknum import ndcore as nd
 from desknum import optimize as opt
 from desknum.ndcore import Matrix, Vector
 from desknum.spectral import ComplexVec, Image2D
+
+import oracles
 
 PINS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins")
 
@@ -149,6 +150,10 @@ def uniform_rows(rng, m, n):
     return [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(m)]
 
 
+def gauss_rows(rng, m, n):
+    return [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(m)]
+
+
 def spd_rows(rng, n):
     b = uniform_rows(rng, n, n)
     return [[math.fsum(map(mul, bi, bj)) + n * (i == j) for j, bj in enumerate(b)] for i, bi in enumerate(b)]
@@ -156,16 +161,8 @@ def spd_rows(rng, n):
 
 def real_spectrum_rows(rng, n):
     # P diag(d) P^-1 in exact rationals, for a diagonally dominant integer P
-    p = [[Fraction(rng.randint(-2, 2) + 6 * (i == j)) for j in range(n)] for i in range(n)]
-    d = rng.sample(range(-9, 10), n)
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(p)]
-    for k in range(n):
-        aug[k] = [x / aug[k][k] for x in aug[k]]
-        for i in range(n):
-            if i != k:
-                aug[i] = [x - aug[i][k] * y for x, y in zip(aug[i], aug[k])]
-    pinv = [row[n:] for row in aug]
-    return [[float(sum(p[i][k] * d[k] * pinv[k][j] for k in range(n))) for j in range(n)] for i in range(n)]
+    p = [[rng.randint(-2, 2) + 6 * (i == j) for j in range(n)] for i in range(n)]
+    return oracles.similar(p, rng.sample(range(-9, 10), n))
 
 
 def scaled_rows(rows, s):

@@ -11,8 +11,8 @@ gradient descent in item 9.
 
 import math
 import random
+from operator import mul
 
-import numpy as np
 import pytest
 
 from desknum import dynamics, interp, lindecomp, microlearn, ndcore
@@ -20,6 +20,8 @@ from desknum import numcli, optimize, quadrature, roots, spectral
 from desknum.errors import NonFinite, NotSpd, Singular, Unstable
 from desknum.ndcore import Matrix, Vector, matmul
 from desknum.spectral import ComplexVec, Image2D
+
+import oracles
 
 A22 = Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
 
@@ -108,12 +110,8 @@ def test_c03_linear_solvers():
 
 def _align_columns_to(got, want):
     # flip each column's sign to best match the target before comparing
-    out = np.array(got, dtype=float).copy()
-    want = np.array(want, dtype=float)
-    for j in range(out.shape[1]):
-        if float(out[:, j] @ want[:, j]) < 0.0:
-            out[:, j] = -out[:, j]
-    return out, want
+    signs = [-1.0 if math.fsum(map(mul, g, w)) < 0.0 else 1.0 for g, w in zip(zip(*got), zip(*want))]
+    return [[s * v for s, v in zip(signs, row)] for row in got]
 
 
 def test_c04_eigen_svd_pca():
@@ -132,29 +130,28 @@ def test_c04_eigen_svd_pca():
     close(res.sigma[1], math.sqrt(10.0), 1e-6)
 
     x_rows = [[2.5, 2.4, 1.2], [0.5, 0.7, 0.8], [2.2, 2.9, 1.1]]
-    got = np.array(lindecomp.pca(Matrix.from_rows(x_rows), 2).to_rows())
-    # independent oracle: eigendecomposition of the sample covariance
-    xc = np.array(x_rows) - np.mean(x_rows, axis=0)
-    lam, vec = np.linalg.eigh(xc.T @ xc / 2.0)
-    order = np.argsort(lam)[::-1][:2]
-    oracle = xc @ vec[:, order]
-    aligned, oracle = _align_columns_to(got, oracle)
-    assert np.max(np.abs(aligned - oracle)) <= 1e-9
+    got = lindecomp.pca(Matrix.from_rows(x_rows), 2).to_rows()
+    # independent oracle: the principal axes of the exact centered data
+    oracle = oracles.pca(x_rows, 2)
+    assert oracles.max_diff(_align_columns_to(got, oracle), oracle) <= 1e-9
     # golden projection, up to column sign. With n = 3 samples the centered
     # data has rank 2, so two components keep every row and the projected
     # rows must reproduce the centered Gram matrix Xc Xc^T exactly (total
-    # sum of squares 761/150). That invariant pins the table without numpy:
-    # a mistyped golden, or one from a different scaling convention, fails it
-    # (1e-9 on the golden allows for its rounding to ten decimals).
-    golden = np.array([
+    # sum of squares 761/150). That invariant pins the table without an
+    # eigensolver: a mistyped golden, or one from a different scaling
+    # convention, fails it (1e-9 on the golden allows for its rounding to ten
+    # decimals).
+    golden = [
         [0.8300261681, 0.2942993642],
         [-1.8070180390, -0.0155358329],
         [0.9769918709, -0.2787635313],
-    ])
-    assert np.max(np.abs(golden @ golden.T - xc @ xc.T)) <= 1e-9
-    assert np.max(np.abs(got @ got.T - xc @ xc.T)) <= 1e-10
-    aligned, want = _align_columns_to(got, golden)
-    assert np.max(np.abs(aligned - want)) <= 1e-8
+    ]
+    x = oracles.exact(x_rows)
+    xc = [[v - sum(col) / 3 for v, col in zip(row, zip(*x))] for row in x]
+    gram = oracles.matmul(xc, oracles.transpose(xc))
+    assert oracles.max_diff(oracles.matmul(golden, oracles.transpose(golden)), gram) <= 1e-9
+    assert oracles.max_diff(oracles.matmul(got, oracles.transpose(got)), gram) <= 1e-10
+    assert oracles.max_diff(_align_columns_to(got, golden), golden) <= 1e-8
 
 
 def _estimated_order(errors):

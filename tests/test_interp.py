@@ -2,8 +2,8 @@
 
 import math
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +16,13 @@ from desknum.errors import (
     UnsortedKnots,
 )
 
+import oracles
+
 
 def vandermonde_eval(xs, ys, x):
-    """Oracle: solve the Vandermonde system with numpy and evaluate."""
-    v = np.vander(np.asarray(xs, dtype=float), increasing=False)
-    coeff = np.linalg.solve(v, np.asarray(ys, dtype=float))
-    return float(np.polyval(coeff, x))
+    """Oracle: solve the Vandermonde system exactly and evaluate, rounded once."""
+    coeff = oracles.solve([[Fraction(xi) ** k for k in range(len(xs))] for xi in xs], ys)
+    return float(sum(c * Fraction(x) ** k for k, c in enumerate(coeff)))
 
 
 def separated_knots(rng, count, lo=-5.0, hi=5.0, min_gap=0.25):

@@ -3,9 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from operator import mul
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,22 +21,30 @@ from desknum.errors import (
 )
 from desknum.ndcore import Matrix, Vector, matmul, transpose
 
+import oracles
+import pins
+from pins import gauss_rows
+
 EPS = math.ulp(1.0)
 A22 = Matrix.from_rows([[1, 2], [3, 4]])
 SINGULAR3 = Matrix.from_rows([[1, 2, 3], [2, 3, 4], [3, 4, 5]])
 
 
 def mat_close(m: Matrix, want, tol):
-    w = np.asarray(want, dtype=float)
-    got = np.array(m.to_rows())
-    assert got.shape == w.shape
-    assert np.max(np.abs(got - w)) <= tol, (got, w)
+    got = m.to_rows()
+    assert oracles.max_diff(got, want) <= tol, (got, want)
 
 
-def rand_spd(rng, n, shift=None):
-    b = rng.standard_normal((n, n))
-    a = b @ b.T + (shift if shift is not None else n) * np.eye(n)
-    return Matrix.from_rows(a.tolist())
+def gauss_spd(rng, n, shift):
+    """B B^T + shift I for a Gaussian B, rounded once."""
+    b = gauss_rows(rng, n, n)
+    return oracles.rounded(
+        [[x + shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(oracles.matmul(b, oracles.transpose(b)))]
+    )
+
+
+def rand_spd(rng, n):
+    return Matrix.from_rows(gauss_spd(rng, n, n))
 
 
 # direct solves
@@ -75,10 +81,10 @@ def test_singular_system_raises():
 
 
 def test_all_methods_agree_on_random_spd():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(20):
         a = rand_spd(rng, 5)
-        b = rng.standard_normal(5).tolist()
+        b = [rng.gauss(0.0, 1.0) for _ in range(5)]
         sols = [
             ld.solve_direct(a, b, m).data
             for m in ("gauss", "lu", "qr", "cholesky", "inverse")
@@ -86,16 +92,8 @@ def test_all_methods_agree_on_random_spd():
         for s in sols[1:]:
             assert max(abs(u - v) for u, v in zip(s, sols[0])) <= 1e-7
         bn = max(abs(v) for v in b)
-        arr = np.array(a.to_rows())
-        res = np.max(np.abs(arr @ np.array(sols[0]) - np.array(b)))
+        res = oracles.max_abs([oracles.residual(a.to_rows(), sols[0], b)])
         assert res <= 1e-8 * (1 + bn)
-
-
-def backward_error(rows, x, b) -> float:
-    # |b - A x|_inf / (|A|_inf |x|_inf + |b|_inf), the residual computed exactly
-    r = [Fraction(bi) - sum(map(mul, map(Fraction, row), map(Fraction, x))) for row, bi in zip(rows, b)]
-    norm_a = max(math.fsum(map(abs, row)) for row in rows)
-    return float(max(map(abs, r))) / (norm_a * max(map(abs, x)) + max(map(abs, b)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -109,14 +107,12 @@ def test_solve_direct_backward_error_property(n, method, scale, seed):
     # every direct route is normwise backward stable on these inputs: the
     # worst over 3,000 seeds was 1.8 n eps (inverse), 0.7 (cholesky), 0.5
     # (qr) and 0.24 (gauss, lu)
-    rng = np.random.default_rng(seed)
-    arr = rng.standard_normal((n, n))
-    if method == "cholesky":
-        arr = arr @ arr.T + n * np.eye(n)
-    rows = (arr * scale).tolist()
-    b = (rng.standard_normal(n) * scale).tolist()
+    rng = random.Random(seed)
+    arr = gauss_spd(rng, n, n) if method == "cholesky" else gauss_rows(rng, n, n)
+    rows = [[x * scale for x in row] for row in arr]
+    b = [rng.gauss(0.0, 1.0) * scale for _ in range(n)]
     x = ld.solve_direct(Matrix.from_rows(rows), b, method).data
-    assert backward_error(rows, x, b) <= 4 * n * EPS
+    assert oracles.backward_error(rows, x, b) <= 4 * n * EPS
 
 
 def test_solve_shape_errors():
@@ -135,14 +131,13 @@ def test_lu_identity_and_reconstruction():
     assert f.u.to_rows() == Matrix.identity(3).to_rows()
     assert f.perm == [0, 1, 2] and f.sign == 1
 
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     for _ in range(20):
-        arr = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-        a = Matrix.from_rows(arr.tolist())
+        arr = [[x + 5 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gauss_rows(rng, 5, 5))]
+        a = Matrix.from_rows(arr)
         f = ld.lu(a)
-        pa = np.array(a.to_rows())[f.perm]
-        rec = np.array(f.l.to_rows()) @ np.array(f.u.to_rows())
-        assert np.max(np.abs(pa - rec)) <= 1e-9
+        pa = [a.to_rows()[p] for p in f.perm]
+        assert oracles.max_diff(pa, oracles.matmul(f.l.to_rows(), f.u.to_rows())) <= 1e-9
         assert all(f.l.get(i, i) == 1.0 for i in range(5))
 
 
@@ -150,28 +145,29 @@ def test_qr_golden_diag_magnitudes():
     a = Matrix.from_rows([[12, -51, 4], [6, 167, -68], [-4, 24, -41]])
     f = ld.qr(a)
     diag = sorted(abs(f.r.get(i, i)) for i in range(3))
-    assert np.allclose(diag, [14, 35, 175], atol=1e-9)
+    assert oracles.allclose(diag, [14, 35, 175], atol=1e-9)
+
+
+def below_diagonal(r):
+    return [x for i, row in enumerate(r) for x in row[:i]]
 
 
 def test_qr_invariants_random():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(20):
-        arr = rng.standard_normal((4, 4))
-        f = ld.qr(Matrix.from_rows(arr.tolist()))
-        q = np.array(f.q.to_rows())
-        r = np.array(f.r.to_rows())
-        assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-9
-        assert np.max(np.abs(q @ r - arr)) <= 1e-9
-        assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
+        arr = gauss_rows(rng, 4, 4)
+        f = ld.qr(Matrix.from_rows(arr))
+        q, r = f.q.to_rows(), f.r.to_rows()
+        assert oracles.max_abs(oracles.gram_defect(q)) <= 1e-9
+        assert oracles.max_diff(oracles.matmul(q, r), arr) <= 1e-9
+        assert max(map(abs, below_diagonal(r))) <= 1e-12
 
 
 def check_qr(arr, f):
-    q = np.array(f.q.to_rows())
-    r = np.array(f.r.to_rows())
-    n = len(arr)
-    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
-    assert np.max(np.abs(q @ r - np.asarray(arr, dtype=float))) <= 1e-12 * max(1.0, np.max(np.abs(arr)))
-    assert np.all(np.tril(r, -1) == 0.0)
+    q, r = f.q.to_rows(), f.r.to_rows()
+    assert oracles.max_abs(oracles.gram_defect(q)) <= 1e-12
+    assert oracles.max_diff(oracles.matmul(q, r), arr) <= 1e-12 * max(1.0, oracles.max_abs(arr))
+    assert all(x == 0.0 for x in below_diagonal(r))
 
 
 @pytest.mark.parametrize(
@@ -194,18 +190,19 @@ def test_qr_and_qr_solve_at_extreme_scales(scale):
     # from 1e160 up (ValueError from fsum), and at 1e-150 and below v^T v or
     # |x| fell under the absolute 1e-300 guards, so reflectors were skipped
     # and R was not triangular
-    arr = scale * np.array([[2.0, 1.0, -1.0], [1.0, -3.0, 2.0], [-1.0, 2.0, 4.0]])
-    a = Matrix.from_rows(arr.tolist())
+    arr = [[scale * x for x in row] for row in [[2.0, 1.0, -1.0], [1.0, -3.0, 2.0], [-1.0, 2.0, 4.0]]]
+    a = Matrix.from_rows(arr)
     f = ld.qr(a)
-    q, r = np.array(f.q.to_rows()), np.array(f.r.to_rows())
-    q_np, r_np = np.linalg.qr(arr)
-    signs = np.sign(np.diag(r)) * np.sign(np.diag(r_np))
-    assert np.max(np.abs(q * signs - q_np)) <= 1e-14
-    assert np.max(np.abs(r * signs[:, None] - r_np)) <= 1e-14 * scale
-    assert np.all(np.tril(r, -1) == 0.0)
-    x = np.array(ld.solve_direct(a, [1.0, 2.0, 3.0], "qr").data)
-    want = np.linalg.solve(arr, [1.0, 2.0, 3.0])
-    assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+    q, r = f.q.to_rows(), f.r.to_rows()
+    # the oracle's R has a positive diagonal
+    q_ref, r_ref = oracles.qr(arr)
+    signs = [math.copysign(1.0, r[i][i]) for i in range(3)]
+    assert oracles.max_diff([[x * s for x, s in zip(row, signs)] for row in q], q_ref) <= 1e-14
+    assert oracles.max_diff([[x * s for x in row] for row, s in zip(r, signs)], r_ref) <= 1e-14 * scale
+    assert all(x == 0.0 for x in below_diagonal(r))
+    x = ld.solve_direct(a, [1.0, 2.0, 3.0], "qr").data
+    want = [float(v) for v in oracles.solve(arr, [1.0, 2.0, 3.0])]
+    assert max(abs(u - v) for u, v in zip(x, want)) <= 1e-14 * max(map(abs, want))
 
 
 def test_one_by_one_householder_paths():
@@ -313,11 +310,9 @@ def test_det_goldens():
 
 
 def test_det_multiplicative():
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     for _ in range(20):
-        a = rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4))
-        ma, mb = Matrix.from_rows(a.tolist()), Matrix.from_rows(b.tolist())
+        ma, mb = Matrix.from_rows(gauss_rows(rng, 4, 4)), Matrix.from_rows(gauss_rows(rng, 4, 4))
         lhs = ld.det(matmul(ma, mb))
         rhs = ld.det(ma) * ld.det(mb)
         assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
@@ -330,12 +325,11 @@ def test_inv_golden():
 
 
 def test_inv_roundtrip_random():
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for _ in range(20):
-        arr = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        a = Matrix.from_rows(arr.tolist())
+        a = Matrix.from_rows([[x + 4 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gauss_rows(rng, 4, 4))])
         prod = matmul(a, ld.inv(a))
-        mat_close(prod, np.eye(4), 1e-8)
+        mat_close(prod, Matrix.identity(4).to_rows(), 1e-8)
 
 
 # iterative solves
@@ -397,11 +391,44 @@ def test_iterative_errors():
         ld.solve_iterative(Matrix.from_rows([[1, 2], [2, 1]]), [1, -1], [0, 0], "cg")
 
 
+@pytest.mark.parametrize("method", ["jacobi", "gauss_seidel"])
+def test_step_exactly_at_tol_does_not_converge(method):
+    # one sweep from 0 moves each entry by exactly 1.0 and leaves the
+    # residual at 2.0: neither is below tol = 1.0
+    x, rep = ld.solve_iterative(Matrix.from_rows([[1, 2], [2, 1]]), [1, 1], [0, 0], method, ld.IterConfig(1.0, 1))
+    assert max(map(abs, x)) == 1.0
+    assert (rep.iterations, rep.residual, rep.converged) == (1, 2.0, False)
+
+
+def test_cg_step_exactly_at_tol_does_not_converge():
+    # one step on diag(1, 3) moves x by exactly 0.5 = tol, and the scaled
+    # residual sits exactly at its own tol
+    x, rep = ld.solve_iterative(Matrix.from_rows([[1, 0], [0, 3]]), [1, 1], [0, 0], "cg", ld.IterConfig(0.5, 1))
+    assert x.data == [0.5, 0.5]
+    assert (rep.iterations, rep.converged) == (1, False)
+
+
+def test_real_schur_stops_at_its_sweep_budget(monkeypatch):
+    # the budget is 300 n + 60 sweeps; this 5x5 exhausts it
+    rows = pins._budget_draw()
+    calls = []
+    sweep = ld._qr_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(ld, "_qr_sweep", counted)
+    with pytest.raises(NoConvergence, match="sweep budget"):
+        ld.eig(Matrix.from_rows(rows))
+    assert len(rows) == 5 and len(calls) == 300 * 5 + 60
+
+
 def test_cg_random_spd_eight_iterations():
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     for _ in range(10):
         a = rand_spd(rng, 8)
-        b = rng.standard_normal(8).tolist()
+        b = [rng.gauss(0.0, 1.0) for _ in range(8)]
         x, rep = ld.solve_iterative(
             a, b, [0.0] * 8, "cg", ld.IterConfig(tol=1e-9, max_iter=100)
         )
@@ -434,13 +461,9 @@ def test_cg_solves_systems_far_from_unit_scale():
 
 
 def eig_residual(a: Matrix, res: ld.EigResult) -> float:
-    arr = np.array(a.to_rows())
-    vecs = np.array(res.vectors.to_rows())
-    worst = 0.0
-    for j, lam in enumerate(res.values):
-        v = vecs[:, j]
-        worst = max(worst, np.max(np.abs(arr @ v - lam * v)) / (1 + abs(lam)))
-    return worst
+    # max over j of |A v_j - lam_j v_j|_inf / (1 + |lam_j|), the residual exact
+    r = oracles.eigen_residual(a.to_rows(), res.vectors.to_rows(), res.values)
+    return max(float(max(map(abs, col))) / (1 + abs(lam)) for col, lam in zip(zip(*r), res.values))
 
 
 def test_eig_goldens_2x2():
@@ -451,15 +474,14 @@ def test_eig_goldens_2x2():
     ]
     for rows, want in cases:
         res = ld.eig(Matrix.from_rows(rows))
-        assert np.allclose(res.values, want, rtol=0, atol=1e-8)
+        assert oracles.allclose(res.values, want, rtol=0, atol=1e-8)
         assert eig_residual(Matrix.from_rows(rows), res) <= 1e-9
 
 
 def test_eig_identity():
     res = ld.eig(Matrix.identity(3))
     assert res.values == [1.0, 1.0, 1.0]
-    vecs = np.array(res.vectors.to_rows())
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) <= 1e-15
+    assert oracles.max_abs(oracles.gram_defect(res.vectors.to_rows())) <= 1e-15
     # upper triangular: the Hessenberg reduction skips its zero column
     a = Matrix.from_rows([[1, 2, 3], [0, 4, 5], [0, 0, 6]])
     res = ld.eig(a)
@@ -468,39 +490,37 @@ def test_eig_identity():
 
 
 def test_eig_symmetric_trace_det_and_oracle():
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     for _ in range(10):
-        b = rng.standard_normal((5, 5))
-        arr = (b + b.T) / 2
-        a = Matrix.from_rows(arr.tolist())
+        arr = random_symmetric(rng, 5, "plain")
+        a = Matrix.from_rows(arr)
         res = ld.eig(a)
         assert sorted(res.values, reverse=True) == res.values
-        assert abs(math.fsum(res.values) - np.trace(arr)) <= 1e-13
+        assert abs(math.fsum(res.values) - math.fsum(arr[i][i] for i in range(5))) <= 1e-13
         d = ld.det(a)
         prod = math.prod(res.values)
         assert abs(prod - d) <= 1e-13 * max(1.0, abs(d))
-        want = np.sort(np.linalg.eigvalsh(arr))[::-1]
-        assert np.allclose(res.values, want, rtol=0, atol=1e-13)
+        # every eigenvalue within 1e-13 of the exact spectrum
+        assert oracles.symmetric_eigen_bound(arr, res.vectors.to_rows(), res.values) <= 1e-13
         assert eig_residual(a, res) <= 1e-13
 
 
 def random_real_spectrum(rng, n):
-    # P diag(d) P^-1 with distinct real d, |d| >= 0.5: the Hessenberg
-    # reduction does real work
-    p = np.eye(n) + 0.4 * rng.standard_normal((n, n))
-    d = rng.permutation(np.arange(1, n + 1)) * 1.5 - 4.0 + 0.1 * rng.uniform(size=n)
-    return p @ np.diag(d) @ np.linalg.inv(p)
+    """P diag(d) P^-1, exact and rounded once, with distinct real d, |d| >=
+    0.5, so that the Hessenberg reduction does real work; and d, sorted
+    decreasing, as the oracle."""
+    p = [[(i == j) + 0.4 * rng.gauss(0.0, 1.0) for j in range(n)] for i in range(n)]
+    d = [k * 1.5 - 4.0 + 0.1 * rng.random() for k in rng.sample(range(1, n + 1), n)]
+    return oracles.similar(p, d), sorted(d, reverse=True)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_eig_nonsymmetric_real_spectrum_against_numpy(n):
-    arr = random_real_spectrum(np.random.default_rng(40 + n), n)
-    a = Matrix.from_rows(arr.tolist())
+    arr, want = random_real_spectrum(random.Random(40 + n), n)
+    a = Matrix.from_rows(arr)
     res = ld.eig(a)
-    want = np.sort(np.linalg.eigvals(arr).real)[::-1]
-    assert np.allclose(res.values, want, rtol=0, atol=1e-8 * np.max(np.abs(arr)))
-    vecs = np.array(res.vectors.to_rows())
-    assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
+    assert oracles.allclose(res.values, want, rtol=0, atol=1e-8 * oracles.max_abs(arr))
+    assert oracles.allclose(oracles.unit_defects(res.vectors.to_rows()), 0.0, atol=1e-12)
     assert eig_residual(a, res) <= 1e-8
 
 
@@ -516,9 +536,8 @@ def test_eig_complex_spectrum_raises():
 
 @pytest.mark.parametrize("call", [ld.svd, ld.eig], ids=["svd", "eig_sym"])
 def test_jacobi_sweep_budget_exhausted_raises(call, monkeypatch):
-    rng = np.random.default_rng(7)
-    b = rng.standard_normal((6, 6))
-    a = Matrix.from_rows((b + b.T).tolist())
+    b = gauss_rows(random.Random(7), 6, 6)
+    a = Matrix.from_rows([[x + y for x, y in zip(row, col)] for row, col in zip(b, zip(*b))])
     before = list(a.data)
     call(a)  # converges within the default budget
     monkeypatch.setattr(ld, "_JACOBI_SWEEPS", 1)
@@ -536,25 +555,25 @@ def test_jacobi_sweep_budget_exhausted_raises(call, monkeypatch):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_eig_nonsymmetric_property_against_eigvals(n, scale, seed):
-    arr = random_real_spectrum(np.random.default_rng(seed), n) * scale
-    res = ld.eig(Matrix.from_rows(arr.tolist()))
-    lam = np.array(res.values)
-    vecs = np.array(res.vectors.to_rows())
-    tol = 1e-11 * np.max(np.abs(arr))
-    assert np.all(lam[:-1] >= lam[1:])
-    assert np.max(np.abs(lam - np.sort(np.linalg.eigvals(arr).real)[::-1])) <= tol
-    assert np.max(np.abs(np.linalg.norm(vecs, axis=0) - 1.0)) <= 1e-15
-    assert np.max(np.abs(arr @ vecs - vecs * lam)) <= tol
+    unit, d = random_real_spectrum(random.Random(seed), n)
+    arr = [[x * scale for x in row] for row in unit]
+    res = ld.eig(Matrix.from_rows(arr))
+    lam, vecs = res.values, res.vectors.to_rows()
+    tol = 1e-11 * oracles.max_abs(arr)
+    assert lam == sorted(lam, reverse=True)
+    assert max(abs(x - y * scale) for x, y in zip(lam, d)) <= tol
+    assert max(oracles.unit_defects(vecs)) <= 1e-15
+    assert oracles.max_abs(oracles.eigen_residual(arr, vecs, lam)) <= tol
 
 
 @pytest.mark.parametrize("k", [-1000, 1000])
 @pytest.mark.parametrize("n", [2, 3, 6, 12])
 def test_eig_nonsymmetric_power_of_two_equivariance(n, k):
-    arr = random_real_spectrum(np.random.default_rng(70 + n), n)
-    big = arr * 2.0**k
-    assert np.array_equal(big * 2.0**-k, arr)  # no entry left the normal range
-    res = ld.eig(Matrix.from_rows(arr.tolist()))
-    got = ld.eig(Matrix.from_rows(big.tolist()))
+    arr, _ = random_real_spectrum(random.Random(70 + n), n)
+    big = [[x * 2.0**k for x in row] for row in arr]
+    assert [[x * 2.0**-k for x in row] for row in big] == arr  # no entry left the normal range
+    res = ld.eig(Matrix.from_rows(arr))
+    got = ld.eig(Matrix.from_rows(big))
     assert got.values == [math.ldexp(x, k) for x in res.values]
     assert list(map(float.hex, got.vectors.data)) == list(map(float.hex, res.vectors.data))
 
@@ -566,19 +585,17 @@ def test_svd_identity_and_diag():
     res = ld.svd(Matrix.identity(3))
     assert res.sigma == [1.0, 1.0, 1.0]
     res = ld.svd(Matrix.from_rows([[3, 0], [0, 2]]))
-    assert np.allclose(res.sigma, [3, 2], rtol=0, atol=1e-15)
+    assert oracles.allclose(res.sigma, [3, 2], rtol=0, atol=1e-15)
 
 
 def test_svd_wide_golden():
     a = Matrix.from_rows([[3, 1, 1], [-1, 3, 1]])
     res = ld.svd(a)
-    assert np.allclose(res.sigma, [math.sqrt(12), math.sqrt(10)], rtol=0, atol=1e-14)
-    u = np.array(res.u.to_rows())
-    v = np.array(res.v.to_rows())
-    rec = u @ np.diag(res.sigma) @ v.T
-    assert np.max(np.abs(rec - np.array(a.to_rows()))) <= 1e-14
-    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-15
-    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 1e-15
+    assert oracles.allclose(res.sigma, [math.sqrt(12), math.sqrt(10)], rtol=0, atol=1e-14)
+    u, v = res.u.to_rows(), res.v.to_rows()
+    assert oracles.max_diff(reconstruct(u, res.sigma, v), a.to_rows()) <= 1e-14
+    assert oracles.max_abs(oracles.gram_defect(u)) <= 1e-15
+    assert oracles.max_abs(oracles.gram_defect(v)) <= 1e-15
 
 
 def test_svd_rank_deficient_completion():
@@ -586,31 +603,33 @@ def test_svd_rank_deficient_completion():
     res = ld.svd(a)
     assert abs(res.sigma[0] - 5.0) <= 1e-14
     assert res.sigma[1] == 0.0
-    u = np.array(res.u.to_rows())
-    v = np.array(res.v.to_rows())
-    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-15
-    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 1e-15
-    rec = u @ np.diag(res.sigma) @ v.T
-    assert np.max(np.abs(rec - np.array(a.to_rows()))) <= 1e-14
+    u, v = res.u.to_rows(), res.v.to_rows()
+    assert oracles.max_abs(oracles.gram_defect(u)) <= 1e-15
+    assert oracles.max_abs(oracles.gram_defect(v)) <= 1e-15
+    assert oracles.max_diff(reconstruct(u, res.sigma, v), a.to_rows()) <= 1e-14
+
+
+def reconstruct(u, sigma, v):
+    """U diag(sigma) V^T exactly."""
+    return oracles.matmul([[x * Fraction(s) for x, s in zip(row, sigma)] for row in oracles.exact(u)], oracles.transpose(v))
 
 
 def test_svd_random_against_oracle():
-    rng = np.random.default_rng(12)
+    rng = random.Random(12)
     for shape in [(4, 4), (6, 3), (3, 6), (5, 2)]:
-        arr = rng.standard_normal(shape)
-        res = ld.svd(Matrix.from_rows(arr.tolist()))
-        want = np.linalg.svd(arr, compute_uv=False)
-        assert np.allclose(res.sigma, want, rtol=0, atol=1e-13)
-        k = min(shape)
-        u = np.array(res.u.to_rows())
-        v = np.array(res.v.to_rows())
-        assert np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-14
-        assert np.max(np.abs(v.T @ v - np.eye(k))) <= 1e-14
-        rec = u @ np.diag(res.sigma) @ v.T
-        assert np.max(np.abs(rec - arr)) <= 1e-13
-        # squared singular values are the Gram spectrum
-        gram_eigs = np.sort(np.linalg.eigvalsh(arr.T @ arr))[::-1][:k]
-        assert np.allclose(np.array(res.sigma) ** 2, gram_eigs, rtol=0, atol=1e-12)
+        arr = gauss_rows(rng, *shape)
+        res = ld.svd(Matrix.from_rows(arr))
+        u, v = res.u.to_rows(), res.v.to_rows()
+        # every sigma_j within bound_j of the exact singular value
+        bounds = oracles.singular_value_bounds(arr, u, res.sigma, v)
+        assert max(bounds) <= 1e-13
+        assert oracles.max_abs(oracles.gram_defect(u)) <= 1e-14
+        assert oracles.max_abs(oracles.gram_defect(v)) <= 1e-14
+        assert oracles.max_diff(reconstruct(u, res.sigma, v), arr) <= 1e-13
+        # squared singular values are the Gram spectrum: the exact
+        # eigenvalues of A^T A are the squares of A's singular values
+        for s, b in zip(res.sigma, bounds):
+            assert float(abs(Fraction(s * s) - Fraction(s) ** 2)) + b * (2 * s + b) <= 1e-12
 
 
 # PCA
@@ -618,36 +637,29 @@ def test_svd_random_against_oracle():
 
 def test_pca_against_eigh_oracle_up_to_column_sign():
     rows = [[2.5, 2.4, 1.2], [0.5, 0.7, 0.8], [2.2, 2.9, 1.1]]
-    arr = np.array(rows)
-    xc = arr - arr.mean(axis=0)
-    vals, vecs = np.linalg.eigh(np.cov(xc.T))
-    order = np.argsort(vals)[::-1]
-    want = xc @ vecs[:, order][:, :2]
-    got = np.array(ld.pca(Matrix.from_rows(rows), 2).to_rows())
-    for j in range(2):
-        col = got[:, j]
-        diff = min(
-            np.max(np.abs(col - want[:, j])), np.max(np.abs(col + want[:, j]))
-        )
+    want = oracles.pca(rows, 2)
+    got = ld.pca(Matrix.from_rows(rows), 2).to_rows()
+    for col, ref in zip(zip(*got), zip(*want)):
+        diff = min(max(abs(x - y) for x, y in zip(col, ref)), max(abs(x + y) for x, y in zip(col, ref)))
         assert diff <= 1e-14
 
 
 def test_pca_axis_aligned():
     x = Matrix.from_rows([[1, 5], [2, 5], [3, 5]])
-    got = np.array(ld.pca(x, 1).to_rows())
-    assert np.allclose(got.ravel(), [-1, 0, 1], rtol=0, atol=1e-15)
+    got = ld.pca(x, 1).data
+    assert oracles.allclose(got, [-1, 0, 1], rtol=0, atol=1e-15)
 
 
 def test_pca_full_rank_preserves_distances():
-    rng = np.random.default_rng(14)
-    arr = rng.standard_normal((6, 3))
-    proj = np.array(ld.pca(Matrix.from_rows(arr.tolist()), 3).to_rows())
-    centered = arr - arr.mean(axis=0)
+    arr = gauss_rows(random.Random(14), 6, 3)
+    proj = ld.pca(Matrix.from_rows(arr), 3).to_rows()
+    # centering moves no distance, so the exact ones of the input are the oracle
+    def distance(p, q):
+        return oracles.frobenius([[Fraction(x) - Fraction(y) for x, y in zip(p, q)]])
+
     for i in range(6):
         for j in range(i):
-            d0 = np.linalg.norm(centered[i] - centered[j])
-            d1 = np.linalg.norm(proj[i] - proj[j])
-            assert abs(d0 - d1) <= 1e-13
+            assert abs(distance(arr[i], arr[j]) - distance(proj[i], proj[j])) <= 1e-13
 
 
 def test_pca_bad_rank():
@@ -658,27 +670,28 @@ def test_pca_bad_rank():
         ld.pca(x, 3)
 
 
-# Jacobi eig/SVD against numpy: rounding allows a few eps * |A|, so every
-# bound is 1e-12 * |A|. Scales of 1e-300 and 1e300 reach the power-of-two
-# scaling, low-rank inputs the completion of U, repeated eigenvalues the
-# choice of a basis inside an eigenspace.
+# Jacobi eig/SVD against the exact spectra: rounding allows a few eps * |A|,
+# so every bound is 1e-12 * |A|, with a lower bound on |A|_2 (so no bound
+# grows). Scales of 1e-300 and 1e300 reach the power-of-two scaling,
+# low-rank inputs the completion of U, repeated eigenvalues the choice of a
+# basis inside an eigenspace.
 
 
 def random_symmetric(rng, n, kind):
     if kind == "plain":
-        b = rng.standard_normal((n, n))
+        b = gauss_rows(rng, n, n)
     else:
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q, _ = oracles.qr(gauss_rows(rng, n, n))
         if kind == "repeated":
-            d = rng.choice([-2.0, 0.0, 1.0], n)
+            d = [rng.choice([-2.0, 0.0, 1.0]) for _ in range(n)]
         else:
-            d = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 0, n)
-        b = (q * d) @ q.T
-    return (b + b.T) / 2
+            d = [rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, 0) for _ in range(n)]
+        b = oracles.rounded(oracles.matmul([[x * dk for x, dk in zip(row, d)] for row in oracles.exact(q)], oracles.transpose(q)))
+    return [[(x + y) / 2 for x, y in zip(row, col)] for row, col in zip(b, zip(*b))]
 
 
 def orth_error(cols):
-    return np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1])))
+    return oracles.max_abs(oracles.gram_defect(cols))
 
 
 @settings(deadline=None, max_examples=60)
@@ -689,56 +702,56 @@ def orth_error(cols):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_eig_symmetric_property_against_eigh(n, kind, scale, seed):
-    arr = random_symmetric(np.random.default_rng(seed), n, kind) * scale
-    res = ld.eig(Matrix.from_rows(arr.tolist()))
-    lam = np.array(res.values)
-    vecs = np.array(res.vectors.to_rows())
-    tol = 1e-12 * np.linalg.norm(arr, 2)
-    assert np.all(lam[:-1] >= lam[1:])
-    assert np.max(np.abs(lam - np.sort(np.linalg.eigvalsh(arr))[::-1])) <= tol
-    assert np.max(np.abs(arr @ vecs - vecs * lam)) <= tol
+    arr = [[x * scale for x in row] for row in random_symmetric(random.Random(seed), n, kind)]
+    res = ld.eig(Matrix.from_rows(arr))
+    lam, vecs = res.values, res.vectors.to_rows()
+    tol = 1e-12 * oracles.norm2_lower(arr)
+    assert lam == sorted(lam, reverse=True)
+    assert oracles.symmetric_eigen_bound(arr, vecs, lam) <= tol
+    assert oracles.max_abs(oracles.eigen_residual(arr, vecs, lam)) <= tol
     assert orth_error(vecs) <= 1e-12
     # sign convention: the entry of largest magnitude is positive
-    assert all(vecs[np.argmax(np.abs(vecs[:, j])), j] > 0 for j in range(n))
+    assert all(max(col, key=abs) > 0 for col in zip(*vecs))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-30, 1e-100])
 def test_eig_symmetry_verdict_does_not_depend_on_scale(scale):
     # a non-symmetric matrix with small entries takes the Hessenberg path;
     # Jacobi on its symmetric part would give 5.41e-10 and -0.41e-10 at 1e-10
-    arr = scale * np.array([[1.0, 2.0], [3.0, 4.0]])
-    res = ld.eig(Matrix.from_rows(arr.tolist()))
-    want = np.sort(np.linalg.eigvals(arr).real)[::-1]
-    assert np.max(np.abs(np.array(res.values) - want)) <= 1e-14 * scale
-    vecs = np.array(res.vectors.to_rows())
-    assert np.max(np.abs(arr @ vecs - vecs * res.values)) <= 1e-15 * scale
-    unit = np.array(ld.eig(A22).vectors.to_rows())
-    assert np.max(np.abs(vecs - unit)) <= 1e-15
+    arr = [[scale * x for x in row] for row in [[1.0, 2.0], [3.0, 4.0]]]
+    res = ld.eig(Matrix.from_rows(arr))
+    # each value within 1e-14 * scale of its own exact eigenvalue
+    assert oracles.isolates(arr, res.values, 1e-14 * scale)
+    vecs = res.vectors.to_rows()
+    assert oracles.max_abs(oracles.eigen_residual(arr, vecs, res.values)) <= 1e-15 * scale
+    assert oracles.max_diff(vecs, ld.eig(A22).vectors.to_rows()) <= 1e-15
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-300])
 def test_eig_nearly_symmetric_against_eigvals(scale):
     # asymmetry below the 1e-9 relative verdict moves the eigenvalues only
     # to second order, so they match the non-symmetric oracle to rounding
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     sym = random_symmetric(rng, 6, "plain")
-    skew = rng.standard_normal((6, 6))
-    arr = (sym + 1e-11 * (skew - skew.T)) * scale
-    res = ld.eig(Matrix.from_rows(arr.tolist()))
-    want = np.sort(np.linalg.eigvals(sym + 1e-11 * (skew - skew.T)).real)[::-1]
-    assert np.max(np.abs(np.array(res.values) / scale - want)) <= 1e-12 * np.max(np.abs(want))
-    assert orth_error(np.array(res.vectors.to_rows())) <= 1e-14
+    skew = gauss_rows(rng, 6, 6)
+    unit = [[x + 1e-11 * (y - z) for x, y, z in zip(*rows)] for rows in zip(sym, skew, zip(*skew))]
+    res = ld.eig(Matrix.from_rows([[x * scale for x in row] for row in unit]))
+    got = [v / scale for v in res.values]
+    # each within 1e-12 * max|eigenvalue| of its own exact eigenvalue of the unscaled matrix
+    assert oracles.isolates(unit, got, 1e-12 * max(map(abs, got)))
+    assert orth_error(res.vectors.to_rows()) <= 1e-14
 
 
 def check_svd(arr, res):
-    u, v, sigma = np.array(res.u.to_rows()), np.array(res.v.to_rows()), np.array(res.sigma)
-    k = min(arr.shape)
-    assert u.shape == (arr.shape[0], k) and v.shape == (arr.shape[1], k)
-    assert np.all(sigma[:-1] >= sigma[1:]) and np.all(sigma >= 0.0)
+    u, v, sigma = res.u.to_rows(), res.v.to_rows(), res.sigma
+    m, n = len(arr), len(arr[0])
+    k = min(m, n)
+    assert (len(u), len(u[0]), len(v), len(v[0])) == (m, k, n, k)
+    assert sigma == sorted(sigma, reverse=True) and min(sigma) >= 0.0
     assert orth_error(u) <= 1e-12 and orth_error(v) <= 1e-12
-    tol = 1e-12 * np.linalg.norm(arr, 2)
-    assert np.max(np.abs((u * sigma) @ v.T - arr)) <= tol
-    assert np.max(np.abs(sigma - np.linalg.svd(arr, compute_uv=False))) <= tol
+    tol = 1e-12 * oracles.norm2_lower(arr)
+    assert oracles.max_diff(reconstruct(u, sigma, v), arr) <= tol
+    assert max(oracles.singular_value_bounds(arr, u, sigma, v)) <= tol
     return sigma
 
 
@@ -751,16 +764,18 @@ def check_svd(arr, res):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_svd_property_against_numpy(m, n, rank, scale, seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     if rank >= min(m, n):
-        arr = rng.standard_normal((m, n))
+        arr = gauss_rows(rng, m, n)
+    elif rank == 0:
+        arr = [[0.0] * n for _ in range(m)]
     else:
-        arr = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-    arr = arr * scale
-    check_svd(arr, ld.svd(Matrix.from_rows(arr.tolist())))
+        arr = oracles.rounded(oracles.matmul(gauss_rows(rng, m, rank), gauss_rows(rng, rank, n)))
+    arr = [[x * scale for x in row] for row in arr]
+    check_svd(arr, ld.svd(Matrix.from_rows(arr)))
 
 
-GRADED_SIGMA = np.array([1.0, 1e-3, 1e-7, 1e-10])
+GRADED_SIGMA = [1.0, 1e-3, 1e-7, 1e-10]
 
 
 @settings(deadline=None, max_examples=40)
@@ -771,14 +786,14 @@ def test_svd_graded_spectrum(seed, wide):
     # (a relative 1e-6 at 1e-10; up to 5 eps at sigma_1 over 8,000 cases),
     # so sigma is held to 4e-15 * sigma_1; the Gram-matrix SVD missed 1e-10
     # by 100% and more. U and V stay orthonormal to 1e-12.
-    rng = np.random.default_rng(seed)
-    ucols, _ = np.linalg.qr(rng.standard_normal((8, 4)))
-    vcols, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    arr = (ucols * GRADED_SIGMA) @ vcols.T
+    rng = random.Random(seed)
+    ucols, _ = oracles.qr(gauss_rows(rng, 8, 4))
+    vcols, _ = oracles.qr(gauss_rows(rng, 4, 4))
+    arr = oracles.rounded(reconstruct(ucols, GRADED_SIGMA, vcols))
     if wide:
-        arr = arr.T
-    sigma = check_svd(arr, ld.svd(Matrix.from_rows(arr.tolist())))
-    assert np.max(np.abs(sigma - GRADED_SIGMA)) <= 4e-15
+        arr = oracles.transpose(arr)
+    sigma = check_svd(arr, ld.svd(Matrix.from_rows(arr)))
+    assert max(abs(s - t) for s, t in zip(sigma, GRADED_SIGMA)) <= 4e-15
 
 
 @settings(deadline=None, max_examples=40)
@@ -788,31 +803,32 @@ def test_svd_graded_spectrum(seed, wide):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_pca_property_against_svd(n, d, seed):
-    arr = np.random.default_rng(seed).standard_normal((n, d))
+    arr = gauss_rows(random.Random(seed), n, d)
     k = min(n - 1, d)
-    got = np.array(ld.pca(Matrix.from_rows(arr.tolist()), k).to_rows())
-    xc = arr - arr.mean(axis=0)
-    u, s, _ = np.linalg.svd(xc)
-    want = u[:, :k] * s[:k]
-    signs = np.where(np.sum(got * want, axis=0) < 0, -1.0, 1.0)
-    assert np.max(np.abs(got * signs - want)) <= 1e-12 * s[0]
+    got = ld.pca(Matrix.from_rows(arr), k).to_rows()
+    # the oracle's columns are u_j s_j, so the first one's norm is s_1
+    want = oracles.pca(arr, k)
+    s0 = oracles.frobenius([[row[0] for row in want]])
+    for col, ref in zip(zip(*got), zip(*want)):
+        sign = -1.0 if math.fsum(x * y for x, y in zip(col, ref)) < 0 else 1.0
+        assert max(abs(sign * x - y) for x, y in zip(col, ref)) <= 1e-12 * s0
 
 
 def test_overflow_gives_finite_result_or_non_finite():
     # the true singular values are 8e307 * sqrt(2), below the float maximum
     res = ld.svd(Matrix.from_rows([[8e307, 8e307], [8e307, -8e307]]))
-    assert np.allclose(res.sigma, 8e307 * math.sqrt(2), rtol=1e-15, atol=0)
-    assert orth_error(np.array(res.u.to_rows())) <= 1e-15
-    assert orth_error(np.array(res.v.to_rows())) <= 1e-15
+    assert oracles.allclose(res.sigma, 8e307 * math.sqrt(2), rtol=1e-15, atol=0)
+    assert orth_error(res.u.to_rows()) <= 1e-15
+    assert orth_error(res.v.to_rows()) <= 1e-15
     # the top eigenvalue, 2e308, overflows
     with pytest.raises(NonFinite):
         ld.eig(Matrix.from_rows([[1e308, 1e308], [1e308, 1e308]]))
     # principal axes (1, 1) and (1, -1) / sqrt(2); the first projection
     # reaches 8e307 * sqrt(2)
     rows = [[8e307, 8e307], [-8e307, -8e307], [1e307, -1e307], [-1e307, 1e307]]
-    proj = np.abs(np.array(ld.pca(Matrix.from_rows(rows), 2).to_rows()))
-    want = math.sqrt(2) * np.array([[8e307, 0], [8e307, 0], [0, 1e307], [0, 1e307]])
-    assert np.max(np.abs(proj - want)) <= 1e-15 * 8e307
+    proj = [[abs(x) for x in row] for row in ld.pca(Matrix.from_rows(rows), 2).to_rows()]
+    want = [[math.sqrt(2) * x for x in row] for row in [[8e307, 0], [8e307, 0], [0, 1e307], [0, 1e307]]]
+    assert oracles.max_diff(proj, want) <= 1e-15 * 8e307
     with pytest.raises(NonFinite):
         ld.pca(Matrix.from_rows([[1.5e308, 1.5e308], [-1.5e308, -1.5e308], [0.0, 0.0]]), 1)
     # x^2 overflows while the Vandermonde columns are built
@@ -822,10 +838,10 @@ def test_overflow_gives_finite_result_or_non_finite():
     # input b * c in the 2x2 formula no longer overflows
     rows = [[1e308, 1e308], [1e307, 1e308]]
     res = ld.eig(Matrix.from_rows(rows))
-    assert np.allclose(res.values, np.sort(np.linalg.eigvals(np.array(rows)).real)[::-1], rtol=1e-15, atol=0)
+    assert oracles.isolates(rows, res.values, [1e-15 * abs(v) for v in res.values])
     assert eig_residual(Matrix.from_rows(rows), res) <= 1e-15
-    # scaled, the Hessenberg reduction no longer overflows; numpy gives this
-    # matrix the complex pair 3.9e306 +- 7.9e307 i
+    # scaled, the Hessenberg reduction no longer overflows; numpy.linalg.eigvals
+    # gives this matrix the complex pair 3.9e306 +- 7.9e307 i
     big = [[1e308, 1e308, 9e307, -9e307], [1, -9e307, 1e308, 9e307], [1, 9e307, 0, 0], [1e308, 9e307, -9e307, -9e307]]
     with pytest.raises(NoConvergence):
         ld.eig(Matrix.from_rows(big))
@@ -880,7 +896,7 @@ def test_polyfit_exact_quadratic():
     xs = [-2, -1, 0, 1, 2]
     ys = [x * x - 2 * x + 1 for x in xs]
     c = ld.polyfit(xs, ys, 2)
-    assert np.allclose(c.data, [1, -2, 1], atol=1e-9)
+    assert oracles.allclose(c.data, [1, -2, 1], atol=1e-9)
 
 
 def test_polyfit_degree_zero_is_mean():
@@ -889,33 +905,34 @@ def test_polyfit_degree_zero_is_mean():
 
 
 def test_polyfit_noisy_against_normal_equations():
-    rng = np.random.default_rng(21)
-    xs = rng.uniform(-3, 3, 100)
-    ys = xs**2 - 2 * xs + 1 + rng.standard_normal(100)
-    c = ld.polyfit(xs.tolist(), ys.tolist(), 2)
-    assert np.max(np.abs(np.array(c.data) - [1, -2, 1])) <= 0.5
-    # independent route: normal equations on the same sample
-    v = np.vander(xs, 3)
-    want = np.linalg.solve(v.T @ v, v.T @ ys)
-    assert np.allclose(c.data, want, atol=1e-8)
+    rng = random.Random(21)
+    xs = [rng.uniform(-3, 3) for _ in range(100)]
+    ys = [x**2 - 2 * x + 1 + rng.gauss(0.0, 1.0) for x in xs]
+    c = ld.polyfit(xs, ys, 2)
+    assert max(abs(x - y) for x, y in zip(c.data, [1, -2, 1])) <= 0.5
+    # independent route: normal equations on the same sample, solved exactly
+    assert oracles.allclose(c.data, oracles.polyfit(xs, ys, 2), atol=1e-8)
 
 
 @pytest.mark.parametrize(
     "scale,degrees",
-    # numpy's column norms overflow from degree 2 at 1e100, and below about
-    # 1e-50 numpy.polyfit can hang
+    # the degrees stop where numpy, the former oracle, failed: its column
+    # norms overflow from degree 2 at 1e100, and below about 1e-50
+    # numpy.polyfit can hang
     [(1e-10, range(5)), (1e100, range(2))],
 )
 def test_polyfit_small_and_large_abscissae_against_numpy(scale, degrees):
     # each Vandermonde column is judged relative to itself, so these
     # well-posed fits are not refused as rank deficient
-    rng = np.random.default_rng(23)
-    u = rng.uniform(-2.0, 2.0, 12)
+    rng = random.Random(23)
+    u = [rng.uniform(-2.0, 2.0) for _ in range(12)]
     for deg in degrees:
-        ys = np.polyval(rng.standard_normal(deg + 1), u) + 0.1 * rng.standard_normal(12)
-        got = np.array(ld.polyfit((u * scale).tolist(), ys.tolist(), deg).data)
-        want = np.polyfit(u * scale, ys, deg)
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), deg
+        coeffs = [rng.gauss(0.0, 1.0) for _ in range(deg + 1)]
+        ys = [math.fsum(c * x ** (deg - j) for j, c in enumerate(coeffs)) + 0.1 * rng.gauss(0.0, 1.0) for x in u]
+        xs = [x * scale for x in u]
+        got = ld.polyfit(xs, ys, deg).data
+        want = oracles.polyfit(xs, ys, deg)
+        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want)), deg
 
 
 def test_polyfit_rank_deficient():

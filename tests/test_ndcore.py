@@ -1,10 +1,11 @@
 """Matrix/vector kernel: goldens, error contracts, algebraic properties."""
 
 import math
+import random
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,9 @@ from desknum.errors import (
     ZeroNorm,
 )
 from desknum.ndcore import Matrix, Vector
+
+import oracles
+from pins import gauss_rows
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -466,11 +470,13 @@ def test_ew_mul_golden():
 
 
 def test_ew_sub_against_numpy():
-    rng = np.random.default_rng(16)
-    a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    ma, mb = Matrix.from_rows(a.tolist()), Matrix.from_rows(b.tolist())
-    assert ndcore.ew_binary(ma, mb, "sub").data == (a - b).ravel().tolist()
-    assert ndcore.ew_binary(ma, 2.5, "sub").data == (a - 2.5).ravel().tolist()
+    # each difference is the exact one rounded once
+    rng = random.Random(16)
+    a, b = gauss_rows(rng, 3, 4), gauss_rows(rng, 3, 4)
+    ma, mb = Matrix.from_rows(a), Matrix.from_rows(b)
+    fa, fb = oracles.exact(a), oracles.exact(b)
+    assert ndcore.ew_binary(ma, mb, "sub").data == [float(x - y) for ra, rb in zip(fa, fb) for x, y in zip(ra, rb)]
+    assert ndcore.ew_binary(ma, 2.5, "sub").data == [float(x - Fraction(2.5)) for row in fa for x in row]
 
 
 def test_ew_scalar_broadcast():
@@ -520,15 +526,12 @@ def test_matmul_shape_error():
 
 
 def test_strassen_matches_naive_random():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(100):
-        a = rng.standard_normal((16, 16))
-        b = rng.standard_normal((16, 16))
-        ma = Matrix.from_rows(a.tolist())
-        mb = Matrix.from_rows(b.tolist())
-        got = ndcore.matmul(ma, mb, algo="strassen")
-        want = a @ b
-        assert np.max(np.abs(np.array(got.to_rows()) - want)) <= 1e-9
+        a = gauss_rows(rng, 16, 16)
+        b = gauss_rows(rng, 16, 16)
+        got = ndcore.matmul(Matrix.from_rows(a), Matrix.from_rows(b), algo="strassen")
+        assert oracles.max_diff(got.to_rows(), oracles.matmul(a, b)) <= 1e-9
 
 
 def _strassen_shapes(monkeypatch):
@@ -548,14 +551,14 @@ def test_strassen_rectangular_and_above_cutoff(monkeypatch):
     # a small cutoff makes these shapes recurse through odd and even levels
     monkeypatch.setattr(ndcore, "STRASSEN_CUTOFF", 4)
     shapes = _strassen_shapes(monkeypatch)
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for shape in [(5, 7, 3), (17, 17, 17), (33, 40, 37), (1, 9, 1), (1, 40, 1)]:
         m, k, n = shape
-        a = rng.standard_normal((m, k))
-        b = rng.standard_normal((k, n))
-        got = ndcore.matmul(Matrix.from_rows(a.tolist()), Matrix.from_rows(b.tolist()), algo="strassen")
+        a = gauss_rows(rng, m, k)
+        b = gauss_rows(rng, k, n)
+        got = ndcore.matmul(Matrix.from_rows(a), Matrix.from_rows(b), algo="strassen")
         assert got.rows == m and got.cols == n
-        assert np.max(np.abs(np.array(got.to_rows()) - a @ b)) <= 1e-8
+        assert oracles.max_diff(got.to_rows(), oracles.matmul(a, b)) <= 1e-8
     # 17 pads to 18, halves to 9, pads to 10, halves to 5, pads to 6, halves to 3
     assert {(17,) * 3, (18,) * 3, (9,) * 3, (10,) * 3, (5,) * 3, (6,) * 3, (3,) * 3} <= set(shapes)
     # 33x40x37 pads only its odd dimensions
@@ -575,17 +578,17 @@ def test_strassen_thin_operand_skips_recursion(monkeypatch):
 def test_strassen_just_above_real_cutoff(monkeypatch):
     shapes = _strassen_shapes(monkeypatch)
     n = ndcore.STRASSEN_CUTOFF + 1
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((n, n))
-    b = rng.standard_normal((n, n))
-    got = ndcore.matmul(Matrix.from_rows(a.tolist()), Matrix.from_rows(b.tolist()), algo="strassen")
-    assert np.max(np.abs(np.array(got.to_rows()) - a @ b)) <= 1e-10
+    rng = random.Random(13)
+    a = gauss_rows(rng, n, n)
+    b = gauss_rows(rng, n, n)
+    got = ndcore.matmul(Matrix.from_rows(a), Matrix.from_rows(b), algo="strassen")
+    assert oracles.max_diff(got.to_rows(), oracles.matmul(a, b)) <= 1e-10
     # one odd level padded by one, then seven products on the cubic kernel
     h = (n + 1) // 2
     assert shapes == [(n,) * 3, (n + 1,) * 3] + [(h,) * 3] * 7
 
 
-EPS = np.finfo(float).eps
+EPS = math.ulp(1.0)
 # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 23.3:
 # max|C - fl(C)| <= 12**levels * (n0**2 + 5*n0) * u * max|A| * max|B|. Up to 12
 # at cutoff 4 there are at most two halvings, and no base block dimension
@@ -605,18 +608,17 @@ def test_matmul_property_against_exact(m, k, n, algo, data):
     a = data.draw(st.lists(nonunderflow_floats, min_size=m * k, max_size=m * k))
     b = data.draw(st.lists(nonunderflow_floats, min_size=k * n, max_size=k * n))
     with mock.patch.object(ndcore, "STRASSEN_CUTOFF", 4):
-        got = np.array(ndcore.matmul(Matrix(m, k, a), Matrix(k, n, b), algo).to_rows())
+        got = ndcore.matmul(Matrix(m, k, a), Matrix(k, n, b), algo).to_rows()
     # exact rational product as the reference, so no oracle rounding eats the bound
-    fa = [[Fraction(a[i * k + p]) for p in range(k)] for i in range(m)]
-    fb = [[Fraction(b[p * n + j]) for j in range(n)] for p in range(k)]
-    want = [[sum(fa[i][p] * fb[p][j] for p in range(k)) for j in range(n)] for i in range(m)]
-    err = np.array([[abs(Fraction(got[i, j]) - want[i][j]) for j in range(n)] for i in range(m)], dtype=float)
-    na, nb = np.abs(np.array(a).reshape(m, k)), np.abs(np.array(b).reshape(k, n))
+    rows_a, rows_b = [a[i * k:(i + 1) * k] for i in range(m)], [b[p * n:(p + 1) * n] for p in range(k)]
+    want = oracles.matmul(rows_a, rows_b)
+    err = [[abs(Fraction(g) - w) for g, w in zip(rg, rw)] for rg, rw in zip(got, want)]
     if algo == "naive":
         # recursive summation: |C - fl(C)| <= gamma_k |A||B| < k eps |A||B|
-        assert np.all(err <= k * EPS * (na @ nb))
+        abs_ab = oracles.matmul([list(map(abs, r)) for r in rows_a], [list(map(abs, r)) for r in rows_b])
+        assert all(e <= k * Fraction(EPS) * s for re, rs in zip(err, abs_ab) for e, s in zip(re, rs))
     else:
-        assert err.max() <= STRASSEN_BOUND * na.max() * nb.max()
+        assert oracles.max_abs(err) <= STRASSEN_BOUND * max(map(abs, a)) * max(map(abs, b))
 
 
 @given(
@@ -634,8 +636,8 @@ def test_matmul_exact_on_integers(m, k, n, algo, data):
     b = data.draw(st.lists(ints, min_size=k * n, max_size=k * n))
     with mock.patch.object(ndcore, "STRASSEN_CUTOFF", 4):
         got = ndcore.matmul(Matrix(m, k, a), Matrix(k, n, b), algo)
-    want = np.array(a, dtype=np.int64).reshape(m, k) @ np.array(b, dtype=np.int64).reshape(k, n)
-    assert got.to_rows() == want.astype(float).tolist()
+    want = oracles.matmul([a[i * k:(i + 1) * k] for i in range(m)], [b[p * n:(p + 1) * n] for p in range(k)])
+    assert got.to_rows() == oracles.rounded(want)
 
 
 @pytest.mark.parametrize("algo", ["naive", "strassen"])
@@ -732,12 +734,14 @@ def test_norm_zero_iff_zero_vector(v):
 
 
 def test_cosine_bounds_against_numpy():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(50):
-        a = rng.standard_normal(5)
-        b = rng.standard_normal(5)
-        cs = ndcore.cosine_similarity(a.tolist(), b.tolist())
-        want = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+        a, b = gauss_rows(rng, 2, 5)
+        cs = ndcore.cosine_similarity(a, b)
+        # the exact dot product and squared norms, rounded before the last two steps
+        dot = sum(map(mul, map(Fraction, a), map(Fraction, b)))
+        norms = sum(Fraction(x) ** 2 for x in a) * sum(Fraction(x) ** 2 for x in b)
+        want = float(dot) / math.sqrt(float(norms))
         assert abs(cs - want) <= 1e-12
         assert -1.0 - 1e-12 <= cs <= 1.0 + 1e-12
 

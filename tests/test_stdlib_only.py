@@ -1,4 +1,6 @@
-"""The package imports nothing outside the Python standard library."""
+"""The package imports nothing outside the Python standard library, and the
+tests nothing outside it but desknum, pytest, hypothesis and their own
+pins and oracles modules."""
 
 import ast
 import pathlib
@@ -9,9 +11,8 @@ import pytest
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "desknum"
 MODULES = sorted(SRC.glob("*.py"))
-# the pin corpus records and runs where numpy is missing (CPython 3.12 and
-# 3.13 in CI): the recorder needs only desknum, its test also the runner
-CORPUS = {"pins.py": {"desknum"}, "test_pins.py": {"desknum", "pins", "pytest"}}
+TEST_FILES = sorted(TESTS.glob("*.py"))
+TEST_IMPORTS = frozenset({"desknum", "pytest", "hypothesis", "pins", "oracles"})
 
 
 def absolute_imports(path):
@@ -38,10 +39,15 @@ def test_only_stdlib_imports(path):
     assert outside == [], f"{path.name} imports {outside}"
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_pin_corpus_imports_only_stdlib_desknum_and_pytest(name):
-    outside = outside_stdlib(TESTS / name, CORPUS[name])
-    assert outside == [], f"{name} imports {outside}"
+def test_test_files_found():
+    assert {"oracles.py", "pins.py", "test_pins.py", "test_stdlib_only.py"} <= {p.name for p in TEST_FILES}
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+def test_tests_import_only_the_allowed_modules(path):
+    # the oracles judge desknum, so they import neither it nor a test runner
+    outside = outside_stdlib(path, frozenset() if path.name == "oracles.py" else TEST_IMPORTS)
+    assert outside == [], f"{path.name} imports {outside}"
 
 
 def fsum_sites(path):
