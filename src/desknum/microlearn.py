@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import exp, isfinite
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, List, Sequence, Tuple
 
 from .autodiff import sigmoid_value as sigmoid
@@ -103,7 +103,9 @@ def affine(w: Matrix, x: Sequence[float], b: Sequence[float]) -> Vector:
             f"{w.rows}x{w.cols} weights cannot map {len(xs)} inputs "
             f"to {len(bs)} outputs"
         )
-    return Vector([sum(map(mul, row, xs)) + bi for row, bi in zip(w.to_rows(), bs)])
+    # each row's products left to right from 0.0, then the bias, as the
+    # kernel's dot products: builtin sum compensates from CPython 3.12
+    return Vector([functools.reduce(add, map(mul, row, xs), 0.0) + bi for row, bi in zip(w.to_rows(), bs)])
 
 
 # both branches of `sigmoid`, inlined

@@ -491,7 +491,7 @@ def _cmd_heat(ns) -> bytes:
         nx=ns.nx,
         nt=ns.nt,
         t_total=ns.t,
-        u0=lambda x: math.sin(math.pi * x / ns.length),
+        u0=lambda x: math.sin(math.pi * (x / ns.length)),
     )
     res = dynamics.heat1d_explicit(problem)
     return write_csv(

@@ -6,16 +6,17 @@ float.hex (every bit, the sign of a zero too), a count or a flag as str and
 a raised exception as `Class: message`, one value per line of the record.
 
 Builtin sum adds floats left to right up to CPython 3.11 and with
-compensation from 3.12, and matmul, LU and the CLI use it, so there is one
-record per summation behaviour, pins/sum-plain.json and
-pins/sum-compensated.json, picked by probing the running interpreter. The
-MLP adds left to right on every CPython, so its cases and cli.xor are the
-same in both.
+compensation from 3.12, and matmul and LU use it. The cases whose bits that
+changes, the groups in SUM_DEPENDENT, have one record per summation
+behaviour, pins/sum-plain.json and pins/sum-compensated.json, picked by
+probing the running interpreter. Every other case has the same bits on
+every CPython and is recorded once, in pins/shared.json.
 
-`python tests/pins.py` re-records the file for the running interpreter and
+`python tests/pins.py` re-records the shared record and the running
+interpreter's summation record, each case in the file its name selects, and
 prints each moved value: case, index, old and new hex, distance in ulps. A
-change that moves bits on purpose commits the re-recorded file; that diff is
-its declaration. Only the standard library, desknum and the suite's own
+change that moves bits on purpose commits the re-recorded files; that diff
+is its declaration. Only the standard library, desknum and the suite's own
 oracles are imported, so the corpus records and runs where pytest is missing.
 """
 
@@ -66,14 +67,19 @@ def summation():
     return "compensated" if sum([1.0, 1e100, 1.0, -1e100]) else "plain"
 
 
-# the groups of cases whose bits differ between the two records; every other
-# case holds the same bits in both
+# the groups of cases whose bits differ between the two summation records;
+# every other case holds the same bits on every CPython
 SUM_DEPENDENT = ("sweep.matmul.", "sweep.inv.", "sweep.solve_inverse.", "sweep.det.", "sweep.solve_gauss.",
                  "sweep.solve_lu.")
 
 
-def record_path():
-    return os.path.join(PINS_DIR, f"sum-{summation()}.json")
+def read(record):
+    """The cases of pins/<record>.json, or {} where it is missing."""
+    try:
+        with open(os.path.join(PINS_DIR, f"{record}.json")) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        return {}
 
 
 def render(name):
@@ -124,23 +130,22 @@ def moved(name, old, new):
 
 
 def load():
-    try:
-        with open(record_path()) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        return {}
+    """Every case recorded for the running interpreter."""
+    return {**read("shared"), **read(f"sum-{summation()}")}
 
 
 def main():
-    path, old = record_path(), load()
-    new = {name: render(name) for name in sorted(CASES)}
+    old, new = load(), {name: render(name) for name in sorted(CASES)}
     report = [line for name, values in new.items() for line in moved(name, old.get(name), values)]
     report += [f"{name}: no longer a case" for name in sorted(old.keys() - new.keys())]
+    dependent = {name for name in new if name.startswith(SUM_DEPENDENT)}
+    records = {"shared": new.keys() - dependent, f"sum-{summation()}": dependent}
     os.makedirs(PINS_DIR, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(new, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print("\n".join(report + [f"{len(report)} changes in {len(new)} cases; wrote {path}"]))
+    for record, names in records.items():
+        with open(os.path.join(PINS_DIR, f"{record}.json"), "w") as fh:
+            json.dump({name: new[name] for name in names}, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    print("\n".join(report + [f"{len(report)} changes in {len(new)} cases; wrote {' and '.join(records)}"]))
 
 
 # generators, shared with the tests that draw seeded inputs
@@ -503,6 +508,20 @@ case("mlp.xor_3-4-1", _mlp, lambda: ([3, 4, 1], 0, 4, 0.5, 300))
 case("mlp.deep_2-5-3-2", _mlp, lambda: ([2, 5, 3, 2], 11, 6, 2.0, 200))
 case("mlp.batch1_4-1", _mlp, lambda: ([4, 1], 5, 1, 0.1, 200))
 case("mlp.wide_1-7-7-1", _mlp, lambda: ([1, 7, 7, 1], 23, 8, 0.5, 150))
+
+
+# microlearn.affine: one sample through 3 x n weights, n = 2..8, each row
+# added left to right like the MLP kernel
+
+
+def _affine(name, k):
+    rng = random.Random(f"{name}-{k}")
+    n = 2 + k % 7
+    w, x, b = uniform_rows(rng, 3, n), uniform_rows(rng, 1, n)[0], uniform_rows(rng, 1, 3)[0]
+    return ml.affine(Matrix.from_rows(w), x, b).data
+
+
+seeded("microlearn", _affine, ("affine",), 12)
 
 
 # the MLP's gates and their order: nets and batches that trip the output,

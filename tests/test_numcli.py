@@ -220,6 +220,9 @@ _EXITS = {
                       {}, 2, "^Unstable: .*unstable"),
     "stiff-explicit-euler": (["ode", "--problem", "stiff", "--method", "euler"], {}, 2, "^NonFinite: "),
     "bisection-no-sign-change": (["roots", "--f", "quad", "--method", "bisection"], {}, 2, "^NoSignChange: "),
+    # a valid length near the float maximum: x / L is formed before pi * (x / L)
+    "heat-huge-length": (["heat", "--L", "1e308", "--alpha", "1", "--nx", "10", "--nt", "100", "--t", "1e300"],
+                         {}, 0, "\n1.1111111111111111e\\+307,0.34202014332566871\n"),
     # flag values out of their range
     "heat-nx-2": (["heat", "--alpha", "0.01", "--L", "10", "--nx", "2", "--nt", "100", "--t", "1"],
                   {}, 1, "^usage error: "),
