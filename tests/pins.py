@@ -277,6 +277,25 @@ for _name in ("cholesky", "eig", "pca", "polyfit", "qr", "solve_qr", "svd"):
             case(f"lindecomp.{_name}.{_k}.x{_s:g}", _decomp, lambda n=_name, k=_k, s=_s: (n, k, s))
 
 
+# past one Householder panel: QR solves at n = 33 and 65, and the singular
+# values of a 48 x 40, at the four scales; vectors only, to keep the records
+# small
+
+
+def _wide(name, s):
+    rng = random.Random(f"wide-{name}")
+    if name == "svd_48x40":
+        return ld.svd(Matrix.from_rows(scaled_rows(uniform_rows(rng, 48, 40), s))).sigma
+    n = int(name[len("solve_qr_"):])
+    a, b = uniform_rows(rng, n, n), uniform_rows(rng, 1, n)[0]
+    return ld.solve_direct(Matrix.from_rows(scaled_rows(a, s)), [x * s for x in b], "qr").data
+
+
+for _name in ("solve_qr_33", "solve_qr_65", "svd_48x40"):
+    for _s in (1e-300, 1e-10, 1.0, 1e300):
+        case(f"lindecomp.wide.{_name}.x{_s:g}", _wide, lambda n=_name, s=_s: (n, s))
+
+
 def _budget_draw():
     # draws of n from [3, 4, 5, 6] and n x n uniform(-1, 1) entries from
     # random.Random(1): about 7 in 3,000 exhaust the real-Schur sweep budget,
