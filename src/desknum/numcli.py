@@ -385,7 +385,7 @@ def _cmd_fft(ns) -> bytes:
         signal = [r[0] for r in rows]
     else:
         signal = [
-            math.sin(2.0 * math.pi * ns.freq * k / ns.fs) for k in range(ns.n)
+            math.sin(2.0 * math.pi * (ns.freq * (k / ns.fs))) for k in range(ns.n)
         ]
     spec = spectral.spectrum(signal, 1.0 / ns.fs)
     out = []

@@ -70,7 +70,7 @@ def summation():
 # the groups of cases whose bits differ between the two summation records;
 # every other case holds the same bits on every CPython
 SUM_DEPENDENT = ("sweep.matmul.", "sweep.inv.", "sweep.solve_inverse.", "sweep.det.", "sweep.solve_gauss.",
-                 "sweep.solve_lu.")
+                 "sweep.solve_lu.", "lindecomp.wide.")
 
 
 def read(record):

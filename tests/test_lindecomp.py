@@ -874,6 +874,80 @@ def test_householder_reflection_overflow_raises_non_finite():
             call()
 
 
+# past one panel of ld._WY_BLOCK = 32 reflectors, the reflectors of each
+# panel but the last reach the later columns as one compact-WY block
+
+
+@pytest.mark.parametrize("n", [33, 64, 65])
+def test_qr_solve_past_one_panel_is_backward_stable(n):
+    # n = 33 takes 32 reflectors, one panel; 64 and 65 take a block and a panel
+    rng = random.Random(n)
+    rows, b = gauss_rows(rng, n, n), [rng.gauss(0.0, 1.0) for _ in range(n)]
+    x = ld.solve_direct(Matrix.from_rows(rows), b, "qr").data
+    assert oracles.backward_error(rows, x, b) <= 4 * n * EPS
+
+
+def test_qr_factors_past_one_panel():
+    n = 40
+    arr = gauss_rows(random.Random(n), n, n)
+    f = ld.qr(Matrix.from_rows(arr))
+    q, r = f.q.to_rows(), f.r.to_rows()
+    assert orth_error(q) <= n * EPS
+    # A - Q R exactly, a column at a time
+    gap = max(oracles.max_abs([oracles.residual(q, rc, ac)]) for rc, ac in zip(zip(*r), zip(*arr)))
+    assert gap <= n * EPS * oracles.norm2_lower(arr)
+    assert all(x == 0.0 for x in below_diagonal(r))
+
+
+@pytest.mark.parametrize("m, n", [(120, 40), (70, 65)])
+def test_svd_past_one_panel(m, n):
+    # R comes from a blocked reduction, and U from the blocked back-application
+    arr = gauss_rows(random.Random(m * n), m, n)
+    res = ld.svd(Matrix.from_rows(arr))
+    u, v = res.u.to_rows(), res.v.to_rows()
+    assert orth_error(u) <= 4 * n * EPS and orth_error(v) <= 4 * n * EPS
+    assert max(oracles.singular_value_bounds(arr, u, res.sigma, v)) <= 40 * n * EPS * oracles.norm2_lower(arr)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_blocked_householder_power_of_two_equivariance(k):
+    rng = random.Random(65)
+    rows, b = gauss_rows(rng, 65, 65), [rng.gauss(0.0, 1.0) for _ in range(65)]
+    big, bb = pins.scaled_rows(rows, 2.0**k), [x * 2.0**k for x in b]
+    x = ld.solve_direct(Matrix.from_rows(rows), b, "qr").data
+    assert list(map(float.hex, ld.solve_direct(Matrix.from_rows(big), bb, "qr").data)) == list(map(float.hex, x))
+    f, g = ld.qr(Matrix.from_rows(rows)), ld.qr(Matrix.from_rows(big))
+    assert list(map(float.hex, g.q.data)) == list(map(float.hex, f.q.data))
+    assert list(map(float.hex, g.r.data)) == [math.ldexp(x, k).hex() for x in f.r.data]
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_householder_overflow_past_one_panel(n):
+    # v.c overflows for the last column, of 1e308s: at n = 8 in the fsum of
+    # the reflection, at n = 40 in the block update that follows the panel
+    a = Matrix.from_rows([[1.0] * (n - 1) + [1e308]] * n)
+    for call in (lambda: ld.qr(a), lambda: ld.solve_direct(a, [1.0] * n, "qr")):
+        with pytest.raises(NonFinite, match="^Householder reflection overflows$"):
+            call()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_householder_blocks_of_any_width(block, monkeypatch):
+    # narrow blocks put every panel boundary within reach of small inputs
+    monkeypatch.setattr(ld, "_WY_BLOCK", block)
+    rng = random.Random(block)
+    for n in range(1, 9):
+        rows, b = gauss_rows(rng, n, n), [rng.gauss(0.0, 1.0) for _ in range(n)]
+        x = ld.solve_direct(Matrix.from_rows(rows), b, "qr").data
+        assert oracles.backward_error(rows, x, b) <= 4 * n * EPS
+        check_qr(rows, ld.qr(Matrix.from_rows(rows)))
+        tall = gauss_rows(rng, n + 2, n)
+        res = ld.svd(Matrix.from_rows(tall))
+        u, v = res.u.to_rows(), res.v.to_rows()
+        assert orth_error(u) <= 4 * n * EPS and orth_error(v) <= 4 * n * EPS
+        assert max(oracles.singular_value_bounds(tall, u, res.sigma, v)) <= 40 * n * EPS * oracles.norm2_lower(tall)
+
+
 @pytest.mark.parametrize(
     "method,scale,seed",
     # each seed's triangular solve overflows in fsum: the first raised a bare

@@ -235,6 +235,9 @@ _EXITS = {
     "optimize-negative-eta": (["optimize", "--objective", "bowl2d", "--method", "adam", "--eta", "-1"],
                               {}, 1, "^usage error: "),
     "fft-infinite-freq": (["fft", "--freq", "inf"], {}, 1, "^usage error: "),
+    # 2 pi freq alone overflows: k / fs is formed first, then freq (k / fs)
+    "fft-huge-freq": (["fft", "--freq", "1e308", "--n", "2"], {}, 0,
+                      "^freq,re,im,magnitude\n0,0.0340765027"),
     "roots-system-of-sin": (["roots", "--f", "sin", "--method", "system"], {}, 1, "requires --f circlepara"),
     "roots-newton-of-circlepara": (["roots", "--f", "circlepara", "--method", "newton"],
                                    {}, 1, "requires a scalar function"),
