@@ -12,14 +12,14 @@ reflects column lists for QR, least squares, the SVD and the Hessenberg
 reduction; QR and least squares reduce A's columns and then I to Q^T or b
 to Q^T b. Up to 32 reflectors apply one at a time, each dot a math.fsum.
 Past 32, the columns are reduced in panels of 32, each one reflector at a
-time; the reflectors of each panel but the last then reach the later columns
-(and, in the SVD, U) as one compact-WY block I - V T V^T (Bischof & Van Loan, SIAM J. Sci.
-Stat. Comput. 8(1), 1987; Schreiber & Van Loan, ibid. 10(1), 1989). The
-block's dots are builtin sums, so like matmul and LU those results differ
-in their last bits between CPython 3.11 and 3.12. One one-sided
-Jacobi kernel serves symmetric eig (on S + |S|_inf I for the symmetric
-part S, which is positive semidefinite), svd (on the R of a QR) and pca
-(the SVD of the centered data). Non-symmetric input, where mirrored
+time; the reflectors of each panel but the last then reach the later
+columns (and, in the SVD, U) as one compact-WY block I - V T V^T (Bischof
+& Van Loan, SIAM J. Sci. Stat. Comput. 8(1), 1987; Schreiber & Van Loan,
+ibid. 10(1), 1989). The block's dots are builtin sums, so like matmul and
+LU those results differ in their last bits between CPython 3.11 and 3.12.
+One one-sided Jacobi kernel serves symmetric eig (on S + |S|_inf I for the
+symmetric part S, which is positive semidefinite), svd (on the R of a QR)
+and pca (the SVD of the centered data). Non-symmetric input, where mirrored
 entries differ by more than 1e-9 of the largest entry, goes to the real
 Schur form T = Z^T A Z by shifted QR on the Hessenberg form; each
 eigenvector is Z y, with y from a back-substitution on T. Eigenproblems,
@@ -245,8 +245,8 @@ def _reflect(cols: list[list[float]], top: int, v: list[float], vtv: float) -> N
 
 
 # reflectors per panel. The n = 200 QR solve ran within 4% of its fastest
-# from 16 to 32 and 10-15% slower at 8, 48 and 64 (3.11.7, minimum of 5);
-# 32, the widest of the best, leaves the most reductions unblocked
+# from 16 to 32 and 9-18% slower at 8, 48 and 64 (CPython 3.11.7, median of
+# 5 minima); 32, the widest of the best, leaves the most reductions unblocked
 _WY_BLOCK = 32
 
 

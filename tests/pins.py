@@ -6,10 +6,11 @@ float.hex (every bit, the sign of a zero too), a count or a flag as str and
 a raised exception as `Class: message`, one value per line of the record.
 
 Builtin sum adds floats left to right up to CPython 3.11 and with
-compensation from 3.12, and matmul and LU use it. The cases whose bits that
-changes, the groups in SUM_DEPENDENT, have one record per summation
-behaviour, pins/sum-plain.json and pins/sum-compensated.json, picked by
-probing the running interpreter. Every other case has the same bits on
+compensation from 3.12, and matmul, LU and the Householder update past one
+panel use it. The cases whose bits that changes, the groups in
+SUM_DEPENDENT, have one record per summation behaviour,
+pins/sum-plain.json and pins/sum-compensated.json, picked by probing the
+running interpreter. Every other case has the same bits on
 every CPython and is recorded once, in pins/shared.json.
 
 `python tests/pins.py` re-records the shared record and the running
@@ -277,9 +278,9 @@ for _name in ("cholesky", "eig", "pca", "polyfit", "qr", "solve_qr", "svd"):
             case(f"lindecomp.{_name}.{_k}.x{_s:g}", _decomp, lambda n=_name, k=_k, s=_s: (n, k, s))
 
 
-# past one Householder panel: QR solves at n = 33 and 65, and the singular
-# values of a 48 x 40, at the four scales; vectors only, to keep the records
-# small
+# at and past one Householder panel of 32 reflectors: QR solves at n = 33
+# (32 reflectors, still one panel) and 65, and the singular values of a
+# 48 x 40, at the four scales; vectors only, to keep the records small
 
 
 def _wide(name, s):
