@@ -499,6 +499,27 @@ def _spectral_cases():
 _spectral_cases()
 
 
+def _real_input_cases():
+    # real inputs to fft, one with -0.0 imaginary parts, and convolutions of
+    # shapes that overlap-add takes as one block (5x3), two blocks (30x10)
+    # and many (the others, the kernel the longer argument in 3x100)
+    rng = random.Random(20242)
+
+    def add(name, op, *args):
+        case(f"spectral.{name}", SPECTRAL_OUTPUTS[op], lambda: args)
+
+    for n in (1, 2, 8, 1024):
+        add(f"fft{n}_real", "fft", ComplexVec.from_real([rng.uniform(-1, 1) for _ in range(n)]))
+    for n in (1, 8):
+        add(f"fft{n}_real_negzero", "fft", ComplexVec([rng.uniform(-1, 1) for _ in range(n)], [-0.0] * n))
+    for na, nb in ((5, 3), (30, 10), (100, 3), (3, 100), (20, 1)):
+        f = [rng.uniform(-1, 1) for _ in range(na)]
+        add(f"convolve_{na}x{nb}", "convolve", f, [rng.uniform(-1, 1) for _ in range(nb)])
+
+
+_real_input_cases()
+
+
 # the MLP: loss history, trained weights and biases, the initial net's
 # gradients and loss, for two hidden layers, a batch of one and inputs with
 # signed zeros
