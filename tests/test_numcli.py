@@ -105,6 +105,29 @@ def test_write_csv_rejects_ragged_rows():
         numcli.write_csv(["a", "b"], [[1.0]])
 
 
+def test_write_csv_raises_for_the_first_bad_row():
+    # rows are checked in order, each for its width before its cells
+    nan = float("nan")
+    with pytest.raises(MalformedCsv, match="^row of 1 cells under 2 headers$"):
+        numcli.write_csv(["a", "b"], [[1.0, 2.0], [1.0], [nan, 2.0]])
+    with pytest.raises(NonFinite, match="^refusing to serialize a non-finite value$"):
+        numcli.write_csv(["a", "b"], [[1.0, 2.0], [nan, 2.0], [1.0]])
+    with pytest.raises(MalformedCsv):
+        numcli.write_csv(["a", "b"], [[nan, 2.0, 3.0]])
+
+
+def test_write_csv_cells_of_every_kind():
+    # exact floats first; bools as 0/1, ints as themselves, anything else
+    # through float()
+    class Half(float):
+        pass
+
+    rows = [[0.1, -0.0, 5e-324], [True, 2**70, Half(0.5)], ["1e3", False, -7]]
+    assert numcli.write_csv(["a", "b", "c"], rows) == (
+        b"a,b,c\n0.10000000000000001,-0,4.9406564584124654e-324\n1,1180591620717411303424,0.5\n1000,0,-7\n"
+    )
+
+
 def test_read_csv_rejects_garbage():
     with pytest.raises(MalformedCsv):
         numcli.read_csv(b"x,y\n1,banana\n")

@@ -3,6 +3,7 @@
 
 import cmath
 import math
+import operator
 import random
 from array import array
 
@@ -130,6 +131,32 @@ def test_real_input_conjugate_symmetry():
         assert abs(spec[k] - spec[64 - k].conjugate()) <= 1e-10
 
 
+@pytest.mark.parametrize("p", range(13))
+def test_fft_of_real_input_is_the_spectrum_path(p):
+    # imaginary parts of either sign of zero take the half-length real
+    # transform, so the bins are spectrum's bit for bit; they stay within
+    # n * eps * max|x| of the 38-digit DFT
+    n = 1 << p
+    rng = random.Random(p)
+    x = [rng.uniform(-1, 1) for _ in range(n)]
+    spec = spectral.spectrum(x, 0.5).bins
+    for zero in (0.0, -0.0):
+        out = spectral.fft(ComplexVec(x, [zero] * n))
+        assert (out.re, out.im) == (spec.re, spec.im)
+    bound = n * math.ulp(1.0) * max(map(abs, x))
+    assert worst(as_list(spec), oracles.fft(x)) <= bound
+
+
+def test_fft_of_mixed_zero_signs_and_one_nonzero_imaginary_part():
+    x = [0.5, -1.0, 0.25, 2.0]
+    got = spectral.fft(ComplexVec(x, [0.0, -0.0, -0.0, 0.0]))
+    assert got == spectral.spectrum(x, 1.0).bins
+    # a single nonzero imaginary part takes the complex transform
+    got = spectral.fft(ComplexVec(x, [0.0, 1e-300, -0.0, 0.0]))
+    assert worst(as_list(got), oracles.fft([0.5, -1.0 + 1e-300j, 0.25, 2.0])) <= 4 * math.ulp(4.0)
+    assert got.im[0] == 1e-300
+
+
 # frequency grids
 
 
@@ -240,6 +267,86 @@ def test_convolve_fft_golden_and_matches_direct():
         ref = spectral.convolve_direct(f, g).data
         assert len(got) == m + n - 1
         assert worst(got, ref) <= 1e-9
+
+
+# (f length, g length) with the block count convolve_fft's cost model gives
+# them: one block, two, and many, with either argument the longer, and
+# length-1 inputs
+CONV_SHAPES = [((1, 1), 1), ((1, 7), 1), ((5, 3), 1), ((8, 8), 1), ((30, 10), 2), ((10, 30), 2),
+               ((8, 3), 2), ((20, 1), 3), ((1, 20), 3), ((100, 3), 8), ((3, 100), 8), ((1024, 3), 35),
+               ((700, 65), 4)]
+
+
+def conv_inputs(na, nb, seed):
+    rng = random.Random(seed)
+    return [rng.uniform(-1, 1) for _ in range(na)], [rng.uniform(-1, 1) for _ in range(nb)]
+
+
+def conv_bound(f, g) -> float:
+    """(log2(L) + 1) * eps * |f|_2 * |g|_2, with L the single-block length:
+    the normwise error of an FFT convolution of length L, and every block
+    length is at most L."""
+    q = (len(f) + len(g) - 2).bit_length()
+    return (q + 1) * math.ulp(1.0) * math.hypot(*f) * math.hypot(*g)
+
+
+@pytest.mark.parametrize("shape, blocks", CONV_SHAPES, ids=[f"{a}x{b}" for (a, b), _ in CONV_SHAPES])
+def test_convolve_fft_block_counts_within_bound_of_exact(shape, blocks):
+    na, nb = shape
+    f, g = conv_inputs(na, nb, na * 1000 + nb)
+    size = spectral._block_length(max(na, nb), min(na, nb))
+    assert -(-max(na, nb) // (size - min(na, nb) + 1)) == blocks
+    got = spectral.convolve_fft(f, g).data
+    assert len(got) == na + nb - 1
+    assert worst(got, oracles.convolve(f, g)) <= conv_bound(f, g)
+
+
+@pytest.mark.parametrize("shape", [s for s, _ in CONV_SHAPES] + [(1025, 1025), (33, 31)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_convolve_fft_argument_order_does_not_change_a_bit(shape):
+    f, g = conv_inputs(*shape, seed=sum(shape))
+    assert spectral.convolve_fft(f, g).data == spectral.convolve_fft(g, f).data
+
+
+@pytest.mark.parametrize("k", [-600, -1, 1, 600])
+def test_convolve_fft_scales_by_powers_of_two_exactly(k):
+    for (na, nb), _ in CONV_SHAPES:
+        f, g = conv_inputs(na, nb, k + na)
+        want = [y * 2.0**k for y in spectral.convolve_fft(f, g).data]
+        assert spectral.convolve_fft([v * 2.0**k for v in f], g).data == want
+
+
+def single_block(f, g) -> list[float] | None:
+    """The convolution as one transform of both padded inputs, the layout
+    convolve_fft keeps for a single block. None where any entry is not
+    finite."""
+    m = len(f) + len(g) - 1
+    size = 1 << (m - 1).bit_length()
+    take = size // 2 + 1
+    both = spectral._rfft_rows(f + [0.0] * (size - len(f)) + g + [0.0] * (size - len(g)), 2, size, take)
+    out = spectral._irfft_rows(list(map(operator.mul, both[:take], both[take:])), 1, size)[:m]
+    return out if all(map(math.isfinite, out)) else None
+
+
+def test_convolve_fft_near_float_max_finite_where_one_block_is():
+    # blocks sum fewer samples than the single transform, so no input that
+    # one block convolves to finite values may raise
+    rng = random.Random(1e300)
+    raised = 0
+    for _ in range(80):
+        scale = rng.uniform(1e300, 1.7e308)
+        na, nb = rng.randint(1, 40), rng.randint(1, 12)
+        f, g = conv_inputs(na, nb, rng.random())
+        big = [v * scale for v in f]
+        ref = single_block(big, g)
+        try:
+            got = spectral.convolve_fft(big, g).data
+        except NonFinite:
+            assert ref is None, (na, nb, scale)
+            raised += 1
+            continue
+        assert worst((v / scale for v in got), oracles.convolve(f, g)) <= conv_bound(f, g)
+    assert 0 < raised < 80
 
 
 def test_convolve_circular_golden():
@@ -473,6 +580,38 @@ def test_peak_frequency_5hz():
 def test_peak_frequency_dc_raises():
     with pytest.raises(NoPeak):
         spectral.peak_frequency([4.0] * 64, 64.0)
+
+
+def test_peak_frequency_of_a_tiny_tone():
+    # the floor is relative to the largest bin, so amplitude does not matter
+    sig = [1e-14 * math.sin(2 * math.pi * 4.0 * k / 64) for k in range(64)]
+    assert spectral.peak_frequency(sig, 64.0) == 4.0
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -40, 40, 600, 1000])
+def test_peak_frequency_scales_by_powers_of_two(k):
+    rng = random.Random(k)
+    sig = [rng.uniform(-1, 1) + math.sin(2 * math.pi * 9.0 * t / 128) for t in range(128)]
+    want = spectral.peak_frequency(sig, 128.0)
+    assert spectral.peak_frequency([v * 2.0**k for v in sig], 128.0) == want
+    with pytest.raises(NoPeak):
+        spectral.peak_frequency([2.0**k] * 64, 64.0)
+
+
+def test_peak_frequency_floor_counts_the_nyquist_bin():
+    # bin n/2 is not reported, but it sets the floor like any other bin
+    def with_tone(amp):
+        return [(-1.0) ** k + amp * math.sin(2 * math.pi * 4.0 * k / 64) for k in range(64)]
+
+    for amp in (0.0, 1e-15):
+        with pytest.raises(NoPeak):
+            spectral.peak_frequency(with_tone(amp), 64.0)
+    assert spectral.peak_frequency(with_tone(1e-6), 64.0) == 4.0
+
+
+def test_peak_frequency_exact_ties_keep_the_lowest_frequency():
+    # an impulse has a flat spectrum: every bin is exactly 1
+    assert spectral.peak_frequency([1.0] + [0.0] * 7, 8.0) == 1.0
 
 
 def test_spectrum_builder():
