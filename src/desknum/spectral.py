@@ -384,17 +384,16 @@ def convolve_fft(f: Sequence[float], g: Sequence[float]) -> Vector:
     """Linear convolution by overlap-add (Stockham, 1966): the longer input
     is cut into blocks of L - len(shorter) + 1 samples, every block and the
     shorter input go through one batched real FFT of length L, the products
-    through one batched inverse, and the overlapping tails are added. A
-    single block transforms f and g padded to L, in that order; rows are
-    transformed independently and complex products commute, so swapping
-    the arguments moves no bit."""
+    through one batched inverse, and the overlapping tails are added. Rows
+    are transformed independently and complex products commute, so
+    swapping the arguments moves no bit."""
     a = _vec(f, "f")
     b = _vec(g, "g")
     m = len(a) + len(b) - 1
     long, short = (a, b) if len(a) > len(b) else (b, a)
     size = _block_length(len(long), len(short))
     step = size - len(short) + 1
-    rows = [a, b] if step >= len(long) else [long[i : i + step] for i in range(0, len(long), step)] + [short]
+    rows = [long[i : i + step] for i in range(0, len(long), step)] + [short]
     data: list[float] = []
     for row in rows:
         data += row
@@ -558,7 +557,10 @@ def peak_frequency(signal: Sequence[float], sample_rate: float) -> float:
     so the floor scales with the signal."""
     spec = spectrum(signal, 1.0 / _positive(sample_rate, "sample rate", BadCutoff))
     bins, freqs, n = spec.bins, spec.freqs, len(spec.freqs)
-    mags = list(map(math.hypot, bins.re[: n // 2 + 1], bins.im[: n // 2 + 1]))
+    # halved parts keep the modulus of two finite parts finite; halving is
+    # exact for normal floats, so the floor test and the argmax hold
+    half = n // 2 + 1
+    mags = [math.hypot(r * 0.5, i * 0.5) for r, i in zip(bins.re[:half], bins.im[:half])]
     # the first of equal maxima, so exact ties keep the lowest frequency
     inner = mags[1 : (n + 1) // 2]
     best = max(inner, default=0.0)

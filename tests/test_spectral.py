@@ -598,6 +598,15 @@ def test_peak_frequency_scales_by_powers_of_two(k):
         spectral.peak_frequency([2.0**k] * 64, 64.0)
 
 
+def test_peak_frequency_of_a_tone_near_the_float_maximum():
+    # bin 1 has finite parts of about 1.41e308 each, so its modulus is above
+    # the float maximum
+    sig = [5e307 * math.cos(2 * math.pi * k / 8 + math.pi / 4) for k in range(8)]
+    bins = spectral.spectrum(sig, 1 / 64).bins
+    assert math.isinf(math.hypot(bins.re[1], bins.im[1]))
+    assert spectral.peak_frequency(sig, 64.0) == 8.0
+
+
 def test_peak_frequency_floor_counts_the_nyquist_bin():
     # bin n/2 is not reported, but it sets the floor like any other bin
     def with_tone(amp):
