@@ -317,9 +317,9 @@ def test_convolve_fft_scales_by_powers_of_two_exactly(k):
 
 
 def single_block(f, g) -> list[float] | None:
-    """The convolution as one transform of both padded inputs, the layout
-    convolve_fft keeps for a single block. None where any entry is not
-    finite."""
+    """The convolution as one transform of both padded inputs, with the
+    bits convolve_fft gives where it takes a single block. None where any
+    entry is not finite."""
     m = len(f) + len(g) - 1
     size = 1 << (m - 1).bit_length()
     take = size // 2 + 1
